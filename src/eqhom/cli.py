@@ -3,7 +3,8 @@
 Every command prints deterministic text (no timestamps, no unordered
 collections) so outputs can be golden-tested byte for byte.  Exit codes:
 0 success, 1 parse or usage error, 2 violated mathematical precondition,
-3 budget exceeded.  All error paths print a single ``error: ...`` line.
+3 budget exceeded.  On failure the single ``error: ...`` line is the only
+output; a failed verdict names the failing values in it.
 """
 
 import argparse
@@ -25,6 +26,10 @@ from .coarse import (cayley_ball, gromov_counterexample_report,
 
 class _UsageError(InputError):
     pass
+
+
+# Exit code per exception family, in the order the families are tried.
+_EXIT_CODES = {InputError: 1, ValueError: 1, BudgetError: 3, PreconditionError: 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,20 +183,22 @@ def _cmd_group_homology(args, out):
         results["shift"] = shift_homology(model, args.n)
         out.append(f"shift = {results['shift']}")
     if args.method == "both":
-        if results["bar"] == results["shift"]:
-            out.append("AGREE")
-        else:
-            out.append("DISAGREE")
-            raise PreconditionError("bar and shift homology disagree")
+        if results["bar"] != results["shift"]:
+            raise PreconditionError(
+                f"bar and shift homology disagree: bar = {results['bar']}, "
+                f"shift = {results['shift']}")
+        out.append("AGREE")
 
 
 def _cmd_shift_chain(args, out):
     pres = _load_presentation(args.presentation)
     model = todd_coxeter(pres, args.max_cosets)
     report = shift_chain_check(model, args.n)
-    out.append(report.render())
     if not report.all_equal:
-        raise PreconditionError("shift chain values differ")
+        raise PreconditionError(
+            "shift chain values differ: "
+            + "; ".join(report.render().splitlines()[:-1]))
+    out.append(report.render())
 
 
 def _cmd_pd_check(args, out):
@@ -202,9 +209,12 @@ def _cmd_pd_check(args, out):
     else:
         system = LocalSystem.trivial(cx)
     report = pd_check(manifold, system)
-    out.append(report.render())
     if not report.ok:
-        raise PreconditionError("duality pairing failed")
+        raise PreconditionError(
+            "duality pairing failed: "
+            + "; ".join(line for line in report.render().splitlines()
+                        if line.endswith("[NOT ISO]")))
+    out.append(report.render())
 
 
 def _cmd_essential(args, out):
@@ -387,16 +397,10 @@ def run(argv):
     try:
         args = build_parser().parse_args(argv)
         args.fn(args, out)
-        return 0, "\n".join(out) + "\n"
-    except (_UsageError, InputError, ValueError) as exc:
-        out.append(f"error: {exc}")
-        return 1, "\n".join(out) + "\n"
-    except BudgetError as exc:
-        out.append(f"error: {exc}")
-        return 3, "\n".join(out) + "\n"
-    except PreconditionError as exc:
-        out.append(f"error: {exc}")
-        return 2, "\n".join(out) + "\n"
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        return code, f"error: {exc}\n"
+    return 0, "\n".join(out) + "\n"
 
 
 def main():

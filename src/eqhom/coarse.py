@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import PreconditionError
+from .errors import ModelMismatch, PreconditionError
 from .groups import FreeGroup, GroupModel
 
 
 class UnsupportedModel(PreconditionError):
     """Cayley-ball probes need an infinite model (free / free abelian / product)."""
-
-
-class ModelMismatch(PreconditionError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +107,6 @@ class MaxFlowResult:
     arc_flows: list
     cut_arcs: list
     source_side: frozenset
-
-    @property
-    def cut_capacity(self):
-        return self.value  # the returned cut is saturated; asserted below
 
 
 class FlowNetwork:
@@ -499,6 +491,8 @@ def gromov_counterexample_report(n, radius, factor=None):
     dies there even though it is nonzero in ordinary homology.  Everything
     in (b) is a finite-radius probe, not a proof.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if radius < 2:
         raise ValueError("radius must be >= 2")
     factor = factor or FreeGroup(2, names=("s", "t"))

@@ -16,7 +16,7 @@ v), and the lift of a simplex at sheet g places its smallest vertex v0 on
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, ModelMismatch, PreconditionError
 from .groups import (FiniteGroup, GroupPresentation, GroupRingElement,
                      Exceeded, IntRepresentation, todd_coxeter, trivial_rep)
 from .intlinalg import IntMatrix, homology_of_pair
@@ -362,27 +362,19 @@ class EquivariantComplex:
         return [len(level) * self.model.order for level in self.base._simplices]
 
 
-def universal_cover(cx, model, basepoint=0):
-    return EquivariantComplex(cx, model, basepoint=basepoint)
-
-
 def build_cover(cx, basepoint=0, max_cosets=20000):
-    """fundamental_group + todd_coxeter + universal_cover in one step."""
+    """fundamental_group + todd_coxeter + EquivariantComplex in one step."""
     pres = fundamental_group(cx, basepoint)
     try:
         model = todd_coxeter(pres, max_cosets)
     except Exceeded as exc:
         raise InfiniteGroup(
             f"pi_1 did not close within {exc.max_cosets} cosets") from exc
-    return universal_cover(cx, model, basepoint=basepoint)
+    return EquivariantComplex(cx, model, basepoint=basepoint)
 
 
 # ---------------------------------------------------------------------------
 # local coefficient systems
-
-class ModelMismatch(PreconditionError):
-    pass
-
 
 @dataclass
 class LocalSystem:
@@ -433,68 +425,40 @@ class LocalSystem:
                                     label=f"{self.label}(x){other.label}")
 
 
-def _block_fill(mat, row_block, col_block, rank, sign, block):
-    """mat[row_block][col_block] += sign * block (identity when block None)."""
-    r0, c0 = row_block * rank, col_block * rank
-    if block is None:
-        for a in range(rank):
-            mat.data[r0 + a][c0 + a] += sign
-    else:
-        bd = block.data
-        for a in range(rank):
-            row = mat.data[r0 + a]
-            brow = bd[a]
-            for b in range(rank):
-                if brow[b]:
-                    row[c0 + b] += sign * brow[b]
+def _boundary_blocks(system, k, dual):
+    """(face, simplex, sign, block) for every entry of d_k with coefficients.
+
+    The block is rho(h)^-1, or rho(h) with face and simplex swapped when
+    dual; None (the identity) for trivial systems.
+    """
+    if system.is_trivial:
+        for i, row in enumerate(system.complex.boundary_matrix(k).data):
+            for j, v in enumerate(row):
+                if v:
+                    yield (j, i, v, None) if dual else (i, j, v, None)
+        return
+    for j, terms in enumerate(system.cover.boundary_terms(k)):
+        for face, sign, elt in terms:
+            if dual:
+                yield j, face, sign, system.matrix(elt)
+            else:
+                yield face, j, sign, system.matrix_inv(elt)
 
 
 def chain_boundary_matrix(system, k):
     """d_k on C_*(X; L) = C_*(cover) (x)_pi L; blocks are rho(h)^-1."""
-    cx = system.complex
-    r = system.rank
-    n_k = len(cx.simplices(k))
-    n_km1 = len(cx.simplices(k - 1)) if k >= 1 else 0
-    mat = IntMatrix.zeros(n_km1 * r, n_k * r)
-    if k < 1 or k > cx.dim:
-        return mat
-    if system.is_trivial:
-        base = cx.boundary_matrix(k)
-        for i in range(base.rows):
-            for j in range(base.cols):
-                v = base.data[i][j]
-                if v:
-                    _block_fill(mat, i, j, r, v, None)
-        return mat
-    terms = system.cover.boundary_terms(k)
-    for j, tt in enumerate(terms):
-        for face, sign, elt in tt:
-            _block_fill(mat, face, j, r, sign, system.matrix_inv(elt))
-    return mat
+    cx, r = system.complex, system.rank
+    blocks = _boundary_blocks(system, k, dual=False) if 1 <= k <= cx.dim else ()
+    return IntMatrix.from_blocks(len(cx.simplices(k - 1)) * r,
+                                 len(cx.simplices(k)) * r, (r, r), blocks)
 
 
 def cochain_differential_matrix(system, k):
     """delta^k : C^k(X; L) -> C^{k+1}(X; L); blocks are rho(h)."""
-    cx = system.complex
-    r = system.rank
-    n_k = len(cx.simplices(k))
-    n_kp1 = len(cx.simplices(k + 1))
-    mat = IntMatrix.zeros(n_kp1 * r, n_k * r)
-    if k < 0 or k >= cx.dim:
-        return mat
-    if system.is_trivial:
-        base = cx.boundary_matrix(k + 1)
-        for i in range(base.rows):
-            for j in range(base.cols):
-                v = base.data[i][j]
-                if v:
-                    _block_fill(mat, j, i, r, v, None)
-        return mat
-    terms = system.cover.boundary_terms(k + 1)
-    for j, tt in enumerate(terms):
-        for face, sign, elt in tt:
-            _block_fill(mat, j, face, r, sign, system.matrix(elt))
-    return mat
+    cx, r = system.complex, system.rank
+    blocks = _boundary_blocks(system, k + 1, dual=True) if 0 <= k < cx.dim else ()
+    return IntMatrix.from_blocks(len(cx.simplices(k + 1)) * r,
+                                 len(cx.simplices(k)) * r, (r, r), blocks)
 
 
 def homology(cx):
@@ -533,13 +497,9 @@ def local_homology(cover, system):
 def local_cohomology(cover, system):
     """H^k(X; L) for k = 0..dim."""
     _check_system(cover, system)
-    out = []
-    for k in range(system.complex.dim + 1):
-        d_up = cochain_differential_matrix(system, k)
-        d_down = cochain_differential_matrix(system, k - 1) if k >= 1 else \
-            IntMatrix.zeros(len(system.complex.simplices(0)) * system.rank, 0)
-        out.append(homology_of_pair(d_up, d_down))
-    return out
+    return [homology_of_pair(cochain_differential_matrix(system, k),
+                             cochain_differential_matrix(system, k - 1))
+            for k in range(system.complex.dim + 1)]
 
 
 def render_homology(groups, prefix="H"):

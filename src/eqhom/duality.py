@@ -20,7 +20,7 @@ from .errors import PreconditionError
 from .complexes import (LocalSystem, chain_boundary_matrix,
                         cochain_differential_matrix)
 from .groups import augmentation_ideal_rep
-from .intlinalg import (AbelianGroupInvariants, IntMatrix, PairHomology,
+from .intlinalg import (AbelianGroupInvariants, PairHomology,
                         is_isomorphism_onto, matvec)
 
 
@@ -103,11 +103,6 @@ def orient(cx, dim=None):
     return TriangulatedManifold(cx, n, orientation)
 
 
-def fundamental_class(manifold):
-    """The signed facet sum as a top cycle (boundary exactly zero)."""
-    return manifold.fundamental_cycle()
-
-
 # ---------------------------------------------------------------------------
 # cochains with local coefficients
 
@@ -145,9 +140,6 @@ class Cochain:
         mat = cochain_differential_matrix(self.system, self.degree)
         return Cochain.from_flat(self.system, self.degree + 1,
                                  matvec(mat, self.flat()))
-
-    def is_cocycle(self):
-        return not any(self.delta().flat())
 
     def __add__(self, other):
         if self.system is not other.system or self.degree != other.degree:
@@ -303,13 +295,8 @@ class PdReport:
 
 def cohomology_pair(system, k):
     """PairHomology for H^k(X; L)."""
-    cx = system.complex
-    up = cochain_differential_matrix(system, k)
-    if k >= 1:
-        down = cochain_differential_matrix(system, k - 1)
-    else:
-        down = IntMatrix.zeros(len(cx.simplices(0)) * system.rank, 0)
-    return PairHomology(up, down)
+    return PairHomology(cochain_differential_matrix(system, k),
+                        cochain_differential_matrix(system, k - 1))
 
 
 def homology_pair(system, k):

@@ -20,3 +20,7 @@ class PreconditionError(EqhomError):
 
 class BudgetError(EqhomError):
     """A configured size or enumeration budget was exceeded."""
+
+
+class ModelMismatch(PreconditionError):
+    """Operands live over different group models, complexes or covers."""

@@ -63,48 +63,33 @@ class BarComplex:
             idx = idx * n1 + (g - 1)
         return idx
 
+    def _boundary_blocks(self, k):
+        """(row tuple index, column, sign, block) for every term of d_k."""
+        model = self.model
+        L = self.coefficients
+        index = self._tuple_index
+        for col_idx, tup in enumerate(product(range(1, model.order), repeat=k)):
+            # g1 . [g2|...|gk]  --  (g c) (x) x ~ c (x) rho(g)^-1 x
+            yield index(tup[1:]), col_idx, 1, L.matrix_of(model.inv(tup[0]))
+            # middle merges, zero when a product hits the identity
+            for i in range(k - 1):
+                merged = model.mul(tup[i], tup[i + 1])
+                if merged != 0:
+                    yield (index(tup[:i] + (merged,) + tup[i + 2:]), col_idx,
+                           -1 if i % 2 == 0 else 1, None)
+            # drop the last letter
+            yield index(tup[:-1]), col_idx, -1 if k % 2 else 1, None
+
     def boundary_matrix(self, k):
         """d_k : B_k (x)_pi L -> B_{k-1} (x)_pi L."""
         if k in self._matrices:
             return self._matrices[k]
         if k < 1:
             mat = IntMatrix.zeros(0, self.module_rank(0) if k == 0 else 0)
-            self._matrices[k] = mat
-            return mat
-        model = self.model
-        L = self.coefficients
-        r = L.rank
-        n = model.order
-        rows = self.module_rank(k - 1)
-        cols = self.module_rank(k)
-        mat = IntMatrix.zeros(rows, cols)
-
-        def add_block(row_tuple, col_idx, sign, matrix=None):
-            r0 = self._tuple_index(row_tuple) * r
-            c0 = col_idx * r
-            if matrix is None:
-                for a in range(r):
-                    mat.data[r0 + a][c0 + a] += sign
-            else:
-                for a in range(r):
-                    row = mat.data[r0 + a]
-                    brow = matrix.data[a]
-                    for b in range(r):
-                        if brow[b]:
-                            row[c0 + b] += sign * brow[b]
-
-        for col_idx, tup in enumerate(product(range(1, n), repeat=k)):
-            # g1 . [g2|...|gk]  --  (g c) (x) x ~ c (x) rho(g)^-1 x
-            head = tup[1:]
-            add_block(head, col_idx, 1, L.matrix_of(model.inv(tup[0])))
-            # middle merges, zero when a product hits the identity
-            for i in range(k - 1):
-                merged = model.mul(tup[i], tup[i + 1])
-                if merged != 0:
-                    mtup = tup[:i] + (merged,) + tup[i + 2:]
-                    add_block(mtup, col_idx, -1 if i % 2 == 0 else 1)
-            # drop the last letter
-            add_block(tup[:-1], col_idx, -1 if k % 2 else 1)
+        else:
+            r = self.coefficients.rank
+            mat = IntMatrix.from_blocks(self.module_rank(k - 1), self.module_rank(k),
+                                        (r, r), self._boundary_blocks(k))
         self._matrices[k] = mat
         return mat
 
@@ -134,18 +119,11 @@ class CoinvariantsPresentation:
 
     @classmethod
     def of(cls, rep):
-        blocks = None
-        eye = IntMatrix.identity(rep.rank)
-        for g in rep.model.generators:
-            img = rep.images[g]
-            diff = IntMatrix(rep.rank, rep.rank,
-                             [[img.data[i][j] - eye.data[i][j]
-                               for j in range(rep.rank)]
-                              for i in range(rep.rank)])
-            blocks = diff if blocks is None else hstack(blocks, diff)
-        if blocks is None:
-            blocks = IntMatrix.zeros(rep.rank, 0)
-        return cls(rep, blocks)
+        images = [rep.images[g].data for g in rep.model.generators]
+        rows = [[v - 1 if i == j else v
+                 for img in images for j, v in enumerate(img[i])]
+                for i in range(rep.rank)]
+        return cls(rep, IntMatrix(rep.rank, rep.rank * len(images), rows))
 
     def invariants(self):
         return cokernel_invariants(self.matrix)
@@ -243,6 +221,8 @@ class ShiftChainReport:
 def shift_chain_check(model, n):
     """Check H_n(pi) = H_{n-1}(pi; I) = ... = H_1(pi; I^(n-1)) exactly."""
     _require_finite(model)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     ideal = augmentation_ideal_rep(model)
     degrees = []
     values = []

@@ -14,16 +14,12 @@ single-character names (``aba'``) or dot-separated names (``x0.x1'``).
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError, PreconditionError
+from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
 from .intlinalg import IntMatrix, matmul, unimodular_inverse
 
 
 class UnknownGenerator(InputError):
     pass
-
-
-class ModelMismatch(PreconditionError):
-    """Operands live over different group models."""
 
 
 class NotFinite(PreconditionError):
@@ -665,10 +661,6 @@ class GroupRingElement:
         return " + ".join(parts)
 
 
-def ring_multiply(x, y):
-    return x * y
-
-
 def augmentation(x):
     """Sum of coefficients; its kernel is the augmentation ideal I."""
     return x.augmentation()
@@ -678,19 +670,10 @@ def augmentation(x):
 # integer representations
 
 def kronecker(a, b):
-    out = IntMatrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a.data[i][j]
-            if v:
-                for p in range(b.rows):
-                    brow = b.data[p]
-                    orow = out.data[i * b.rows + p]
-                    off = j * b.cols
-                    for q in range(b.cols):
-                        if brow[q]:
-                            orow[off + q] = v * brow[q]
-    return out
+    return IntMatrix.from_blocks(
+        a.rows * b.rows, a.cols * b.cols, (b.rows, b.cols),
+        ((i, j, v, b) for i, row in enumerate(a.data)
+         for j, v in enumerate(row) if v))
 
 
 class IntRepresentation:

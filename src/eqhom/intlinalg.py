@@ -9,12 +9,14 @@ boundary matrices, plus a coordinate calculus on such homology groups
 
 Two computation paths coexist:
 
-* ``smith_normal_form`` is the classical dense elimination with a fixed
-  pivot rule (smallest absolute nonzero entry, ties broken by (row, col)
-  order).  It carries the unimodular transforms and their inverses and is
-  fully deterministic.
+* ``_smith`` is the one dense Smith elimination, with a fixed pivot rule
+  (smallest absolute nonzero entry, ties broken by (row, col) order).  It
+  carries only the unimodular transforms its caller asks for and is fully
+  deterministic.  ``smith_normal_form`` asks for all four; the kernel,
+  quotient, pair-homology, solve and lattice routines ask for the ones
+  they read.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
-  sparsely before falling back to the dense routine on the residual.
+  sparsely before handing the residual to the dense elimination.
   Invariant factors are canonical, so both paths agree by construction.
 """
 
@@ -71,19 +73,35 @@ class IntMatrix:
     def column(cls, vector):
         return cls(len(vector), 1, [[v] for v in vector])
 
-    def entry(self, i, j):
-        return self.data[i][j]
+    @classmethod
+    def from_blocks(cls, rows, cols, shape, blocks):
+        """A rows x cols matrix assembled from p x q blocks, shape = (p, q).
 
-    def row(self, i):
-        return list(self.data[i])
+        blocks yields (i, j, coeff, block): coeff * block is added at block
+        position (i, j), that is at rows i*p.. and columns j*q..; a block of
+        None stands for the p x p identity.  Blocks at one position add up.
+
+        >>> IntMatrix.from_blocks(2, 4, (2, 2), [(0, 1, -1, None)])
+        IntMatrix([[0, 0, -1, 0], [0, 0, 0, -1]])
+        """
+        p, q = shape
+        mat = cls.zeros(rows, cols)
+        data = mat.data
+        for i, j, coeff, block in blocks:
+            r0, c0 = i * p, j * q
+            if block is None:
+                for a in range(p):
+                    data[r0 + a][c0 + a] += coeff
+            else:
+                for a, brow in enumerate(block.data):
+                    row = data[r0 + a]
+                    for b, v in enumerate(brow):
+                        if v:
+                            row[c0 + b] += coeff * v
+        return mat
 
     def col(self, j):
         return [r[j] for r in self.data]
-
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
 
     def is_zero(self):
         return all(v == 0 for r in self.data for v in r)
@@ -145,12 +163,6 @@ def hstack(a, b):
                      [ra + rb for ra, rb in zip(a.data, b.data)])
 
 
-def vstack(a, b):
-    if a.cols != b.cols:
-        raise ValueError("vstack col mismatch")
-    return IntMatrix(a.rows + b.rows, a.cols, a.data + b.data)
-
-
 @dataclass(frozen=True)
 class AbelianGroupInvariants:
     """A finitely generated abelian group: Z^free_rank + sum of Z/d.
@@ -208,19 +220,30 @@ class SmithForm:
 
     invariant_factors has length min(rows, cols): the positive chain
     d_1 | d_2 | ... | d_r followed by zeros.  uinv and vinv are the exact
-    integer inverses of U and V.
+    integer inverses of U and V.  A transform the elimination was not
+    asked to carry is None.  shape is that of A; S is rebuilt from it and
+    the factors on access, so no factorization keeps a copy of the
+    eliminated matrix.
     """
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    shape: tuple
     invariant_factors: tuple
-    uinv: IntMatrix
-    vinv: IntMatrix
+    U: IntMatrix = None
+    uinv: IntMatrix = None
+    V: IntMatrix = None
+    vinv: IntMatrix = None
 
     @property
     def rank(self):
         return sum(1 for d in self.invariant_factors if d)
+
+    @property
+    def S(self):
+        m, n = self.shape
+        rows = [[0] * n for _ in range(m)]
+        for i, d in enumerate(self.invariant_factors):
+            rows[i][i] = d
+        return IntMatrix(m, n, rows)
 
 
 def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
@@ -368,6 +391,19 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
     return [md[i][i] for i in range(limit)]
 
 
+def _smith(A, U=False, Uinv=False, V=False, Vinv=False):
+    """SmithForm of A carrying only the requested transforms."""
+    m, n = A.rows, A.cols
+    md = [list(r) for r in A.data]
+    # list(r) gives exact-size rows; IntMatrix rows carry spare capacity.
+    acc = [[list(r) for r in IntMatrix.identity(k).data] if want else None
+           for want, k in ((U, m), (Uinv, m), (V, n), (Vinv, n))]
+    diag = _snf_inplace(md, m, n, *acc)
+    u, uinv, v, vinv = (None if rows is None else IntMatrix(len(rows), len(rows), rows)
+                        for rows in acc)
+    return SmithForm((m, n), tuple(diag), u, uinv, v, vinv)
+
+
 def smith_normal_form(A):
     """Full Smith normal form with unimodular transforms.
 
@@ -377,33 +413,7 @@ def smith_normal_form(A):
     >>> (sf.U @ IntMatrix.from_rows([[2, 0], [0, 3]])) @ sf.V == sf.S
     True
     """
-    m, n = A.rows, A.cols
-    md = [list(r) for r in A.data]
-    U = [list(r) for r in IntMatrix.identity(m).data]
-    Uinv = [list(r) for r in IntMatrix.identity(m).data]
-    V = [list(r) for r in IntMatrix.identity(n).data]
-    Vinv = [list(r) for r in IntMatrix.identity(n).data]
-    diag = _snf_inplace(md, m, n, U=U, Uinv=Uinv, V=V, Vinv=Vinv)
-    return SmithForm(
-        U=IntMatrix(m, m, U),
-        S=IntMatrix(m, n, md),
-        V=IntMatrix(n, n, V),
-        invariant_factors=tuple(diag),
-        uinv=IntMatrix(m, m, Uinv),
-        vinv=IntMatrix(n, n, Vinv),
-    )
-
-
-def _snf_with(A, want_U=False, want_Uinv=False, want_V=False, want_Vinv=False):
-    m, n = A.rows, A.cols
-    md = [list(r) for r in A.data]
-    U = [list(r) for r in IntMatrix.identity(m).data] if want_U else None
-    Uinv = [list(r) for r in IntMatrix.identity(m).data] if want_Uinv else None
-    V = [list(r) for r in IntMatrix.identity(n).data] if want_V else None
-    Vinv = [list(r) for r in IntMatrix.identity(n).data] if want_Vinv else None
-    diag = _snf_inplace(md, m, n, U=U, Uinv=Uinv, V=V, Vinv=Vinv)
-    mk = lambda rows, k: None if rows is None else IntMatrix(k, k, rows)
-    return diag, mk(U, m), mk(Uinv, m), mk(V, n), mk(Vinv, n)
+    return _smith(A, U=True, Uinv=True, V=True, Vinv=True)
 
 
 def invariant_factors(A):
@@ -497,10 +507,10 @@ def kernel_basis(A):
     >>> kernel_basis(IntMatrix.from_rows([[2, 4]])).col(0)
     [-2, 1]
     """
-    diag, _, _, V, _ = _snf_with(A, want_V=True)
-    r = sum(1 for d in diag if d)
+    sf = _smith(A, V=True)
+    r = sf.rank
     n = A.cols
-    return IntMatrix(n, n - r, [row[r:] for row in V.data])
+    return IntMatrix(n, n - r, [row[r:] for row in sf.V.data])
 
 
 def cokernel_invariants(A):
@@ -550,11 +560,12 @@ class QuotientLattice:
     def __init__(self, ambient, relations):
         if relations.rows != ambient:
             raise ValueError("relations must live in the ambient lattice")
-        diag, U, Uinv, _, _ = _snf_with(relations, want_U=True, want_Uinv=True)
+        sf = _smith(relations, U=True, Uinv=True)
+        diag = sf.invariant_factors
         self.ambient = ambient
-        self._U = U
-        self._Uinv = Uinv
-        r = sum(1 for d in diag if d)
+        self._U = sf.U
+        self._Uinv = sf.uinv
+        r = sf.rank
         torsion_idx = [i for i in range(r) if diag[i] > 1]
         free_idx = list(range(r, ambient))
         self._coord_idx = free_idx + torsion_idx
@@ -589,14 +600,14 @@ class PairHomology:
     def __init__(self, d_k, d_kplus1):
         _check_composition_zero(d_k, d_kplus1)
         n = d_k.cols
-        diag, _, _, V, Vinv = _snf_with(d_k, want_V=True, want_Vinv=True)
-        r = sum(1 for d in diag if d)
+        sf = _smith(d_k, V=True, Vinv=True)
+        r = sf.rank
         self._n = n
         self._r = r
-        self._kernel = IntMatrix(n, n - r, [row[r:] for row in V.data])
-        self._vinv = Vinv
+        self._kernel = IntMatrix(n, n - r, [row[r:] for row in sf.V.data])
+        self._vinv = sf.vinv
         image_in_kernel = IntMatrix(
-            n - r, d_kplus1.cols, matmul(Vinv, d_kplus1).data[r:])
+            n - r, d_kplus1.cols, matmul(sf.vinv, d_kplus1).data[r:])
         self.quotient = QuotientLattice(n - r, image_in_kernel)
         self.invariants = self.quotient.invariants
 
@@ -650,9 +661,10 @@ def solve_columns(A, B):
     """X with A.X = B over the integers, or NoIntegerSolution."""
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve")
-    diag, U, _, V, _ = _snf_with(A, want_U=True, want_V=True)
-    r = sum(1 for d in diag if d)
-    Y = matmul(U, B)
+    sf = _smith(A, U=True, V=True)
+    diag = sf.invariant_factors
+    r = sf.rank
+    Y = matmul(sf.U, B)
     Z = [[0] * B.cols for _ in range(A.cols)]
     for i in range(A.rows):
         for j in range(B.cols):
@@ -664,16 +676,16 @@ def solve_columns(A, B):
                 Z[i][j] = v // d
             elif v:
                 raise NoIntegerSolution("inconsistent system")
-    return matmul(V, IntMatrix(A.cols, B.cols, Z))
+    return matmul(sf.V, IntMatrix(A.cols, B.cols, Z))
 
 
 def lattice_basis(A):
     """A matrix whose columns are a basis of the lattice spanned by A's columns."""
-    diag, _, Uinv, _, _ = _snf_with(A, want_Uinv=True)
-    r = sum(1 for d in diag if d)
+    sf = _smith(A, Uinv=True)
+    r = sf.rank
     cols = []
     for i in range(r):
-        cols.append([diag[i] * v for v in Uinv.col(i)])
+        cols.append([sf.invariant_factors[i] * v for v in sf.uinv.col(i)])
     return IntMatrix(A.rows, r, [[c[i] for c in cols] for i in range(A.rows)])
 
 
@@ -681,10 +693,10 @@ def unimodular_inverse(M):
     """Exact inverse of a unimodular integer matrix."""
     if M.rows != M.cols:
         raise ValueError("not square")
-    diag, U, _, V, _ = _snf_with(M, want_U=True, want_V=True)
-    if any(d != 1 for d in diag):
+    sf = _smith(M, U=True, V=True)
+    if any(d != 1 for d in sf.invariant_factors):
         raise ValueError("matrix is not unimodular")
-    return matmul(V, U)
+    return matmul(sf.V, sf.U)
 
 
 def determinant(A):

@@ -1,3 +1,5 @@
+import pytest
+
 from eqhom.cli import parse_group_spec, run
 from eqhom.groups import FreeAbelianGroup, FreeGroup, ProductGroup
 
@@ -179,6 +181,27 @@ class TestExitCodes:
         code, text = invoke("homology", fixture_path("rp3.cplx"),
                             "--coeff", str(bad))
         assert code == 1 and "error:" in text
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("ponzi", "z2", "--radius", "3", "--bound", "0"), 1, "bound must be >= 1"),
+    (("shift-chain", fixture_path("s3.pres"), "--n", "0"), 1,
+     "degree must be >= 1"),
+    (("gromov-report", "--rank", "0", "--radius", "4"), 1, "rank must be >= 1"),
+    (("homology", "nope.cplx"), 1,
+     "cannot read nope.cplx: No such file or directory"),
+])
+def test_error_line_is_the_only_output(argv, code, message):
+    assert invoke(*argv) == (code, f"error: {message}\n")
+
+
+def test_failed_verdict_names_values(monkeypatch):
+    import eqhom.cli
+    from eqhom.intlinalg import AbelianGroupInvariants
+    monkeypatch.setattr(eqhom.cli, "shift_homology",
+                        lambda model, n: AbelianGroupInvariants(0, (4,)))
+    assert invoke("group-homology", fixture_path("z2.pres"), "--n", "1") == (
+        2, "error: bar and shift homology disagree: bar = Z/2, shift = Z/4\n")
 
 
 class TestGromovReport:

@@ -2,13 +2,15 @@ from itertools import combinations
 
 import pytest
 
-from eqhom.complexes import (DuplicateVertexInSimplex, LocalSystem,
-                             NotConnected, ParseError, PresentationMismatch,
-                             SimplicialComplex, build_cover, cohomology,
+from eqhom.complexes import (DuplicateVertexInSimplex, EquivariantComplex,
+                             LocalSystem, NotConnected, ParseError,
+                             PresentationMismatch, SimplicialComplex,
+                             build_cover, chain_boundary_matrix,
+                             cochain_differential_matrix, cohomology,
                              cycle_complex, fundamental_group, homology,
                              load_complex, local_cohomology, local_homology,
                              render_homology, simplicial_product,
-                             torus_complex, universal_cover)
+                             torus_complex)
 from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
                           regular_rep, todd_coxeter, trivial_rep)
 from eqhom.intlinalg import AbelianGroupInvariants, matmul
@@ -128,7 +130,7 @@ class TestUniversalCover:
     def test_presentation_mismatch(self, rp2):
         wrong = todd_coxeter(GroupPresentation(("a",), ("aa",)), 10)
         with pytest.raises(PresentationMismatch):
-            universal_cover(rp2, wrong)
+            EquivariantComplex(rp2, wrong)
 
 
 class TestLocalCoefficients:
@@ -160,6 +162,24 @@ class TestLocalCoefficients:
         # degree zero homology
         ho = local_homology(rp3_cover, system)
         assert ho[0] == AbelianGroupInvariants(0, (2,))
+
+    def test_rank_zero_system_shapes(self, rp2):
+        system = LocalSystem.trivial(rp2, 0)
+        for k in range(-1, rp2.dim + 2):
+            for mat in (chain_boundary_matrix(system, k),
+                        cochain_differential_matrix(system, k)):
+                assert (mat.rows, mat.cols) == (0, 0)
+        assert [str(h) for h in local_homology(None, system)] == ["0"] * 3
+
+    def test_cochain_differential_below_degree_zero(self, rp2, rp2_cover):
+        from eqhom.groups import tensor_power
+        ideal = augmentation_ideal_rep(rp2_cover.model)
+        n0 = len(rp2.simplices(0))
+        for system in (LocalSystem.trivial(rp2), LocalSystem.trivial(rp2, 3),
+                       LocalSystem.from_rep(rp2_cover, regular_rep(rp2_cover.model)),
+                       LocalSystem.from_rep(rp2_cover, tensor_power(ideal, 2))):
+            mat = cochain_differential_matrix(system, -1)
+            assert (mat.rows, mat.cols) == (n0 * system.rank, 0)
 
     def test_simply_connected_any_coefficients(self, s2cx):
         cover = build_cover(s2cx)

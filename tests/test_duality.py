@@ -7,9 +7,8 @@ from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
 from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            NotPseudomanifold, bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
-                           cup, essentiality_pairing, fundamental_class,
-                           homology_pair, orient, pd_check, pert_finite,
-                           unit_cocycle)
+                           cup, essentiality_pairing, homology_pair, orient,
+                           pd_check, pert_finite, unit_cocycle)
 from eqhom.groups import augmentation_ideal_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, determinant,

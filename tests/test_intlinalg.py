@@ -100,6 +100,40 @@ class TestSmithForm:
                 assert prod == g
 
 
+class TestBlockAssembly:
+    def test_identity_blocks(self):
+        mat = IntMatrix.from_blocks(4, 6, (2, 2), [(0, 2, 3, None),
+                                                   (1, 0, -1, None),
+                                                   (1, 0, -1, None)])
+        assert mat == M([[0, 0, 0, 0, 3, 0], [0, 0, 0, 0, 0, 3],
+                         [-2, 0, 0, 0, 0, 0], [0, -2, 0, 0, 0, 0]])
+
+    def test_scaled_square_blocks(self):
+        b = M([[1, 2], [0, -1]])
+        mat = IntMatrix.from_blocks(4, 4, (2, 2), [(0, 0, 2, b), (1, 1, -1, b),
+                                                   (1, 1, 3, None)])
+        assert mat == M([[2, 4, 0, 0], [0, -2, 0, 0],
+                         [0, 0, 2, -2], [0, 0, 0, 4]])
+
+    def test_non_square_blocks_kronecker(self):
+        # [[1, -2]] (x) [[1], [2], [3]], written out by hand
+        b = M([[1], [2], [3]])
+        mat = IntMatrix.from_blocks(3, 2, (3, 1), [(0, 0, 1, b), (0, 1, -2, b)])
+        assert mat == M([[1, -2], [2, -4], [3, -6]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices, small_matrices)
+    def test_kronecker_definition(self, a, b):
+        blocks = [(i, j, a.data[i][j], b) for i in range(a.rows)
+                  for j in range(a.cols)]
+        mat = IntMatrix.from_blocks(a.rows * b.rows, a.cols * b.cols,
+                                    (b.rows, b.cols), blocks)
+        want = [[a.data[i][j] * b.data[p][q]
+                 for j in range(a.cols) for q in range(b.cols)]
+                for i in range(a.rows) for p in range(b.rows)]
+        assert mat == IntMatrix(a.rows * b.rows, a.cols * b.cols, want)
+
+
 class TestKernels:
     def test_identity_kernel_empty(self):
         assert kernel_basis(IntMatrix.identity(3)).cols == 0
