@@ -263,8 +263,7 @@ def _cmd_ponzi(args, out):
     out.append(f"radius = {args.radius}  bound = {args.bound}")
     out.append(f"ball = {len(ball)}  inner = {ball.inner_count}")
     result = ponzi_feasible(ball, args.bound)
-    if result.feasible:
-        assert result.verify()
+    if result.feasible:  # ponzi_feasible verified it
         nonzero = sum(1 for v in result.flow.values() if v)
         out.append("FEASIBLE")
         out.append(f"certificate: {nonzero} edges carry flow, "
@@ -284,8 +283,8 @@ def _cmd_min_bound(args, out):
     out.append(f"radius = {args.radius}")
     out.append(f"ball = {len(ball)}  inner = {ball.inner_count}")
     out.append(f"t_min = {res.t_min}")
-    out.append("certificate at t_min verified = "
-               f"{res.certificate.verify()}")
+    # min_ponzi_bound raises CertificateError unless the certificate verifies
+    out.append("certificate at t_min verified = True")
     if res.cut_below is not None:
         out.append(f"cut at t_min - 1: capacity {res.cut_below.capacity} < "
                    f"demand {res.cut_below.demand}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import ModelMismatch, PreconditionError
+from .errors import CertificateError, ModelMismatch, PreconditionError
 from .groups import FreeGroup, GroupModel
 
 
@@ -55,13 +55,13 @@ class CayleyBall:
         index = {model.identity: 0}
         frontier = [model.identity]
         for d in range(1, radius + 1):
-            new = []
+            found = {}  # insertion-ordered set of the next shell
             for v in frontier:
                 for s in self._letters:
                     w = model.mul(v, s)
-                    if w not in index and w not in new:
-                        new.append(w)
-            new.sort(key=model.sort_key)
+                    if w not in index:
+                        found[w] = None
+            new = sorted(found, key=model.sort_key)
             for w in new:
                 index[w] = len(self.vertices)
                 self.vertices.append(w)
@@ -90,8 +90,10 @@ class CayleyBall:
     def crossing_edges(self):
         """Edges from the inner ball to the outermost shell."""
         r = self.radius
+        depth = self.depth
+        # i < j, so depth[i] <= depth[j]
         return [(i, j) for (i, j) in self.edges
-                if {self.depth[i], self.depth[j]} == {r - 1, r}]
+                if depth[j] == r and depth[i] == r - 1]
 
 
 def cayley_ball(model, gens=None, radius=1):
@@ -204,7 +206,7 @@ def max_flow(num_vertices, arcs, source, sink):
 
     arcs is a list of (u, v, capacity).  The returned cut_arcs are indices
     into arcs, saturated and separating source from sink; their total
-    capacity equals the flow value (checked).
+    capacity equals the flow value (checked; CertificateError otherwise).
     """
     net = FlowNetwork(num_vertices)
     handles = [net.add_arc(u, v, c) for (u, v, c) in arcs]
@@ -213,7 +215,8 @@ def max_flow(num_vertices, arcs, source, sink):
     side = net.residual_reachable(source)
     cut = [i for i, (u, v, c) in enumerate(arcs)
            if u in side and v not in side]
-    assert sum(caps[i] for i in cut) == value, "cut does not certify the flow"
+    if sum(caps[i] for i in cut) != value:
+        raise CertificateError("cut does not certify the flow")
     flows = [caps[i] - net.cap[handles[i]] for i in range(len(arcs))]
     return MaxFlowResult(value, flows, cut, side)
 
@@ -235,21 +238,33 @@ class PonziCertificate:
     feasible = True
 
     def verify(self):
-        """Re-check both certificate invariants edge-by-edge, vertex-by-vertex."""
+        """Re-check both certificate invariants edge-by-edge, vertex-by-vertex.
+
+        One pass over the ball's edges: since they are distinct, every flow
+        key is a ball edge exactly when the pass finds len(flow) of them.
+        """
+        flow = self.flow
         div = [0] * len(self.ball)
+        found = 0
         for (i, j) in self.ball.edges:
-            f = self.flow.get((i, j), 0)
+            f = flow.get((i, j))
+            if f is None:
+                continue
+            found += 1
             if abs(f) > self.bound:
                 return False
             div[j] += f
             div[i] -= f
-        for v in self.ball.inner_vertices():
-            if div[v] != 1:
-                return False
-        for key in self.flow:
-            if key not in set(self.ball.edges):
-                return False
-        return True
+        if found != len(flow):
+            return False
+        return all(div[v] == 1 for v in self.ball.inner_vertices())
+
+    def check(self):
+        """Return self if it verifies; raise CertificateError otherwise."""
+        if not self.verify():
+            raise CertificateError(
+                f"flow is not a bound-{self.bound} Ponzi certificate")
+        return self
 
 
 @dataclass
@@ -304,9 +319,7 @@ def ponzi_feasible(ball, t):
                    - result.arc_flows[edge_arc[(j, i)]])
             if net:
                 flow[(i, j)] = net
-        cert = PonziCertificate(ball, t, flow)
-        assert cert.verify()
-        return cert
+        return PonziCertificate(ball, t, flow).check()
     cut_edges = []
     for a in result.cut_arcs:
         u, v, _ = arcs[a]
@@ -325,32 +338,37 @@ class MinBoundResult:
 
 
 def min_ponzi_bound(ball):
-    """Least t with a feasible certificate, by monotone binary search.
+    """Least t with a feasible certificate, by monotone search.
 
     Returns the certificate at t_min and the obstructing cut at t_min - 1.
-    t = |inner| always routes (every vertex has a strictly deeper
-    neighbor), which bounds the search.
+    All inner demand crosses the outer shell, so t * crossing >= inner and
+    the search starts at the flux bound ceil(inner / crossing).  It doubles
+    t until a flow routes, then bisects.  t = |inner| always routes (every
+    vertex has a strictly deeper neighbor), which caps the doubling.
     """
     demand = ball.inner_count
-    first = ponzi_feasible(ball, 1)
-    if first.feasible:
-        return MinBoundResult(ball, 1, first, None)
-    lo, hi = 2, max(2, demand)
-    top = ponzi_feasible(ball, hi)
-    assert top.feasible, "t = |inner| must be feasible"
-    results = {1: first, hi: top}
+    results = {}
+
+    def probe(t):
+        if t not in results:
+            results[t] = ponzi_feasible(ball, t)
+        return results[t]
+
+    lo = hi = -(-demand // len(ball.crossing_edges()))
+    while not probe(hi).feasible:
+        if hi >= demand:
+            raise CertificateError(f"no certificate at t = |inner| = {demand}")
+        lo, hi = hi + 1, min(2 * hi, demand)
     while lo < hi:
         mid = (lo + hi) // 2
-        res = results.get(mid) or ponzi_feasible(ball, mid)
-        results[mid] = res
-        if res.feasible:
+        if probe(mid).feasible:
             hi = mid
         else:
             lo = mid + 1
-    cert = results.get(lo) or ponzi_feasible(ball, lo)
-    below = results.get(lo - 1) or ponzi_feasible(ball, lo - 1)
-    assert cert.feasible and not below.feasible
-    return MinBoundResult(ball, lo, cert, below)
+    below = probe(lo - 1) if lo > 1 else None
+    if below is not None and below.feasible:
+        raise CertificateError(f"t = {lo - 1} routes below the found t_min")
+    return MinBoundResult(ball, lo, results[lo], below)
 
 
 def free_group_ponzi(ball):
@@ -385,9 +403,7 @@ def free_group_ponzi(ball):
         for c in picked:
             designated.add(c)
             flow[(v, c)] = -1  # child sends one unit up to the parent
-    cert = PonziCertificate(ball, 1, flow)
-    assert cert.verify()
-    return cert
+    return PonziCertificate(ball, 1, flow).check()
 
 
 def isoperimetric_ratio(ball):
@@ -407,8 +423,8 @@ class AmenabilityReport:
     verdict: str = ""
 
     def add(self, radius, ball_size, inner, crossing, t_min):
-        if t_min is not None and crossing:
-            assert t_min >= -(-inner // crossing), "flux lower bound violated"
+        if t_min is not None and crossing and t_min < -(-inner // crossing):
+            raise CertificateError("flux lower bound violated")
         self.rows.append((radius, ball_size, inner, crossing, t_min))
 
     def render(self):
@@ -465,8 +481,9 @@ def _torus_section(n):
         manifold = orient(cx)
         pair = homology_pair(LocalSystem.trivial(cx), m)
         coords = pair.coordinates(manifold.fundamental_cycle())
-        assert pair.invariants.free_rank == 1 and not pair.invariants.torsion
-        assert len(coords) == 1 and abs(coords[0]) == 1
+        if (pair.invariants.free_rank != 1 or pair.invariants.torsion
+                or len(coords) != 1 or abs(coords[0]) != 1):
+            raise CertificateError(f"[T^{m}] does not generate H_{m}")
         lines.append(f"fixture T^{m}: H_{m} = {pair.invariants}, "
                      f"[T^{m}] coordinate = {coords[0]} (a generator)")
         kv[f"torus_class_T{m}"] = coords[0]
@@ -503,18 +520,17 @@ def gromov_counterexample_report(n, radius, factor=None):
     ponzi_lines = [f"group = {factor.describe()}", f"radius = {radius}"]
     if isinstance(factor, FreeGroup) and factor.rank >= 2:
         ball = cayley_ball(factor, radius=radius)
-        cert = free_group_ponzi(ball)
-        verified = cert.verify()
+        free_group_ponzi(ball)  # raises CertificateError unless it verifies
         cross = ponzi_feasible(ball, 1)
         ponzi_lines.append(f"ball = {len(ball)} inner = {ball.inner_count}")
         ponzi_lines.append("bound t = 1: FEASIBLE (tree scheme), verified = "
-                           f"{verified}; max-flow cross-check feasible = "
+                           "True; max-flow cross-check feasible = "
                            f"{cross.feasible}")
         ponzi_lines.append("finite-radius probe only: certifies the flow at "
                            f"R = {radius}, not the infinite statement")
-        certified = verified and cross.feasible
+        certified = cross.feasible
         kv.update({"ball": len(ball), "inner": ball.inner_count,
-                   "t1_feasible": True, "certificate_verified": verified,
+                   "t1_feasible": True, "certificate_verified": True,
                    "certified": certified})
     else:
         ponzi_lines = [f"radius probes 1..{max(radius, 6)}"]

@@ -24,3 +24,7 @@ class BudgetError(EqhomError):
 
 class ModelMismatch(PreconditionError):
     """Operands live over different group models, complexes or covers."""
+
+
+class CertificateError(EqhomError):
+    """A computed certificate failed its own check: an internal fault."""

@@ -688,15 +688,15 @@ class IntRepresentation:
         for m in self.images.values():
             if m.rows != rank or m.cols != rank:
                 raise ValueError("image matrix has wrong shape")
-        self._inv_images = {}
+        self._inv_images = {}    # generator name -> inverse image
+        self._inv_by_matrix = {}  # image -> inverse, so equal images factor once
         self._element_cache = {}
         if check:
             self._check()
 
     def _check(self):
-        for name, m in self.images.items():
-            inv = unimodular_inverse(m)  # raises when det != +-1
-            self._inv_images[name] = inv
+        for name in self.images:
+            self._gen_matrix(name, -1)  # raises when det != +-1
         pres = getattr(self.model, "presentation", None)
         if pres is not None:
             for rel in pres.relators:
@@ -707,9 +707,14 @@ class IntRepresentation:
     def _gen_matrix(self, name, exp):
         if exp > 0:
             return self.images[name]
-        if name not in self._inv_images:
-            self._inv_images[name] = unimodular_inverse(self.images[name])
-        return self._inv_images[name]
+        inv = self._inv_images.get(name)
+        if inv is None:
+            m = self.images[name]
+            inv = self._inv_by_matrix.get(m)
+            if inv is None:
+                inv = self._inv_by_matrix[m] = unimodular_inverse(m)
+            self._inv_images[name] = inv
+        return inv
 
     def word_matrix(self, word):
         m = IntMatrix.identity(self.rank)

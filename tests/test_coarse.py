@@ -1,20 +1,59 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import eqhom
 from eqhom.coarse import (AmenabilityReport, InfeasibleCut,
                           ModelMismatch, PonziCertificate, UnsupportedModel,
                           cayley_ball, free_group_ponzi,
                           gromov_counterexample_report, isoperimetric_ratio,
                           max_flow, min_ponzi_bound, ponzi_feasible)
+from eqhom.errors import CertificateError
 from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
                           ProductGroup, todd_coxeter)
 
 F2 = FreeGroup(2)
 ZZ = FreeAbelianGroup(2)
 Z1 = FreeAbelianGroup(1)
+ZF2 = ProductGroup(FreeAbelianGroup(1, ("a",)), FreeGroup(2, ("s", "t")))
+
+
+def reference_ball(model, radius):
+    """Plain BFS with list-scan discovery: (vertices, depth, index)."""
+    letters = []
+    for g in model.generators:
+        for e in (+1, -1):
+            s = model.gen_element(g, e)
+            if s not in letters:
+                letters.append(s)
+    vertices, depth = [model.identity], [0]
+    frontier = [model.identity]
+    for d in range(1, radius + 1):
+        new = []
+        for v in frontier:
+            for s in letters:
+                w = model.mul(v, s)
+                if w not in vertices and w not in new:
+                    new.append(w)
+        new.sort(key=model.sort_key)
+        vertices += new
+        depth += [d] * len(new)
+        frontier = new
+    return vertices, depth, {v: i for i, v in enumerate(vertices)}
+
+
+def brute_force_min_bound(ball):
+    """Scan t = 1, 2, ... up to the first feasible bound."""
+    t = 1
+    while not ponzi_feasible(ball, t).feasible:
+        t += 1
+    return t
 
 
 class TestBalls:
@@ -52,6 +91,16 @@ class TestBalls:
         for r in range(2, 7):
             ball = cayley_ball(ZZ, radius=r)
             assert len(ball.crossing_edges()) == 4 * (2 * r - 1)
+
+    @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2],
+                             ids=["z2", "f2", "f3", "z_x_f2"])
+    def test_bfs_order_matches_reference(self, model):
+        for r in range(1, 5):
+            ball = cayley_ball(model, radius=r)
+            vertices, depth, index = reference_ball(model, r)
+            assert ball.vertices == vertices
+            assert ball.depth == depth
+            assert ball.index == index
 
 
 class TestMaxFlow:
@@ -122,6 +171,31 @@ class TestPonzi:
         edge = next(iter(bad.flow))
         bad.flow[edge] += 1
         assert not bad.verify()
+        with pytest.raises(CertificateError):
+            bad.check()
+
+    def test_verifier_rejects_reversed_key(self):
+        cert = free_group_ponzi(cayley_ball(F2, radius=3))
+        (i, j), f = next(iter(cert.flow.items()))
+        flow = dict(cert.flow)
+        del flow[(i, j)]
+        flow[(j, i)] = -f  # the same net flow, under a key that is no edge
+        assert not PonziCertificate(cert.ball, cert.bound, flow).verify()
+
+    def test_verifier_rejects_non_adjacent_key(self):
+        ball = cayley_ball(ZZ, radius=3)
+        cert = ponzi_feasible(ball, 1)
+        far = (0, len(ball) - 1)
+        assert far not in ball.edges
+        flow = dict(cert.flow)
+        flow[far] = 0  # changes no divergence
+        assert not PonziCertificate(ball, cert.bound, flow).verify()
+
+    def test_verifier_rejects_flow_over_bound(self):
+        ball = cayley_ball(ZZ, radius=6)
+        cert = ponzi_feasible(ball, 2)
+        assert cert.verify() and max(map(abs, cert.flow.values())) == 2
+        assert not PonziCertificate(ball, 1, cert.flow).verify()
 
     def test_bound_bounds_flow(self):
         ball = cayley_ball(ZZ, radius=3)
@@ -156,6 +230,31 @@ class TestMinBound:
         for r in range(2, 9):
             res = min_ponzi_bound(cayley_ball(Z1, radius=r))
             assert res.t_min >= -(-(2 * r - 1) // 2)
+
+    BRUTE_FORCE_BALLS = ([(Z1, r) for r in range(1, 10)]
+                         + [(ZZ, r) for r in range(1, 9)]
+                         + [(F2, r) for r in range(1, 4)]
+                         + [(ZF2, 2)])
+
+    def test_search_agrees_with_brute_force(self):
+        kinds = set()
+        for model, r in self.BRUTE_FORCE_BALLS:
+            ball = cayley_ball(model, radius=r)
+            res = min_ponzi_bound(ball)
+            t_min = brute_force_min_bound(ball)
+            assert res.t_min == t_min, (model.describe(), r)
+            assert res.certificate.flow == ponzi_feasible(ball, t_min).flow
+            if t_min == 1:
+                assert res.cut_below is None
+            else:
+                below = ponzi_feasible(ball, t_min - 1)
+                assert res.cut_below.capacity == below.capacity
+                assert res.cut_below.cut_edges == below.cut_edges
+            inner, crossing, _ = isoperimetric_ratio(ball)
+            flux = -(-inner // crossing)
+            kinds.add("one" if t_min == 1 else
+                      "flux" if t_min == flux else "above flux")
+        assert kinds == {"one", "flux", "above flux"}
 
     def test_boundary_monotonicity(self):
         ball = cayley_ball(ZZ, radius=5)
@@ -207,7 +306,7 @@ class TestIsoperimetric:
 class TestReports:
     def test_flux_invariant_enforced(self):
         report = AmenabilityReport("test")
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError):
             report.add(2, 13, 10, 4, 1)  # 1 < ceil(10/4)
 
     def test_certified_direction(self):
@@ -236,3 +335,38 @@ class TestReports:
         trace = [int(x) for x in report.kv["t_min_trace"].split(",")]
         assert max(trace) > 1  # growth shows up in the probed range
         assert trace == sorted(trace)
+
+
+class TestOptimizedMode:
+    """Certificate checks must not vanish under ``python -O``."""
+
+    def run_python(self, *args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eqhom.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("ponzi", "f2", "--radius", "4", "--bound", "1"),
+        ("min-bound", "z2", "--radius", "6"),
+    ], ids=["ponzi", "min-bound"])
+    def test_cli_output_unchanged(self, argv):
+        plain = self.run_python("-m", "eqhom.cli", *argv)
+        assert "verified" in plain
+        assert self.run_python("-O", "-m", "eqhom.cli", *argv) == plain
+
+    def test_tampered_certificate_raises(self):
+        script = textwrap.dedent("""
+            from eqhom.coarse import PonziCertificate, cayley_ball, free_group_ponzi
+            from eqhom.errors import CertificateError
+            from eqhom.groups import FreeGroup
+            assert False, "this line only runs with asserts on"
+            cert = free_group_ponzi(cayley_ball(FreeGroup(2), radius=3))
+            flow = dict(cert.flow)
+            flow[next(iter(flow))] += 1
+            try:
+                PonziCertificate(cert.ball, cert.bound, flow).check()
+            except CertificateError:
+                print("raised")
+            """)
+        assert self.run_python("-O", "-c", script) == "raised\n"

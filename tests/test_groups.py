@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqhom import groups
 from eqhom.groups import (Exceeded, FiniteGroup, FreeAbelianGroup, FreeGroup,
                           GroupPresentation, GroupRingElement, ModelMismatch,
                           NotFinite, ProductGroup, UnknownGenerator,
@@ -237,6 +238,23 @@ class TestRepresentations:
         rep = regular_rep(s3)
         for rel in S3_PRES.relators:
             assert rep.word_matrix(rel) == IntMatrix.identity(6)
+
+    def test_equal_images_factored_once(self, monkeypatch):
+        # Z/2 on three generators with equal images, as in an edge-path
+        # presentation where many edges map to the same element.
+        pres = GroupPresentation(("a", "b", "c"), ("aa", "ab'", "ac'"))
+        model = todd_coxeter(pres, 10)
+        factored = []
+        real = groups.unimodular_inverse
+        monkeypatch.setattr(groups, "unimodular_inverse",
+                            lambda m: factored.append(m) or real(m))
+        rep = regular_rep(model)
+        assert len(set(rep.images.values())) == 1
+        assert len(factored) == 1
+        swap = rep.images["a"]
+        for g in "abc":
+            assert matmul(swap, rep.word_matrix(((g, -1),))) == \
+                IntMatrix.identity(2)
 
     def test_homomorphism_property_small_groups(self):
         for model in (Z(2), Z(3), Z(4), todd_coxeter(V4_PRES, 20),
