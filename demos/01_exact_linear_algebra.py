@@ -3,11 +3,11 @@
 
 Everything runs over Python's unbounded integers; Smith normal forms come
 with the unimodular transforms and their inverses, so kernels, cokernels,
-and homology groups of boundary pairs are exact.
+and the homology groups of chain complexes are exact.
 """
 
-from eqhom.intlinalg import (IntMatrix, PairHomology, cokernel_invariants,
-                             homology_of_pair, invariant_factors,
+from eqhom.intlinalg import (IntMatrix, PairHomology, chain_homology,
+                             cokernel_invariants, invariant_factors,
                              kernel_basis, matmul, smith_normal_form)
 
 print("Smith normal form of diag(2, 3):")
@@ -28,11 +28,12 @@ k = kernel_basis(IntMatrix.from_rows([[2, 4]]))
 print("  kernel of (2 4) is spanned by", tuple(k.col(0)))
 
 print()
-print("Homology of a pair of boundaries (a triangle-shaped circle):")
+print("Homology of a chain complex d_0, d_1, d_2 (a triangle-shaped circle):")
 d1 = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
 d2 = IntMatrix.zeros(3, 0)
-print("  H_1 =", homology_of_pair(d1, d2))
-print("  H_0 =", homology_of_pair(IntMatrix.zeros(0, 3), d1))
+h0, h1 = chain_homology([IntMatrix.zeros(0, 3), d1, d2])
+print("  H_1 =", h1)
+print("  H_0 =", h0)
 
 print()
 print("Classes come with Smith coordinates:")

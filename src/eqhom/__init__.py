@@ -3,7 +3,7 @@
 Submodules:
 
 * ``intlinalg`` -- arbitrary-precision integer matrices, Smith normal
-  forms with transforms, kernels, cokernels, homology of boundary pairs.
+  forms with transforms, kernels, cokernels, chain-complex homology.
 * ``groups`` -- presentations, coset enumeration, free / free-abelian /
   product models, group rings, the augmentation ideal and its tensor
   powers as integer representations.

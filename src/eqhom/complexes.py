@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from .errors import InputError, ModelMismatch, PreconditionError
 from .groups import (FiniteGroup, GroupPresentation, GroupRingElement,
                      Exceeded, IntRepresentation, todd_coxeter, trivial_rep)
-from .intlinalg import IntMatrix, homology_of_pair
+from .intlinalg import IntMatrix, chain_homology
 
 
 class ParseError(InputError):
@@ -64,11 +64,10 @@ class SimplicialComplex:
                        for level in self._simplices]
         self.vertex_ids = [s[0] for s in self._simplices[0]]
         self.vertices = len(self.vertex_ids)
-        self.facets = [s for s in faces
-                       if not any(s != t and set(s) <= set(t) for t in faces)]
-        self.facets.sort(key=lambda s: (len(s), s))
+        # Faces are downward closed: a facet is no codimension-one face.
+        covered = {f[:i] + f[i + 1:] for f in faces for i in range(len(f))}
+        self.facets = sorted(faces - covered, key=lambda s: (len(s), s))
         self.orient_directive = orient_directive
-        self._boundaries = {}
 
     def simplices(self, k):
         if 0 <= k <= self.dim:
@@ -86,24 +85,23 @@ class SimplicialComplex:
         except (IndexError, KeyError):
             raise KeyError(f"no simplex {simplex}") from None
 
+    def boundary_terms(self, k):
+        """(face_index, sign) per k-simplex, deleting vertex i with sign (-1)^i.
+
+        The lists are empty outside degrees 1..dim.
+        """
+        if not 1 <= k <= self.dim:
+            return [[] for _ in self.simplices(k)]
+        index = self._index[k - 1]
+        return [[(index[s[:i] + s[i + 1:]], -1 if i % 2 else 1) for i in range(len(s))]
+                for s in self._simplices[k]]
+
     def boundary_matrix(self, k):
         """d_k : C_k -> C_{k-1}; shapes (0 x n_0) and (n_dim x 0) at the ends."""
-        if k in self._boundaries:
-            return self._boundaries[k]
-        if k <= 0:
-            mat = IntMatrix.zeros(0, len(self._simplices[0]) if k == 0 else 0)
-        elif k > self.dim:
-            mat = IntMatrix.zeros(len(self._simplices[self.dim]), 0)
-        else:
-            rows = len(self._simplices[k - 1])
-            cols = len(self._simplices[k])
-            mat = IntMatrix.zeros(rows, cols)
-            for j, s in enumerate(self._simplices[k]):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    mat.data[self._index[k - 1][face]][j] = -1 if i % 2 else 1
-        self._boundaries[k] = mat
-        return mat
+        terms = self.boundary_terms(k)
+        return IntMatrix.from_blocks(len(self.simplices(k - 1)), len(terms), (1, 1),
+                                     ((face, j, sign, None) for j, faces in enumerate(terms)
+                                      for face, sign in faces))
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(level)
@@ -266,23 +264,16 @@ class EquivariantComplex:
         return self.model.mul(g, h)
 
     def boundary_terms(self, k):
-        """(face_index, sign, element) triples per base k-simplex."""
-        if k in self._terms:
-            return self._terms[k]
-        out = []
-        if 1 <= k <= self.base.dim:
-            for s in self.base.simplices(k):
-                terms = []
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    sign = -1 if i % 2 else 1
-                    elt = self.holonomy(s[0], s[1]) if i == 0 else self.model.identity
-                    terms.append((self.base.index(face), sign, elt))
-                out.append(terms)
-        else:
-            out = [[] for _ in self.base.simplices(k)]
-        self._terms[k] = out
-        return out
+        """(face_index, sign, element) per base k-simplex: the base terms, with
+        element the holonomy of (s0, s1) on face 0 and the identity elsewhere.
+        """
+        if k not in self._terms:
+            one = self.model.identity
+            self._terms[k] = [
+                [(face, sign, self.holonomy(s[0], s[1]) if i == 0 else one)
+                 for i, (face, sign) in enumerate(faces)]
+                for s, faces in zip(self.base.simplices(k), self.base.boundary_terms(k))]
+        return self._terms[k]
 
     def ring_boundary(self, k):
         """Boundary matrix over the group ring, as {(row, col): element}."""
@@ -368,8 +359,12 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
     try:
         model = todd_coxeter(pres, max_cosets)
     except Exceeded as exc:
-        raise InfiniteGroup(
-            f"pi_1 did not close within {exc.max_cosets} cosets") from exc
+        # H_1 is the abelianized pi_1 (Hurewicz); a free summand proves
+        # pi_1 infinite, otherwise only the budget ran out.
+        h1 = chain_homology([cx.boundary_matrix(1), cx.boundary_matrix(2)])[0]
+        if h1.free_rank:
+            raise InfiniteGroup(f"pi_1 is infinite: H_1 = {h1}") from exc
+        raise
     return EquivariantComplex(cx, model, basepoint=basepoint)
 
 
@@ -432,10 +427,9 @@ def _boundary_blocks(system, k, dual):
     dual; None (the identity) for trivial systems.
     """
     if system.is_trivial:
-        for i, row in enumerate(system.complex.boundary_matrix(k).data):
-            for j, v in enumerate(row):
-                if v:
-                    yield (j, i, v, None) if dual else (i, j, v, None)
+        for j, terms in enumerate(system.complex.boundary_terms(k)):
+            for face, sign in terms:
+                yield (j, face, sign, None) if dual else (face, j, sign, None)
         return
     for j, terms in enumerate(system.cover.boundary_terms(k)):
         for face, sign, elt in terms:
@@ -467,14 +461,12 @@ def homology(cx):
     >>> [str(h) for h in homology(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))]
     ['Z^1', 'Z^1']
     """
-    return [homology_of_pair(cx.boundary_matrix(k), cx.boundary_matrix(k + 1))
-            for k in range(cx.dim + 1)]
+    return local_homology(None, LocalSystem.trivial(cx))
 
 
 def cohomology(cx):
     """H^k(X; Z) via the transposed boundaries."""
-    sys0 = LocalSystem.trivial(cx)
-    return local_cohomology(None, sys0)
+    return local_cohomology(None, LocalSystem.trivial(cx))
 
 
 def _check_system(cover, system):
@@ -489,17 +481,15 @@ def _check_system(cover, system):
 def local_homology(cover, system):
     """H_k(X; L) for k = 0..dim."""
     _check_system(cover, system)
-    return [homology_of_pair(chain_boundary_matrix(system, k),
-                             chain_boundary_matrix(system, k + 1))
-            for k in range(system.complex.dim + 1)]
+    return chain_homology(chain_boundary_matrix(system, k)
+                          for k in range(system.complex.dim + 2))
 
 
 def local_cohomology(cover, system):
-    """H^k(X; L) for k = 0..dim."""
+    """H^k(X; L) for k = 0..dim; the pair (delta^k, delta^{k-1}) gives H^k."""
     _check_system(cover, system)
-    return [homology_of_pair(cochain_differential_matrix(system, k),
-                             cochain_differential_matrix(system, k - 1))
-            for k in range(system.complex.dim + 1)]
+    return chain_homology(cochain_differential_matrix(system, k)
+                          for k in range(system.complex.dim, -2, -1))[::-1]
 
 
 def render_homology(groups, prefix="H"):

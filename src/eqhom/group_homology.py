@@ -18,8 +18,8 @@ from itertools import product
 from .errors import BudgetError
 from .groups import (FiniteGroup, NotFinite, augmentation_ideal_rep,
                      regular_rep, tensor_power, tensor_rep, trivial_rep)
-from .intlinalg import (AbelianGroupInvariants, IntMatrix, cokernel_invariants,
-                        hstack, homology_of_pair, invariant_factors,
+from .intlinalg import (AbelianGroupInvariants, IntMatrix, chain_homology,
+                        cokernel_invariants, hstack, invariant_factors,
                         kernel_basis, lattice_basis, solve_columns)
 
 BUDGET = 20000
@@ -107,7 +107,7 @@ def bar_homology(model, n, coefficients=None):
         raise ValueError("degree must be >= 0")
     _check_budget(model, n)
     bar = BarComplex(model, n + 1, coefficients)
-    return homology_of_pair(bar.boundary_matrix(n), bar.boundary_matrix(n + 1))
+    return chain_homology([bar.boundary_matrix(n), bar.boundary_matrix(n + 1)])[0]
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Everything here runs over Python's arbitrary-precision integers; there is
 no floating point and no fixed-width arithmetic anywhere.  The module
 provides Smith normal forms with unimodular transforms, integer kernel
-lattices, cokernel invariants, and the homology of a pair of consecutive
-boundary matrices, plus a coordinate calculus on such homology groups
+lattices, cokernel invariants, and the homology of a chain complex given
+by its differentials, plus a coordinate calculus on homology groups
 (Smith-basis coordinates of cycles, lifts of generators).
 
 Two computation paths coexist:
@@ -52,7 +52,7 @@ class IntMatrix:
             raise ValueError("data shape does not match rows x cols")
         self.rows = rows
         self.cols = cols
-        self.data = [list(map(int, r)) for r in data]
+        self.data = [list(r) for r in data]
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -395,8 +395,7 @@ def _smith(A, U=False, Uinv=False, V=False, Vinv=False):
     """SmithForm of A carrying only the requested transforms."""
     m, n = A.rows, A.cols
     md = [list(r) for r in A.data]
-    # list(r) gives exact-size rows; IntMatrix rows carry spare capacity.
-    acc = [[list(r) for r in IntMatrix.identity(k).data] if want else None
+    acc = [IntMatrix.identity(k).data if want else None
            for want, k in ((U, m), (Uinv, m), (V, n), (Vinv, n))]
     diag = _snf_inplace(md, m, n, *acc)
     u, uinv, v, vinv = (None if rows is None else IntMatrix(len(rows), len(rows), rows)
@@ -527,26 +526,37 @@ def _check_composition_zero(d_k, d_kplus1):
         raise ValueError(
             f"boundary shapes do not compose: {d_k.rows}x{d_k.cols} then "
             f"{d_kplus1.rows}x{d_kplus1.cols}")
-    if not matmul(d_k, d_kplus1).is_zero():
-        raise ChainConditionViolated("d_k . d_{k+1} != 0")
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in d_kplus1.data]
+    for row in d_k.data:
+        acc = {}
+        for k, v in enumerate(row):
+            if v:
+                for j, w in sparse[k]:
+                    acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            raise ChainConditionViolated("d_k . d_{k+1} != 0")
 
 
-def homology_of_pair(d_k, d_kplus1):
-    """Invariants of ker(d_k) / im(d_{k+1}) for consecutive boundaries.
+def chain_homology(differentials):
+    """Invariants of ker(d_k) / im(d_{k+1}) for k = 0..n, from d_0..d_{n+1}.
 
-    The kernel is a direct summand of the middle module, so the torsion of
-    the quotient equals the torsion of Z^n / im(d_{k+1}); only ranks are
-    needed beyond that.
+    differentials is any iterable of consecutive differentials; each is
+    factored and each composition checked once, two held at a time.  As
+    ker(d_k) is a direct summand, H_k has the torsion of Z^n / im(d_{k+1}).
     """
-    _check_composition_zero(d_k, d_kplus1)
-    n = d_k.cols
-    r1 = rank(d_k)
-    facs = invariant_factors(d_kplus1)
-    r2 = sum(1 for d in facs if d)
-    free = n - r1 - r2
-    if free < 0:
-        raise ChainConditionViolated("rank bookkeeping failed; not a chain complex")
-    return AbelianGroupInvariants(free, tuple(d for d in facs if d > 1))
+    stream = iter(differentials)
+    d_k = next(stream)
+    r_k = rank(d_k)
+    groups = []
+    for d_kplus1 in stream:
+        _check_composition_zero(d_k, d_kplus1)
+        facs = [d for d in invariant_factors(d_kplus1) if d]
+        free = d_k.cols - r_k - len(facs)
+        if free < 0:
+            raise ChainConditionViolated("rank bookkeeping failed; not a chain complex")
+        groups.append(AbelianGroupInvariants(free, tuple(d for d in facs if d > 1)))
+        d_k, r_k = d_kplus1, len(facs)
+    return groups
 
 
 class QuotientLattice:

@@ -190,6 +190,12 @@ class TestExitCodes:
     (("gromov-report", "--rank", "0", "--radius", "4"), 1, "rank must be >= 1"),
     (("homology", "nope.cplx"), 1,
      "cannot read nope.cplx: No such file or directory"),
+    # pi_1(RP^3) is finite, so running out of cosets is a budget error ...
+    (("essential", fixture_path("rp3.cplx"), "--max-cosets", "1"), 3,
+     "coset budget 1 exceeded"),
+    # ... while a free summand of H_1 proves pi_1(T^2) infinite.
+    (("essential", fixture_path("t2.cplx"), "--max-cosets", "500"), 2,
+     "pi_1 is infinite: H_1 = Z^2"),
 ])
 def test_error_line_is_the_only_output(argv, code, message):
     assert invoke(*argv) == (code, f"error: {message}\n")

@@ -8,14 +8,17 @@ from eqhom.complexes import (DuplicateVertexInSimplex, EquivariantComplex,
                              build_cover, chain_boundary_matrix,
                              cochain_differential_matrix, cohomology,
                              cycle_complex, fundamental_group, homology,
-                             load_complex, local_cohomology, local_homology,
-                             render_homology, simplicial_product,
-                             torus_complex)
+                             lens_space, load_complex, local_cohomology,
+                             local_homology, render_homology,
+                             simplicial_product, torus_complex)
 from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
                           regular_rep, todd_coxeter, trivial_rep)
+import eqhom.intlinalg
 from eqhom.intlinalg import AbelianGroupInvariants, matmul
 
 from conftest import fixture_path, load_fixture
+
+FIXTURE_NAMES = ("circle", "t2", "t3", "s2", "s3", "rp2", "rp3")
 
 
 class TestConstruction:
@@ -44,6 +47,32 @@ class TestConstruction:
     def test_orient_directive(self, t2):
         assert t2.orient_directive
 
+    def test_facets_are_the_maximal_faces(self):
+        def quadratic_facets(cx):
+            faces = [s for k in range(cx.dim + 1) for s in cx.simplices(k)]
+            return sorted((s for s in faces
+                           if not any(s != t and set(s) <= set(t) for t in faces)),
+                          key=lambda s: (len(s), s))
+
+        complexes = [load_fixture(f"{name}.cplx") for name in FIXTURE_NAMES]
+        complexes += [lens_space(3), SimplicialComplex([(0, 1, 2), (1, 2), (3,)])]
+        for cx in complexes:
+            assert cx.facets == quadratic_facets(cx)
+        assert complexes[-1].facets == [(3,), (0, 1, 2)]
+
+    def test_boundary_matrix_is_the_trivial_chain_differential(self):
+        for name in FIXTURE_NAMES:
+            cx = load_fixture(f"{name}.cplx")
+            system = LocalSystem.trivial(cx)
+            for k in range(-1, cx.dim + 2):
+                mat = cx.boundary_matrix(k)
+                assert chain_boundary_matrix(system, k) == mat
+                # face i of a simplex enters with sign (-1)^i
+                for j, s in enumerate(cx.simplices(k) if k >= 1 else ()):
+                    col = {cx.index(s[:i] + s[i + 1:]): (-1) ** i
+                           for i in range(len(s))}
+                    assert mat.col(j) == [col.get(r, 0) for r in range(mat.rows)]
+
     def test_boundary_squares_to_zero(self):
         for name in ("t2", "s2", "s3", "rp2", "rp3", "t3"):
             cx = load_fixture(f"{name}.cplx")
@@ -63,6 +92,19 @@ class TestHomology:
             with open(fixture_path(f"{name}.golden")) as fh:
                 golden = fh.read().rstrip("\n")
             assert render_homology(homology(cx)) == golden
+
+    @pytest.mark.parametrize("name, groups", [("t3", homology), ("rp3", cohomology)])
+    def test_each_differential_factored_once(self, monkeypatch, name, groups):
+        factored = []
+        real = eqhom.intlinalg.invariant_factors
+
+        def counting(mat):
+            factored.append((mat.rows, mat.cols, tuple(map(tuple, mat.data))))
+            return real(mat)
+
+        monkeypatch.setattr(eqhom.intlinalg, "invariant_factors", counting)
+        groups(load_fixture(f"{name}.cplx"))
+        assert len(factored) == len(set(factored)) == 5
 
     def test_euler_equals_alternating_betti(self):
         for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):

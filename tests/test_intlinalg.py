@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
-                             IntMatrix, PairHomology, cokernel_invariants,
-                             determinant, homology_of_pair, invariant_factors,
+                             IntMatrix, PairHomology, chain_homology,
+                             cokernel_invariants, determinant, invariant_factors,
                              is_isomorphism_onto, kernel_basis, lattice_basis,
                              matmul, matvec, rank, smith_normal_form,
                              solve_columns, unimodular_inverse)
@@ -197,21 +197,21 @@ class TestHomologyOfPair:
 
     def test_circle_h1(self):
         d1 = self.triangle_boundary()
-        h1 = homology_of_pair(IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0))
+        h1 = chain_homology([IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0)])[0]
         assert h1 == AbelianGroupInvariants(3)  # no relations at all
-        h1 = homology_of_pair(
+        h1 = chain_homology([
             # ker(d1)/im(nothing): rank of the cycle lattice of the circle
-            d1, IntMatrix.zeros(3, 0))
+            d1, IntMatrix.zeros(3, 0)])[0]
         assert h1 == AbelianGroupInvariants(1)
 
     def test_circle_h0(self):
         d1 = self.triangle_boundary()
-        h0 = homology_of_pair(IntMatrix.zeros(0, 3), d1)
+        h0 = chain_homology([IntMatrix.zeros(0, 3), d1])[0]
         assert h0 == AbelianGroupInvariants(1)
 
     def test_chain_condition_enforced(self):
         with pytest.raises(ChainConditionViolated):
-            homology_of_pair(M([[1, 0]]), M([[1], [0]]))
+            chain_homology([M([[1, 0]]), M([[1], [0]])])
 
     def test_unimodular_change_of_basis_invariance(self):
         rng = random.Random(3)
@@ -223,11 +223,28 @@ class TestHomologyOfPair:
             r = IntMatrix(k.cols, 2, [[rng.randint(-3, 3), rng.randint(-3, 3)]
                                       for _ in range(k.cols)])
             b = matmul(k, r)
-            base = homology_of_pair(a, b)
+            base = chain_homology([a, b])[0]
             p = _random_unimodular(n, rng)
             a2 = matmul(a, p)
             b2 = matmul(unimodular_inverse(p), b)
-            assert homology_of_pair(a2, b2) == base
+            assert chain_homology([a2, b2])[0] == base
+
+    def test_chain_homology_matches_pair_homology(self):
+        # Each degree of a stream equals the transform route on its pair.
+        rng = random.Random(11)
+        for _ in range(40):
+            length = rng.randint(3, 4)
+            ds = [IntMatrix.zeros(0, rng.randint(1, 4))]
+            for _ in range(length - 1):
+                ker = kernel_basis(ds[-1])
+                cols = rng.randint(0, 4)
+                r = IntMatrix(ker.cols, cols, [[rng.randint(-3, 3) for _ in range(cols)]
+                                               for _ in range(ker.cols)])
+                ds.append(matmul(ker, r))
+            groups = chain_homology(ds)
+            assert len(groups) == length - 1
+            for k, group in enumerate(groups):
+                assert group == PairHomology(ds[k], ds[k + 1]).invariants
 
 
 def _random_unimodular(n, rng):
