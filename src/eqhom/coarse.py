@@ -14,12 +14,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import CertificateError, ModelMismatch, PreconditionError
+from .errors import BudgetError, CertificateError, ModelMismatch, PreconditionError
 from .groups import FreeGroup, GroupModel
+
+BUDGET = 200000  # vertices of one Cayley ball
 
 
 class UnsupportedModel(PreconditionError):
     """Cayley-ball probes need an infinite model (free / free abelian / product)."""
+
+
+class BallTooLarge(BudgetError):
+    """The Cayley ball would have more than BUDGET vertices."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +67,9 @@ class CayleyBall:
                     w = model.mul(v, s)
                     if w not in index:
                         found[w] = None
+                if len(index) + len(found) > BUDGET:
+                    raise BallTooLarge(
+                        f"Cayley ball of radius {radius} exceeds {BUDGET} vertices")
             new = sorted(found, key=model.sort_key)
             for w in new:
                 index[w] = len(self.vertices)

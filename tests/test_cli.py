@@ -201,6 +201,13 @@ def test_error_line_is_the_only_output(argv, code, message):
     assert invoke(*argv) == (code, f"error: {message}\n")
 
 
+def test_ball_budget_exits_3(monkeypatch):
+    import eqhom.coarse
+    monkeypatch.setattr(eqhom.coarse, "BUDGET", 1000)
+    assert invoke("ball", "f2", "--radius", "20") == (
+        3, "error: Cayley ball of radius 20 exceeds 1000 vertices\n")
+
+
 def test_failed_verdict_names_values(monkeypatch):
     import eqhom.cli
     from eqhom.intlinalg import AbelianGroupInvariants

@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 
 import eqhom
-from eqhom.coarse import (AmenabilityReport, InfeasibleCut,
+from eqhom import coarse
+from eqhom.coarse import (AmenabilityReport, BallTooLarge, InfeasibleCut,
                           ModelMismatch, PonziCertificate, UnsupportedModel,
                           cayley_ball, free_group_ponzi,
                           gromov_counterexample_report, isoperimetric_ratio,
@@ -81,6 +82,14 @@ class TestBalls:
         ball = cayley_ball(pg, radius=2)
         # |B_1| = 7 (two abelian moves, four tree moves, identity)
         assert len(ball.shell(0)) == 1 and len(ball.shell(1)) == 6
+
+    def test_vertex_budget(self, monkeypatch):
+        monkeypatch.setattr(coarse, "BUDGET", 161)
+        assert len(cayley_ball(F2, radius=4)) == 161
+        with pytest.raises(BallTooLarge):
+            cayley_ball(F2, radius=5)  # 485 vertices
+        with pytest.raises(BallTooLarge):
+            cayley_ball(ZZ, radius=9)  # 181 vertices
 
     def test_finite_model_rejected(self):
         z2 = todd_coxeter(GroupPresentation(("a",), ("aa",)), 5)

@@ -1,15 +1,20 @@
+import heapq
 import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqhom import intlinalg
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
-                             IntMatrix, PairHomology, chain_homology,
-                             cokernel_invariants, determinant, invariant_factors,
-                             is_isomorphism_onto, kernel_basis, lattice_basis,
-                             matmul, matvec, rank, smith_normal_form,
-                             solve_columns, unimodular_inverse)
+                             IntMatrix, PairHomology, _unit_pivots,
+                             chain_homology, cokernel_invariants, determinant,
+                             invariant_factors, is_isomorphism_onto,
+                             kernel_basis, lattice_basis, matmul, matvec, rank,
+                             smith_normal_form, solve_columns,
+                             unimodular_inverse)
+
+from conftest import load_fixture
 
 
 def M(rows, cols=None):
@@ -21,6 +26,80 @@ small_matrices = st.integers(0, 5).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=m, max_size=m).map(lambda rows: IntMatrix(m, n, rows))))
+
+
+def sparse_matrix(m, n, entries):
+    rows = [[0] * n for _ in range(m)]
+    for i, j, v in entries:
+        rows[i][j] = v
+    return IntMatrix(m, n, rows)
+
+
+# Up to 30 x 40, entries in -2..2, mostly zero.
+sparse_matrices = st.integers(1, 30).flatmap(
+    lambda m: st.integers(1, 40).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                      st.sampled_from([-2, -1, 1, 2])),
+            max_size=m * n // 4).map(
+                lambda entries: sparse_matrix(m, n, entries))))
+
+
+def sparse_view(a):
+    rows, cols = {}, {}
+    for i, row in enumerate(a.data):
+        d = {j: v for j, v in enumerate(row) if v}
+        if d:
+            rows[i] = d
+            for j in d:
+                cols.setdefault(j, set()).add(i)
+    return rows, cols
+
+
+def rescan_pivots(rows, cols):
+    """Reference unit elimination: rescan every nonzero for each pivot."""
+    while True:
+        best = None
+        for r, row in rows.items():
+            for c, v in row.items():
+                if v == 1 or v == -1:
+                    key = ((len(row) - 1) * (len(cols[c]) - 1), r, c)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return
+        _, r, c = best
+        prow = rows.pop(r)
+        for j in prow:
+            cols[j].discard(r)
+            if not cols[j]:
+                del cols[j]
+        for r2 in list(cols.get(c, ())):
+            row2 = rows[r2]
+            q = row2[c] * prow[c]
+            for j, pv in prow.items():
+                nv = row2.get(j, 0) - q * pv
+                if nv:
+                    if j not in row2:
+                        cols.setdefault(j, set()).add(r2)
+                    row2[j] = nv
+                elif j in row2:
+                    del row2[j]
+                    cols[j].discard(r2)
+                    if not cols[j]:
+                        del cols[j]
+            if not row2:
+                del rows[r2]
+        yield r, c
+
+
+def assert_rescan_pivots(a):
+    """The queue picks exactly the rescan's pivots and leaves the same residual."""
+    rows, cols = sparse_view(a)
+    ref_rows, ref_cols = sparse_view(a)
+    assert (list(_unit_pivots(rows, cols, a.rows, a.cols))
+            == list(rescan_pivots(ref_rows, ref_cols)))
+    assert rows == ref_rows and cols == ref_cols
 
 
 class TestSmithForm:
@@ -98,6 +177,84 @@ class TestSmithForm:
                 for d in facs[:k]:
                     prod *= d
                 assert prod == g
+
+
+class TestUnitPivots:
+    """The Markowitz queue against a rescan, and the factors on larger inputs."""
+
+    def test_fixture_boundaries_match_rescan(self):
+        for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):
+            cx = load_fixture(f"{name}.cplx")
+            for k in range(1, cx.dim + 1):
+                assert_rescan_pivots(cx.boundary_matrix(k))
+
+    def test_random_sparse_match_rescan(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            m, n = rng.randint(1, 30), rng.randint(1, 40)
+            entries = [(rng.randrange(m), rng.randrange(n),
+                        rng.choice((-2, -1, -1, 1, 1, 2)))
+                       for _ in range(rng.randint(0, m * n // 3))]
+            assert_rescan_pivots(sparse_matrix(m, n, entries))
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_matrices)
+    def test_sparse_factors_match_smith(self, a):
+        assert_rescan_pivots(a)
+        assert invariant_factors(a) == list(smith_normal_form(a).invariant_factors)
+
+    def test_dense_unit_matrix_rebuilds_heap(self, monkeypatch):
+        builds = []
+
+        def counting_heapify(heap):
+            builds.append(len(heap))
+            heapq.heapify(heap)
+
+        monkeypatch.setattr(intlinalg, "heapify", counting_heapify)
+        rng = random.Random(1)
+        a = IntMatrix(16, 20, [[rng.choice((-1, 0, 1)) for _ in range(20)]
+                               for _ in range(16)])
+        facs = invariant_factors(a)
+        assert len(builds) >= 2
+        assert facs == list(smith_normal_form(a).invariant_factors)
+        assert_rescan_pivots(a)
+
+    def test_pinned_transforms(self):
+        # U, uinv, V and vinv are part of the output: the Smith coordinates
+        # printed by bs-class, essential and pert are read through them.
+        cases = [
+            ([[2, 4, -6, 0, 3], [1, -3, 5, 7, 0], [0, 6, 2, -4, 8]],
+             (1, 1, 2),
+             [[0, 1, 0], [1, -2, 9], [66, -132, 595]],
+             [[2, 595, -9], [1, 0, 0], [0, -66, 1]],
+             [[1, 185, 8, -79, -911], [0, 0, -4, 23, 268],
+              [0, -37, 3, -11, -126], [0, 0, -5, 29, 335], [0, 1, 0, 0, -2]],
+             [[1, -3, 5, 7, 0], [0, 64, 2, -50, 75],
+              [0, 2115, 67, -1652, 2479], [0, -5, 0, 4, 0],
+              [0, 32, 1, -25, 37]]),
+            ([[0, 3, 6], [4, -2, 0], [8, 0, 5], [0, 0, 0], [-6, 9, 3]],
+             (1, 1, 18),
+             [[1, 1, 0, 0, 0], [-4, -6, 5, 0, 0], [-3, 0, 3, 0, 1],
+              [0, 0, 0, 1, 0], [-4, -15, 6, 0, -2]],
+             [[3, -12, 10, 0, 5], [-2, 12, -10, 0, -5], [0, 5, -4, 0, -2],
+              [0, 0, 0, 1, 0], [9, -51, 43, 0, 21]],
+             [[0, 0, 1], [1, -6, 92], [0, 1, -16]],
+             [[4, 1, 6], [16, 0, 1], [1, 0, 0]]),
+            ([[2, 0, 0, 0, 4, 0], [0, 3, 0, 6, 0, 0], [0, 0, 4, 0, 0, 2],
+              [6, 9, 0, 0, 0, 0]],
+             (1, 2, 6, 6),
+             [[1, 1, 0, 0], [0, 0, 1, 0], [3, 2, 0, 0], [3, 3, 0, -1]],
+             [[-2, 0, 1, 0], [3, 0, -1, 0], [0, 1, 0, 0], [3, 0, 0, -1]],
+             [[-1, 0, 3, 2, -6, 0], [1, 0, -2, -2, 4, 0], [0, 0, 0, 0, 0, 1],
+              [0, 0, 0, 1, -2, 0], [0, 0, 0, -1, 3, 0], [0, 1, 0, 0, 0, -2]],
+             [[2, 3, 0, 6, 4, 0], [0, 0, 2, 0, 0, 1], [1, 1, 0, 2, 2, 0],
+              [0, 0, 0, 3, 2, 0], [0, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 0]]),
+        ]
+        for a, facs, u, uinv, v, vinv in cases:
+            sf = smith_normal_form(M(a))
+            assert sf.invariant_factors == facs
+            assert sf.U.data == u and sf.uinv.data == uinv
+            assert sf.V.data == v and sf.vinv.data == vinv
 
 
 class TestBlockAssembly:
