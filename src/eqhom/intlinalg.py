@@ -7,22 +7,25 @@ lattices, cokernel invariants, and the homology of a chain complex given
 by its differentials, plus a coordinate calculus on homology groups
 (Smith-basis coordinates of cycles, lifts of generators).
 
-Two computation paths coexist:
+Both computation paths eliminate on sparse rows:
 
-* ``_smith`` is the one dense Smith elimination, with a fixed pivot rule
-  (smallest absolute nonzero entry, ties broken by (row, col) order).  It
-  carries only the unimodular transforms its caller asks for and is fully
-  deterministic.  ``smith_normal_form`` asks for all four; the kernel,
-  quotient, pair-homology, solve and lattice routines ask for the ones
-  they read.
+* ``_smith`` is the one Smith elimination that carries transforms, with
+  a fixed pivot rule (least absolute nonzero entry, ties broken by (row,
+  col)).  It works on {col: value} rows and carries only the unimodular
+  transforms its caller asks for, as {index: value} rows or columns, so
+  each elementary operation costs the nonzeros it touches; it is fully
+  deterministic, and the transforms become dense ``IntMatrix`` values
+  only when it returns.  ``smith_normal_form`` asks for all four; the
+  kernel, quotient, pair-homology, solve and lattice routines ask for
+  the ones they read.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
-  sparsely before handing the residual to the dense elimination.  Unit
-  pivots are taken in Markowitz order: least (row length - 1) * (column
-  length - 1), ties broken by (row, col).  A priority queue supplies
-  them (``_unit_pivots``); it is kept exact, so it yields the very pivot
-  a rescan of every nonzero would pick, at O(log) per touched entry
-  instead of O(nnz) per pivot.  Invariant factors are canonical, so both
-  paths agree by construction.
+  in Markowitz order first: least (row length - 1) * (column length - 1),
+  ties broken by (row, col).  A priority queue supplies them
+  (``_unit_pivots``); it is kept exact, so it yields the very pivot a
+  rescan of every nonzero would pick, at O(log) per touched entry
+  instead of O(nnz) per pivot.  The sparse residual then goes through
+  the same elimination without transforms.  Invariant factors are
+  canonical, so both paths agree by construction.
 """
 
 from dataclasses import dataclass
@@ -128,23 +131,27 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
+def _nonzeros(a):
+    """Per row of a, the list of its nonzero (col, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in a.data]
+
+
 def matmul(a, b):
-    """Product a.b, skipping zero entries (boundary matrices are sparse)."""
+    """Product a.b over the nonzeros of both factors.
+
+    The nonzero (col, value) pairs of each row of b are listed once, and
+    each row of a adds q * (row k of b) for its nonzero entries q only.
+    """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    bnz = _nonzeros(b)
     out = []
-    bd = b.data
     for arow in a.data:
         acc = [0] * b.cols
         for k, v in enumerate(arow):
             if v:
-                brow = bd[k]
-                if v == 1:
-                    acc = [x + y for x, y in zip(acc, brow)]
-                elif v == -1:
-                    acc = [x - y for x, y in zip(acc, brow)]
-                else:
-                    acc = [x + v * y for x, y in zip(acc, brow)]
+                for j, w in bnz[k]:
+                    acc[j] += v * w
         out.append(acc)
     return IntMatrix(a.rows, b.cols, out)
 
@@ -252,90 +259,107 @@ class SmithForm:
         return IntMatrix(m, n, rows)
 
 
-def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
-    """Reduce the row-list matrix md to Smith form in place.
+def _axpy(dst, q, src):
+    """dst += q * src for {index: value} dicts, q != 0; zeros are dropped."""
+    for k, b in src.items():
+        v = dst.get(k, 0) + q * b
+        if v:
+            dst[k] = v
+        else:
+            del dst[k]
 
-    Pivot rule: smallest absolute nonzero entry of the active submatrix,
-    ties broken by (row, col).  The optional transform accumulators are
-    row-lists updated alongside.  Returns the list of diagonal entries
-    (positive chain, then zeros) of length min(m, n).
+
+def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
+    """Reduce the sparse m x n matrix md to Smith form in place.
+
+    md is a list of m {col: value} dicts of nonzeros.  Pivot rule: least
+    (|entry|, row, col) over the active submatrix.  Row t is cleared in
+    ascending column order, and a nonzero remainder becomes the new pivot.
+    While step t runs, rows >= t are zero left of column t and rows < t
+    hold only their diagonal entry.
+
+    The optional transform accumulators are lists of dicts updated
+    alongside: U and Vinv hold rows, Uinv and V hold columns, so every
+    update is a dict axpy over the nonzeros of one row or column and
+    every swap is a swap of two dicts.  Returns the list of diagonal
+    entries (positive chain, then zeros) of length min(m, n).
     """
 
     def row_op(i, t, q):
-        # R_i -= q R_t  (columns < t are zero in both rows)
-        ri, rt = md[i], md[t]
-        md[i] = ri[:t] + [a - q * b for a, b in zip(ri[t:], rt[t:])]
+        # R_i -= q R_t
+        _axpy(md[i], -q, md[t])
         if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+            _axpy(U[i], -q, U[t])
         if Uinv is not None:
-            for r in Uinv:
-                r[t] += q * r[i]
+            _axpy(Uinv[t], q, Uinv[i])
 
     def add_row(t, i):
         # R_t += R_i
-        md[t] = md[t][:t] + [a + b for a, b in zip(md[t][t:], md[i][t:])]
+        _axpy(md[t], 1, md[i])
         if U is not None:
-            U[t] = [a + b for a, b in zip(U[t], U[i])]
+            _axpy(U[t], 1, U[i])
         if Uinv is not None:
-            for r in Uinv:
-                r[i] -= r[t]
+            _axpy(Uinv[i], -1, Uinv[t])
 
     def swap_rows(i, t):
         md[i], md[t] = md[t], md[i]
         if U is not None:
             U[i], U[t] = U[t], U[i]
         if Uinv is not None:
-            for r in Uinv:
-                r[i], r[t] = r[t], r[i]
+            Uinv[i], Uinv[t] = Uinv[t], Uinv[i]
 
     def negate_row(t):
-        md[t] = [-a for a in md[t]]
+        md[t] = {k: -a for k, a in md[t].items()}
         if U is not None:
-            U[t] = [-a for a in U[t]]
+            U[t] = {k: -a for k, a in U[t].items()}
         if Uinv is not None:
-            for r in Uinv:
-                r[t] = -r[t]
+            Uinv[t] = {k: -a for k, a in Uinv[t].items()}
 
     # Column operations run only while row t is cleared: column t is then
     # zero below row t, and rows above t are zero in every column >= t, so
     # on md they touch row t alone.
     def col_op(j, t, q):
         # C_j -= q C_t
-        md[t][j] -= q * md[t][t]
+        row = md[t]
+        v = row[j] - q * row[t]
+        if v:
+            row[j] = v
+        else:
+            del row[j]
         if V is not None:
-            for r in V:
-                if r[t]:
-                    r[j] -= q * r[t]
+            _axpy(V[j], -q, V[t])
         if Vinv is not None:
-            Vinv[t] = [a + q * b for a, b in zip(Vinv[t], Vinv[j])]
+            _axpy(Vinv[t], q, Vinv[j])
 
     def swap_cols(j, t):
-        for r in md[t:]:
-            r[j], r[t] = r[t], r[j]
+        for row in md[t:]:
+            if j in row:
+                a = row.pop(j)
+                if t in row:
+                    row[j] = row.pop(t)
+                row[t] = a
+            elif t in row:
+                row[j] = row.pop(t)
         if V is not None:
-            for r in V:
-                r[j], r[t] = r[t], r[j]
+            V[j], V[t] = V[t], V[j]
         if Vinv is not None:
             Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     t = 0
     limit = min(m, n)
     while t < limit:
-        # Locate the pivot: minimal |entry|, first in (row, col) order.
+        # Locate the pivot: least (|entry|, row, col); stop at a unit row.
         best = None
         best_abs = 0
         for i in range(t, m):
             row = md[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best_abs:
-                        best, best_abs = (i, j), a
-                        if a == 1:
-                            break
-            if best_abs == 1:
-                break
+            if row:
+                a = min(map(abs, row.values()))
+                if best is None or a < best_abs:
+                    best = (i, min(j for j, v in row.items() if v == a or v == -a))
+                    best_abs = a
+                    if a == 1:
+                        break
         if best is None:
             break
         if best[0] != t:
@@ -346,67 +370,73 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
             negate_row(t)
 
         while True:
-            # Clear column t below the pivot.
+            # Clear column t below the pivot, in ascending row order; a row
+            # operation changes only row i, so the rows to visit are known.
             restart = False
-            i = t + 1
-            while i < m:
-                v = md[i][t]
-                if v:
-                    q = v // md[t][t]
-                    if q:
-                        row_op(i, t, q)
-                    if md[i][t]:
-                        # Remainder is a strictly smaller positive pivot.
-                        swap_rows(i, t)
-                        restart = True
-                        break
-                i += 1
+            for i in [i for i in range(t + 1, m) if t in md[i]]:
+                q = md[i][t] // md[t][t]
+                if q:
+                    row_op(i, t, q)
+                if t in md[i]:
+                    # Remainder is a strictly smaller positive pivot.
+                    swap_rows(i, t)
+                    restart = True
+                    break
             if restart:
                 continue
-            # Clear row t right of the pivot.
-            j = t + 1
-            while j < n:
-                v = md[t][j]
-                if v:
-                    q = v // md[t][t]
+            # Clear row t right of the pivot, in ascending column order.
+            row = md[t]
+            p = row[t]
+            for j in sorted(row):
+                if j != t:
+                    q = row[j] // p
                     if q:
                         col_op(j, t, q)
-                    if md[t][j]:
+                    if j in row:
                         swap_cols(j, t)
                         restart = True
                         break
-                j += 1
             if restart:
                 continue
             # Pivot row and column are clear; enforce divisibility.
-            p = md[t][t]
             offender = None
             if p != 1:
                 for i in range(t + 1, m):
-                    row = md[i]
-                    for j in range(t + 1, n):
-                        if row[j] % p:
-                            offender = i
-                            break
-                    if offender is not None:
+                    if any(v % p for v in md[i].values()):
+                        offender = i
                         break
             if offender is None:
                 break
             add_row(t, offender)
         t += 1
 
-    return [md[i][i] for i in range(limit)]
+    return [md[i].get(i, 0) for i in range(limit)]
+
+
+def _dense(vectors, by_columns):
+    """The square IntMatrix whose rows (or columns) are the given dicts."""
+    size = len(vectors)
+    data = [[0] * size for _ in range(size)]
+    for a, vec in enumerate(vectors):
+        if by_columns:
+            for b, v in vec.items():
+                data[b][a] = v
+        else:
+            row = data[a]
+            for b, v in vec.items():
+                row[b] = v
+    return IntMatrix(size, size, data)
 
 
 def _smith(A, U=False, Uinv=False, V=False, Vinv=False):
     """SmithForm of A carrying only the requested transforms."""
     m, n = A.rows, A.cols
-    md = [list(r) for r in A.data]
-    acc = [IntMatrix.identity(k).data if want else None
+    md = [{j: v for j, v in enumerate(r) if v} for r in A.data]
+    acc = [[{i: 1} for i in range(k)] if want else None
            for want, k in ((U, m), (Uinv, m), (V, n), (Vinv, n))]
     diag = _snf_inplace(md, m, n, *acc)
-    u, uinv, v, vinv = (None if rows is None else IntMatrix(len(rows), len(rows), rows)
-                        for rows in acc)
+    u, uinv, v, vinv = (None if vecs is None else _dense(vecs, by_columns)
+                        for vecs, by_columns in zip(acc, (False, True, True, False)))
     return SmithForm((m, n), tuple(diag), u, uinv, v, vinv)
 
 
@@ -541,7 +571,8 @@ def invariant_factors(A):
     """Invariant factors of A, zero-padded to length min(rows, cols).
 
     Fast path: unit pivots are eliminated on a sparse view (no transforms
-    tracked), the residual goes through the dense routine.  The unit
+    tracked), and the residual rows, re-indexed onto the surviving rows
+    and columns, go through _snf_inplace without transforms.  The unit
     pivots come from a priority queue in Markowitz order, least (row
     length - 1) * (column length - 1), ties by (row, col); the queue is
     exact, so every pivot is the one a rescan of all nonzeros would pick
@@ -566,19 +597,12 @@ def invariant_factors(A):
     units = 0
     for _ in _unit_pivots(rows, cols, m, n):
         units += 1
-    # Dense residual on the surviving rows/columns.
+    # The residual, re-indexed onto the surviving rows and columns.
     res_factors = []
     if rows:
-        live_cols = sorted(cols)
-        cindex = {c: k for k, c in enumerate(live_cols)}
-        dense = []
-        for r in sorted(rows):
-            row = [0] * len(live_cols)
-            for j, v in rows[r].items():
-                row[cindex[j]] = v
-            dense.append(row)
-        res_factors = _snf_inplace(dense, len(dense), len(live_cols))
-        res_factors = [d for d in res_factors if d]
+        cindex = {c: k for k, c in enumerate(sorted(cols))}
+        residual = [{cindex[j]: v for j, v in rows[r].items()} for r in sorted(rows)]
+        res_factors = [d for d in _snf_inplace(residual, len(residual), len(cindex)) if d]
     out = [1] * units + res_factors
     out += [0] * (limit - len(out))
     return out
@@ -617,7 +641,7 @@ def _check_composition_zero(d_k, d_kplus1):
         raise ValueError(
             f"boundary shapes do not compose: {d_k.rows}x{d_k.cols} then "
             f"{d_kplus1.rows}x{d_kplus1.cols}")
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in d_kplus1.data]
+    sparse = _nonzeros(d_kplus1)
     for row in d_k.data:
         acc = {}
         for k, v in enumerate(row):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
-                             chain_boundary_matrix, homology)
+                             chain_boundary_matrix, homology, torus_complex)
 from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            NotPseudomanifold, bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
@@ -84,6 +84,15 @@ class TestOrientation:
         coords = pair.coordinates(manifold.fundamental_cycle())
         assert pair.invariants == AbelianGroupInvariants(1)
         assert coords in ((1,), (-1,))
+
+    def test_torus_class_in_dimension_four(self):
+        # The n >= 4 regime of the construction: [T^4] generates H_4(T^4) = Z,
+        # checked exactly on the 1944 top simplices rather than by Kunneth.
+        cx = torus_complex(4)
+        manifold = orient(cx)
+        pair = homology_pair(LocalSystem.trivial(cx), 4)
+        assert pair.invariants == AbelianGroupInvariants(1)
+        assert pair.coordinates(manifold.fundamental_cycle()) in ((1,), (-1,))
 
 
 class TestProducts:

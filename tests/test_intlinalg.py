@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqhom import intlinalg
+from eqhom.complexes import (LocalSystem, chain_boundary_matrix,
+                             cochain_differential_matrix)
+from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
                              IntMatrix, PairHomology, _unit_pivots,
                              chain_homology, cokernel_invariants, determinant,
@@ -15,6 +18,7 @@ from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
                              unimodular_inverse)
 
 from conftest import load_fixture
+from dense_smith import dense_smith
 
 
 def M(rows, cols=None):
@@ -125,14 +129,15 @@ class TestSmithForm:
             assert sf.S.rows == m and sf.S.cols == n
 
     @settings(max_examples=150, deadline=None)
-    @given(small_matrices)
-    def test_transform_identities(self, a):
-        sf = smith_normal_form(a)
-        assert matmul(matmul(sf.U, a), sf.V) == sf.S
-        assert abs(determinant(sf.U)) == 1
-        assert abs(determinant(sf.V)) == 1
-        assert matmul(sf.U, sf.uinv) == IntMatrix.identity(a.rows)
-        assert matmul(sf.V, sf.vinv) == IntMatrix.identity(a.cols)
+    @given(small_matrices, sparse_matrices)
+    def test_transform_identities(self, small, sparse):
+        for a in (small, sparse):
+            sf = smith_normal_form(a)
+            assert matmul(matmul(sf.U, a), sf.V) == sf.S
+            assert abs(determinant(sf.U)) == 1
+            assert abs(determinant(sf.V)) == 1
+            assert matmul(sf.U, sf.uinv) == IntMatrix.identity(a.rows)
+            assert matmul(sf.V, sf.vinv) == IntMatrix.identity(a.cols)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -177,6 +182,86 @@ class TestSmithForm:
                 for d in facs[:k]:
                     prod *= d
                 assert prod == g
+
+
+def assert_matches_dense_reference(a):
+    """Same factors and the same U, uinv, V, vinv as the dense elimination."""
+    sf = smith_normal_form(a)
+    facs, u, uinv, v, vinv = dense_smith(a)
+    assert sf.invariant_factors == facs
+    assert sf.U.data == u and sf.uinv.data == uinv
+    assert sf.V.data == v and sf.vinv.data == vinv
+
+
+class TestDenseReference:
+    """The sparse elimination against the dense one it replaced (tests/dense_smith.py)."""
+
+    def test_fixture_boundaries(self):
+        for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):
+            cx = load_fixture(f"{name}.cplx")
+            for k in range(1, cx.dim + 1):
+                assert_matches_dense_reference(cx.boundary_matrix(k))
+
+    def test_rp2_twisted_differentials(self, rp2_cover):
+        model = rp2_cover.model
+        for rep in (regular_rep(model),
+                    tensor_power(augmentation_ideal_rep(model), 2)):
+            system = LocalSystem.from_rep(rp2_cover, rep)
+            for k in range(1, 3):
+                assert_matches_dense_reference(chain_boundary_matrix(system, k))
+            for k in range(2):
+                assert_matches_dense_reference(cochain_differential_matrix(system, k))
+
+    def test_random_sparse(self):
+        # Entries in -3..3 make remainders and divisibility offenders.
+        rng = random.Random(23)
+        for _ in range(150):
+            m, n = rng.randint(1, 30), rng.randint(1, 40)
+            entries = [(rng.randrange(m), rng.randrange(n),
+                        rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for _ in range(rng.randint(0, m * n // 3))]
+            assert_matches_dense_reference(sparse_matrix(m, n, entries))
+
+
+class TestSympyOracle:
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors as sympy_factors
+        rng = random.Random(31)
+        for _ in range(60):
+            m, n = rng.randint(1, 20), rng.randint(1, 25)
+            entries = [(rng.randrange(m), rng.randrange(n),
+                        rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for _ in range(rng.randint(0, m * n // 3))]
+            a = sparse_matrix(m, n, entries)
+            want = [int(d) for d in sympy_factors(sympy.Matrix(a.data),
+                                                  domain=sympy.ZZ)]
+            assert invariant_factors(a) == want
+            assert list(smith_normal_form(a).invariant_factors) == want
+
+
+class TestMatmul:
+    def test_matches_triple_loop(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            a = IntMatrix(m, k, [[rng.choice((0, 0, 0, 1, -1, 2, -5))
+                                  for _ in range(k)] for _ in range(m)])
+            b = IntMatrix(k, n, [[rng.choice((0, 0, 0, 1, -1, 3, -7))
+                                  for _ in range(n)] for _ in range(k)])
+            want = [[sum(a.data[i][x] * b.data[x][j] for x in range(k))
+                     for j in range(n)] for i in range(m)]
+            assert matmul(a, b) == IntMatrix(m, n, want)
+
+    def test_empty_shapes(self):
+        assert matmul(IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0)) == \
+            IntMatrix.zeros(0, 0)
+        assert matmul(IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 4)) == \
+            IntMatrix.zeros(2, 4)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            matmul(IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 3))
 
 
 class TestUnitPivots:
