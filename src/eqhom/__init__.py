@@ -2,11 +2,12 @@
 
 Submodules:
 
-* ``intlinalg`` -- arbitrary-precision integer matrices, Smith normal
-  forms with transforms, kernels, cokernels, chain-complex homology.
+* ``intlinalg`` -- sparse arbitrary-precision integer matrices, Smith
+  normal forms with transforms, kernels, cokernels, chain-complex
+  homology.
 * ``groups`` -- presentations, coset enumeration, free / free-abelian /
-  product models, group rings, the augmentation ideal and its tensor
-  powers as integer representations.
+  product models, and integer representations: the regular module, the
+  augmentation ideal and its tensor powers.
 * ``complexes`` -- simplicial complexes, edge-path fundamental groups,
   universal covers over finite groups, homology with local coefficients.
 * ``duality`` -- orientations, cup/cap products, chain-level duality

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import InputError, ModelMismatch, PreconditionError
-from .groups import (FiniteGroup, GroupPresentation, GroupRingElement,
-                     Exceeded, IntRepresentation, todd_coxeter, trivial_rep)
+from .groups import (FiniteGroup, GroupPresentation, Exceeded,
+                     IntRepresentation, todd_coxeter, trivial_rep)
 from .intlinalg import IntMatrix, chain_homology
 
 
@@ -274,16 +274,6 @@ class EquivariantComplex:
                  for i, (face, sign) in enumerate(faces)]
                 for s, faces in zip(self.base.simplices(k), self.base.boundary_terms(k))]
         return self._terms[k]
-
-    def ring_boundary(self, k):
-        """Boundary matrix over the group ring, as {(row, col): element}."""
-        entries = {}
-        for j, terms in enumerate(self.boundary_terms(k)):
-            for face, sign, elt in terms:
-                cur = entries.get((face, j), GroupRingElement.zero(self.model))
-                entries[(face, j)] = cur + GroupRingElement.from_element(
-                    self.model, elt, sign)
-        return entries
 
     def ring_boundary_squares_to_zero(self):
         """Exact check of the Z[pi] chain condition in every degree."""

@@ -19,7 +19,7 @@ from .errors import BudgetError
 from .groups import (FiniteGroup, NotFinite, augmentation_ideal_rep,
                      regular_rep, tensor_power, tensor_rep, trivial_rep)
 from .intlinalg import (AbelianGroupInvariants, IntMatrix, chain_homology,
-                        cokernel_invariants, hstack, invariant_factors,
+                        cokernel_invariants, invariant_factors,
                         kernel_basis, lattice_basis, solve_columns)
 
 BUDGET = 20000
@@ -119,11 +119,11 @@ class CoinvariantsPresentation:
 
     @classmethod
     def of(cls, rep):
-        images = [rep.images[g].data for g in rep.model.generators]
-        rows = [[v - 1 if i == j else v
-                 for img in images for j, v in enumerate(img[i])]
-                for i in range(rep.rank)]
-        return cls(rep, IntMatrix(rep.rank, rep.rank * len(images), rows))
+        r, gens = rep.rank, rep.model.generators
+        return cls(rep, IntMatrix.from_blocks(
+            r, r * len(gens), (r, r),
+            ((0, k, c, img) for k, g in enumerate(gens)
+             for c, img in ((1, rep.images[g]), (-1, None)))))
 
     def invariants(self):
         return cokernel_invariants(self.matrix)
@@ -145,24 +145,19 @@ def _inclusion_matrix(model, n, factor):
     rank_in1 = n_i ** (n - 1)
     rank_src = n_i ** n
     rank_tgt = rank_in1 * order
-    mat = IntMatrix.zeros(rank_tgt, rank_src)
     if factor == "last":
         # source (a, b) -> a*order + (b+1) minus a*order + 0
-        for a in range(rank_in1):
-            for b in range(n_i):
-                col = a * n_i + b
-                mat.data[a * order + (b + 1)][col] += 1
-                mat.data[a * order + 0][col] -= 1
+        terms = ((a * order + row, a * n_i + b, c, None)
+                 for a in range(rank_in1) for b in range(n_i)
+                 for row, c in ((b + 1, 1), (0, -1)))
     elif factor == "first":
         # source (b, a) -> (b+1)*rank_in1 + a minus 0*rank_in1 + a
-        for b in range(n_i):
-            for a in range(rank_in1):
-                col = b * rank_in1 + a
-                mat.data[(b + 1) * rank_in1 + a][col] += 1
-                mat.data[a][col] -= 1
+        terms = ((row + a, b * rank_in1 + a, c, None)
+                 for b in range(n_i) for a in range(rank_in1)
+                 for row, c in (((b + 1) * rank_in1, 1), (0, -1)))
     else:
         raise ValueError("factor must be 'last' or 'first'")
-    return mat
+    return IntMatrix.from_blocks(rank_tgt, rank_src, (1, 1), terms)
 
 
 def shift_homology(model, n, factor="last"):
@@ -187,9 +182,10 @@ def shift_homology(model, n, factor="last"):
 
     # Lattice of source vectors mapping into im(rel_tgt), i.e. to zero in
     # the target coinvariants.
-    stacked = hstack(incl, rel_tgt)
+    stacked = IntMatrix.from_blocks(incl.rows, incl.cols + rel_tgt.cols, (1, 1),
+                                    [(0, 0, 1, incl), (0, incl.cols, 1, rel_tgt)])
     ker = kernel_basis(stacked)
-    projected = IntMatrix(source.rank, ker.cols, ker.data[:source.rank])
+    projected = ker.row_slice(0, source.rank)
     preimage = lattice_basis(projected)
     # Source relations land inside the preimage lattice (the map is
     # equivariant); express them there and quotient.
@@ -261,14 +257,7 @@ def projective_vanishing_check(model, k, m):
 
 def abelianization_invariants(pres):
     """H_1 from a presentation: cokernel of the relator exponent matrix."""
-    gens = pres.generators
-    gidx = {g: i for i, g in enumerate(gens)}
-    cols = []
-    for rel in pres.relators:
-        col = [0] * len(gens)
-        for g, e in rel:
-            col[gidx[g]] += e
-        cols.append(col)
-    mat = IntMatrix(len(gens), len(cols),
-                    [[c[i] for c in cols] for i in range(len(gens))])
-    return cokernel_invariants(mat)
+    gidx = {g: i for i, g in enumerate(pres.generators)}
+    return cokernel_invariants(IntMatrix.from_blocks(
+        len(gidx), len(pres.relators), (1, 1),
+        ((gidx[g], j, e, None) for j, rel in enumerate(pres.relators) for g, e in rel)))

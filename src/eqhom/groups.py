@@ -1,11 +1,11 @@
-"""Group presentations, computable models, group rings, and representations.
+"""Group presentations, computable models, and integer representations.
 
 Four model variants have solvable word problems here: finite groups (via
 coset enumeration of a presentation, or an explicit multiplication
 table), free groups, free abelian groups, and binary direct products.
-On top of these sit finitely supported group-ring elements, the
-augmentation ideal I with its basis {g - 1 : g != e}, and integer matrix
-representations, including tensor powers of I under the diagonal action.
+On top of these sit integer matrix representations: the regular module
+Z[pi], the augmentation ideal I with its basis {g - 1 : g != e}, and
+tensor powers of I under the diagonal action.
 
 Word syntax: a generator is a name, an inverse is the name with a
 trailing apostrophe.  In text form a word is either a string of
@@ -582,99 +582,7 @@ def todd_coxeter(pres, max_cosets):
 
 
 # ---------------------------------------------------------------------------
-# group ring
-
-class GroupRingElement:
-    """Finitely supported integer combination of group elements.
-
-    >>> z2 = todd_coxeter(GroupPresentation(("g",), (parse_word("gg"),)), 5)
-    >>> g = GroupRingElement.from_element(z2, z2.normal_form("g"))
-    >>> one = GroupRingElement.one(z2)
-    >>> ((g - one) * (g + one)).is_zero()
-    True
-    """
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model, terms):
-        self.model = model
-        self.terms = {g: int(c) for g, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, model):
-        return cls(model, {})
-
-    @classmethod
-    def one(cls, model):
-        return cls(model, {model.identity: 1})
-
-    @classmethod
-    def from_element(cls, model, element, coeff=1):
-        return cls(model, {element: coeff})
-
-    def _require_same(self, other):
-        if self.model != other.model:
-            raise ModelMismatch("group ring elements over different models")
-
-    def __add__(self, other):
-        self._require_same(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return GroupRingElement(self.model, terms)
-
-    def __neg__(self):
-        return GroupRingElement(self.model, {g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        return GroupRingElement(self.model, {g: k * c for g, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._require_same(other)
-        mul = self.model.mul
-        terms = {}
-        for g, a in self.terms.items():
-            for h, b in other.terms.items():
-                k = mul(g, h)
-                terms[k] = terms.get(k, 0) + a * b
-        return GroupRingElement(self.model, terms)
-
-    def augmentation(self):
-        return sum(self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement) and self.model == other.model
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        name = self.model.element_name
-        parts = [f"{c}*{name(g)}" for g, c in
-                 sorted(self.terms.items(), key=lambda t: self.model.sort_key(t[0]))]
-        return " + ".join(parts)
-
-
-def augmentation(x):
-    """Sum of coefficients; its kernel is the augmentation ideal I."""
-    return x.augmentation()
-
-
-# ---------------------------------------------------------------------------
 # integer representations
-
-def kronecker(a, b):
-    return IntMatrix.from_blocks(
-        a.rows * b.rows, a.cols * b.cols, (b.rows, b.cols),
-        ((i, j, v, b) for i, row in enumerate(a.data)
-         for j, v in enumerate(row) if v))
-
 
 class IntRepresentation:
     """An action of a group model on Z^rank by invertible integer matrices."""
@@ -750,10 +658,8 @@ def regular_rep(model):
     images = {}
     for name in model.generators:
         s = model.gens[name]
-        m = IntMatrix.zeros(n, n)
-        for g in range(n):
-            m.data[model.table[s][g]][g] = 1
-        images[name] = m
+        images[name] = IntMatrix.from_blocks(
+            n, n, (1, 1), ((model.table[s][g], g, 1, None) for g in range(n)))
     return IntRepresentation(model, n, images)
 
 
@@ -773,14 +679,10 @@ def augmentation_ideal_rep(model):
     images = {}
     for name in model.generators:
         s = model.gens[name]
-        m = IntMatrix.zeros(n - 1, n - 1)
-        for g in range(1, n):
-            sg = model.table[s][g]
-            if sg != 0:
-                m.data[sg - 1][g - 1] += 1
-            if s != 0:
-                m.data[s - 1][g - 1] -= 1
-        images[name] = m
+        # row -1 is the dropped identity
+        images[name] = IntMatrix.from_blocks(n - 1, n - 1, (1, 1), (
+            (row, g - 1, c, None) for g in range(1, n)
+            for row, c in ((model.table[s][g] - 1, 1), (s - 1, -1)) if row >= 0))
     return IntRepresentation(model, n - 1, images)
 
 
@@ -788,7 +690,7 @@ def tensor_rep(left, right):
     """Tensor product with the diagonal action, on the lexicographic basis."""
     if left.model != right.model:
         raise ModelMismatch("tensor factors over different models")
-    images = {g: kronecker(left.images[g], right.images[g])
+    images = {g: left.images[g].kronecker(right.images[g])
               for g in left.model.generators}
     return IntRepresentation(left.model, left.rank * right.rank, images,
                              check=False)

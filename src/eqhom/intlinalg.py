@@ -7,17 +7,19 @@ lattices, cokernel invariants, and the homology of a chain complex given
 by its differentials, plus a coordinate calculus on homology groups
 (Smith-basis coordinates of cycles, lifts of generators).
 
-Both computation paths eliminate on sparse rows:
+An ``IntMatrix`` stores one {col: value} dict of nonzeros per row, and
+only this module reads or writes those dicts.  Both computation paths
+eliminate on copies of them:
 
 * ``_smith`` is the one Smith elimination that carries transforms, with
   a fixed pivot rule (least absolute nonzero entry, ties broken by (row,
-  col)).  It works on {col: value} rows and carries only the unimodular
-  transforms its caller asks for, as {index: value} rows or columns, so
-  each elementary operation costs the nonzeros it touches; it is fully
-  deterministic, and the transforms become dense ``IntMatrix`` values
-  only when it returns.  ``smith_normal_form`` asks for all four; the
-  kernel, quotient, pair-homology, solve and lattice routines ask for
-  the ones they read.
+  col)).  It carries only the unimodular transforms its caller asks for,
+  as {index: value} rows or columns, so each elementary operation costs
+  the nonzeros it touches; it is fully deterministic, and the transforms
+  it returns are sparse ``IntMatrix`` values (columns are transposed in
+  O(nnz)).  ``smith_normal_form`` asks for all four; the kernel,
+  quotient, pair-homology, solve and lattice routines ask for the ones
+  they read.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
@@ -43,33 +45,46 @@ class NoIntegerSolution(PreconditionError):
 
 
 class IntMatrix:
-    """A dense rows x cols matrix of Python ints.
+    """A rows x cols matrix of Python ints, stored as sparse rows.
 
-    Instances are treated as immutable after construction; all operations
-    return new matrices.
+    Each row is a {col: value} dict of its nonzero entries; zeros are
+    never stored, so equal matrices hold equal dicts.  ``data`` is a dense
+    view, built afresh on every access.  Instances are treated as
+    immutable after construction (they may share row dicts); all
+    operations return new matrices.
 
     >>> IntMatrix.identity(2) @ IntMatrix.from_rows([[1, 2], [3, 4]])
     IntMatrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows, cols, data):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("data shape does not match rows x cols")
+        self._set(rows, cols, [{j: v for j, v in enumerate(r) if v} for r in data])
+
+    def _set(self, rows, cols, nz):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        self.data = [list(r) for r in data]
+        self._nz = nz
+
+    @classmethod
+    def _adopt(cls, rows, cols, nz):
+        """The matrix whose rows are the given {col: value} dicts, not copied."""
+        mat = cls.__new__(cls)
+        mat._set(rows, cols, nz)
+        return mat
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._adopt(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._adopt(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, data, cols=None):
@@ -80,50 +95,76 @@ class IntMatrix:
 
     @classmethod
     def column(cls, vector):
-        return cls(len(vector), 1, [[v] for v in vector])
+        return cls._adopt(len(vector), 1, [{0: v} if v else {} for v in vector])
 
     @classmethod
     def from_blocks(cls, rows, cols, shape, blocks):
-        """A rows x cols matrix assembled from p x q blocks, shape = (p, q).
+        """A rows x cols matrix assembled from blocks on a p x q grid, shape = (p, q).
 
-        blocks yields (i, j, coeff, block): coeff * block is added at block
-        position (i, j), that is at rows i*p.. and columns j*q..; a block of
-        None stands for the p x p identity.  Blocks at one position add up.
+        blocks yields (i, j, coeff, block): coeff * block is added with its
+        top left corner at row i*p and column j*q; a block of None stands
+        for the p x p identity.  Blocks add up where they overlap, a sum
+        that cancels is not stored, and a block that does not fit inside
+        the matrix raises ValueError.
 
         >>> IntMatrix.from_blocks(2, 4, (2, 2), [(0, 1, -1, None)])
         IntMatrix([[0, 0, -1, 0], [0, 0, 0, -1]])
         """
         p, q = shape
-        mat = cls.zeros(rows, cols)
-        data = mat.data
+        nz = [{} for _ in range(rows)]
         for i, j, coeff, block in blocks:
             r0, c0 = i * p, j * q
+            h, w = (p, p) if block is None else (block.rows, block.cols)
+            if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
+                raise ValueError(f"block at ({i}, {j}) does not fit in {rows}x{cols}")
+            if not coeff:
+                continue
             if block is None:
                 for a in range(p):
-                    data[r0 + a][c0 + a] += coeff
+                    _add_entry(nz[r0 + a], c0 + a, coeff)
             else:
-                for a, brow in enumerate(block.data):
-                    row = data[r0 + a]
-                    for b, v in enumerate(brow):
-                        if v:
-                            row[c0 + b] += coeff * v
-        return mat
+                for row, brow in zip(nz[r0:r0 + h], block._nz):
+                    for b, v in brow.items():
+                        _add_entry(row, c0 + b, coeff * v)
+        return cls._adopt(rows, cols, nz)
+
+    @property
+    def data(self):
+        """The entries as fresh dense rows."""
+        out = []
+        for r in self._nz:
+            row = [0] * self.cols
+            for j, v in r.items():
+                row[j] = v
+            out.append(row)
+        return out
 
     def col(self, j):
-        return [r[j] for r in self.data]
+        return [r.get(j, 0) for r in self._nz]
+
+    def row_slice(self, start, stop):
+        """Rows start..stop-1 as a matrix (sharing their dicts)."""
+        nz = self._nz[start:stop]
+        return IntMatrix._adopt(len(nz), self.cols, nz)
+
+    def kronecker(self, other):
+        """The Kronecker product: block (i, j) is self[i][j] * other."""
+        return IntMatrix.from_blocks(
+            self.rows * other.rows, self.cols * other.cols, (other.rows, other.cols),
+            ((i, j, v, other) for i, row in enumerate(self._nz) for j, v in row.items()))
 
     def is_zero(self):
-        return all(v == 0 for r in self.data for v in r)
+        return not any(self._nz)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._nz == other._nz)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._nz)))
 
     def __repr__(self):
         if self.rows * self.cols <= 16:
@@ -131,49 +172,40 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def _nonzeros(a):
-    """Per row of a, the list of its nonzero (col, value) pairs."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in a.data]
+def _add_entry(row, j, v):
+    """row[j] += v for a {col: value} dict and v != 0; a sum of 0 is dropped."""
+    s = row.get(j, 0) + v
+    if s:
+        row[j] = s
+    else:
+        del row[j]
+
+
+def _row_product(arow, bnz):
+    """The {col: value} dict of arow . b, given b's row dicts; it may hold zeros."""
+    acc = {}
+    for k, v in arow.items():
+        for j, w in bnz[k].items():
+            acc[j] = acc.get(j, 0) + v * w
+    return acc
 
 
 def matmul(a, b):
     """Product a.b over the nonzeros of both factors.
 
-    The nonzero (col, value) pairs of each row of b are listed once, and
-    each row of a adds q * (row k of b) for its nonzero entries q only.
+    Each row of a adds q * (row k of b) for its nonzero entries q only.
     """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bnz = _nonzeros(b)
-    out = []
-    for arow in a.data:
-        acc = [0] * b.cols
-        for k, v in enumerate(arow):
-            if v:
-                for j, w in bnz[k]:
-                    acc[j] += v * w
-        out.append(acc)
-    return IntMatrix(a.rows, b.cols, out)
+    bnz = b._nz
+    return IntMatrix._adopt(a.rows, b.cols, [
+        {j: x for j, x in _row_product(arow, bnz).items() if x} for arow in a._nz])
 
 
 def matvec(a, v):
     if a.cols != len(v):
         raise ValueError("shape mismatch in matvec")
-    out = []
-    for arow in a.data:
-        s = 0
-        for x, y in zip(arow, v):
-            if x and y:
-                s += x * y
-        out.append(s)
-    return out
-
-
-def hstack(a, b):
-    if a.rows != b.rows:
-        raise ValueError("hstack row mismatch")
-    return IntMatrix(a.rows, a.cols + b.cols,
-                     [ra + rb for ra, rb in zip(a.data, b.data)])
+    return [sum([x * v[j] for j, x in row.items()]) for row in a._nz]
 
 
 @dataclass(frozen=True)
@@ -253,10 +285,9 @@ class SmithForm:
     @property
     def S(self):
         m, n = self.shape
-        rows = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.invariant_factors):
-            rows[i][i] = d
-        return IntMatrix(m, n, rows)
+        return IntMatrix._adopt(m, n, [{i: d} if d else {} for i, d in
+                                       enumerate(self.invariant_factors)]
+                                + [{} for _ in range(m - len(self.invariant_factors))])
 
 
 def _axpy(dst, q, src):
@@ -413,31 +444,33 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
     return [md[i].get(i, 0) for i in range(limit)]
 
 
-def _dense(vectors, by_columns):
-    """The square IntMatrix whose rows (or columns) are the given dicts."""
-    size = len(vectors)
-    data = [[0] * size for _ in range(size)]
-    for a, vec in enumerate(vectors):
-        if by_columns:
-            for b, v in vec.items():
-                data[b][a] = v
-        else:
-            row = data[a]
-            for b, v in vec.items():
-                row[b] = v
-    return IntMatrix(size, size, data)
+def _from_columns(rows, columns):
+    """The IntMatrix whose columns are the given {row: value} dicts, in O(nnz)."""
+    nz = [{} for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            nz[i][j] = v
+    return IntMatrix._adopt(rows, len(columns), nz)
 
 
 def _smith(A, U=False, Uinv=False, V=False, Vinv=False):
-    """SmithForm of A carrying only the requested transforms."""
+    """SmithForm of A carrying only the requested transforms.
+
+    The elimination runs on a copy of A's rows, so A is left as it was.
+    U and Vinv are accumulated as rows and adopted as they are; Uinv and
+    V are accumulated as columns and transposed.
+    """
     m, n = A.rows, A.cols
-    md = [{j: v for j, v in enumerate(r) if v} for r in A.data]
+    md = [dict(r) for r in A._nz]
     acc = [[{i: 1} for i in range(k)] if want else None
            for want, k in ((U, m), (Uinv, m), (V, n), (Vinv, n))]
     diag = _snf_inplace(md, m, n, *acc)
-    u, uinv, v, vinv = (None if vecs is None else _dense(vecs, by_columns)
-                        for vecs, by_columns in zip(acc, (False, True, True, False)))
-    return SmithForm((m, n), tuple(diag), u, uinv, v, vinv)
+    u, uinv, v, vinv = acc
+    return SmithForm((m, n), tuple(diag),
+                     None if u is None else IntMatrix._adopt(m, m, u),
+                     None if uinv is None else _from_columns(m, uinv),
+                     None if v is None else _from_columns(n, v),
+                     None if vinv is None else IntMatrix._adopt(n, n, vinv))
 
 
 def smith_normal_form(A):
@@ -570,14 +603,14 @@ def _unit_pivots(rows, cols, m, n):
 def invariant_factors(A):
     """Invariant factors of A, zero-padded to length min(rows, cols).
 
-    Fast path: unit pivots are eliminated on a sparse view (no transforms
-    tracked), and the residual rows, re-indexed onto the surviving rows
-    and columns, go through _snf_inplace without transforms.  The unit
-    pivots come from a priority queue in Markowitz order, least (row
-    length - 1) * (column length - 1), ties by (row, col); the queue is
-    exact, so every pivot is the one a rescan of all nonzeros would pick
-    (see _unit_pivots).  The output is the canonical chain, identical to
-    smith_normal_form(A).
+    Fast path: unit pivots are eliminated on a copy of A's rows (no
+    transforms tracked), and the residual rows, re-indexed onto the
+    surviving rows and columns, go through _snf_inplace without
+    transforms.  The unit pivots come from a priority queue in Markowitz
+    order, least (row length - 1) * (column length - 1), ties by (row,
+    col); the queue is exact, so every pivot is the one a rescan of all
+    nonzeros would pick (see _unit_pivots).  The output is the canonical
+    chain, identical to smith_normal_form(A).
 
     >>> invariant_factors(IntMatrix.from_rows([[4, 6], [6, 9]]))
     [1, 0]
@@ -588,11 +621,10 @@ def invariant_factors(A):
         return []
     rows = {}
     cols = {}
-    for i, row in enumerate(A.data):
-        d = {j: v for j, v in enumerate(row) if v}
-        if d:
-            rows[i] = d
-            for j in d:
+    for i, row in enumerate(A._nz):
+        if row:
+            rows[i] = dict(row)
+            for j in row:
                 cols.setdefault(j, set()).add(i)
     units = 0
     for _ in _unit_pivots(rows, cols, m, n):
@@ -622,9 +654,13 @@ def kernel_basis(A):
     [-2, 1]
     """
     sf = _smith(A, V=True)
-    r = sf.rank
-    n = A.cols
-    return IntMatrix(n, n - r, [row[r:] for row in sf.V.data])
+    return _drop_columns(sf.V, sf.rank)
+
+
+def _drop_columns(M, r):
+    """M without its first r columns."""
+    return IntMatrix._adopt(M.rows, M.cols - r, [
+        {j - r: v for j, v in row.items() if j >= r} for row in M._nz])
 
 
 def cokernel_invariants(A):
@@ -641,14 +677,9 @@ def _check_composition_zero(d_k, d_kplus1):
         raise ValueError(
             f"boundary shapes do not compose: {d_k.rows}x{d_k.cols} then "
             f"{d_kplus1.rows}x{d_kplus1.cols}")
-    sparse = _nonzeros(d_kplus1)
-    for row in d_k.data:
-        acc = {}
-        for k, v in enumerate(row):
-            if v:
-                for j, w in sparse[k]:
-                    acc[j] = acc.get(j, 0) + v * w
-        if any(acc.values()):
+    bnz = d_kplus1._nz
+    for row in d_k._nz:
+        if any(_row_product(row, bnz).values()):
             raise ChainConditionViolated("d_k . d_{k+1} != 0")
 
 
@@ -729,10 +760,9 @@ class PairHomology:
         r = sf.rank
         self._n = n
         self._r = r
-        self._kernel = IntMatrix(n, n - r, [row[r:] for row in sf.V.data])
+        self._kernel = _drop_columns(sf.V, r)
         self._vinv = sf.vinv
-        image_in_kernel = IntMatrix(
-            n - r, d_kplus1.cols, matmul(sf.vinv, d_kplus1).data[r:])
+        image_in_kernel = matmul(sf.vinv, d_kplus1).row_slice(r, n)
         self.quotient = QuotientLattice(n - r, image_in_kernel)
         self.invariants = self.quotient.invariants
 
@@ -770,16 +800,11 @@ def is_isomorphism_onto(source, target, image_coordinates):
         return False
     orders = [0] * target.free_rank + list(target.torsion)
     k = len(orders)
-    cols = [list(c) for c in image_coordinates]
-    for i, d in enumerate(orders):
-        if d:
-            col = [0] * k
-            col[i] = d
-            cols.append(col)
+    cols = [{i: v for i, v in enumerate(c) if v} for c in image_coordinates]
+    cols += [{i: d} for i, d in enumerate(orders) if d]
     if not cols:
         return target.is_trivial()
-    mat = IntMatrix(k, len(cols), [[c[i] for c in cols] for i in range(k)])
-    return cokernel_invariants(mat).is_trivial()
+    return cokernel_invariants(_from_columns(k, cols)).is_trivial()
 
 
 def solve_columns(A, B):
@@ -790,28 +815,24 @@ def solve_columns(A, B):
     diag = sf.invariant_factors
     r = sf.rank
     Y = matmul(sf.U, B)
-    Z = [[0] * B.cols for _ in range(A.cols)]
-    for i in range(A.rows):
-        for j in range(B.cols):
-            v = Y.data[i][j]
-            if i < r:
-                d = diag[i]
-                if v % d:
-                    raise NoIntegerSolution("entry not divisible by invariant factor")
-                Z[i][j] = v // d
-            elif v:
-                raise NoIntegerSolution("inconsistent system")
-    return matmul(sf.V, IntMatrix(A.cols, B.cols, Z))
+    Z = [{} for _ in range(A.cols)]
+    for i, row in enumerate(Y._nz):
+        if row and i >= r:
+            raise NoIntegerSolution("inconsistent system")
+        for j, v in row.items():
+            if v % diag[i]:
+                raise NoIntegerSolution("entry not divisible by invariant factor")
+            Z[i][j] = v // diag[i]
+    return matmul(sf.V, IntMatrix._adopt(A.cols, B.cols, Z))
 
 
 def lattice_basis(A):
     """A matrix whose columns are a basis of the lattice spanned by A's columns."""
     sf = _smith(A, Uinv=True)
     r = sf.rank
-    cols = []
-    for i in range(r):
-        cols.append([sf.invariant_factors[i] * v for v in sf.uinv.col(i)])
-    return IntMatrix(A.rows, r, [[c[i] for c in cols] for i in range(A.rows)])
+    diag = sf.invariant_factors
+    return IntMatrix._adopt(A.rows, r, [
+        {j: diag[j] * v for j, v in row.items() if j < r} for row in sf.uinv._nz])
 
 
 def unimodular_inverse(M):
@@ -822,31 +843,3 @@ def unimodular_inverse(M):
     if any(d != 1 for d in sf.invariant_factors):
         raise ValueError("matrix is not unimodular")
     return matmul(sf.V, sf.U)
-
-
-def determinant(A):
-    """Integer determinant (fraction-free Bareiss elimination)."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = [list(r) for r in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[i], m[k] = m[k], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pk - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]

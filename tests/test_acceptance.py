@@ -20,10 +20,11 @@ from eqhom.group_homology import (bar_homology, projective_vanishing_check,
                                   shift_homology)
 from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
                           augmentation_ideal_rep, tensor_power, todd_coxeter)
-from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, determinant,
-                             matmul, matvec, smith_normal_form)
+from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, matmul,
+                             matvec, smith_normal_form)
 
 from conftest import load_fixture
+from determinant import determinant
 
 Z2 = AbelianGroupInvariants(0, (2,))
 ZERO = AbelianGroupInvariants(0)

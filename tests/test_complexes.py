@@ -163,11 +163,14 @@ class TestUniversalCover:
         assert rp3_cover.deck_action_is_free()
 
     def test_ring_boundary_entries_are_monomials(self, rp2_cover):
-        entries = rp2_cover.ring_boundary(2)
-        assert entries
-        for elt in entries.values():
-            assert len(elt.terms) == 1
-            assert set(elt.terms.values()) <= {1, -1}
+        # Each Z[pi] entry of d_2 is one term +-g: no face appears twice.
+        terms = rp2_cover.boundary_terms(2)
+        assert terms
+        elements = set(rp2_cover.model.elements())
+        for faces in terms:
+            assert len({face for face, _, _ in faces}) == len(faces)
+            for _, sign, elt in faces:
+                assert sign in (1, -1) and elt in elements
 
     def test_presentation_mismatch(self, rp2):
         wrong = todd_coxeter(GroupPresentation(("a",), ("aa",)), 10)

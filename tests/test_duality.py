@@ -11,8 +11,9 @@ from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            pd_check, pert_finite, unit_cocycle)
 from eqhom.groups import augmentation_ideal_rep, tensor_power
 from eqhom.group_homology import bar_homology
-from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, determinant,
-                             matvec)
+from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
+
+from determinant import determinant
 
 Z2 = AbelianGroupInvariants(0, (2,))
 

@@ -1,6 +1,8 @@
+import ast
 import heapq
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,9 @@ from eqhom.complexes import (LocalSystem, chain_boundary_matrix,
                              cochain_differential_matrix)
 from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
-                             IntMatrix, PairHomology, _unit_pivots,
-                             chain_homology, cokernel_invariants, determinant,
+                             IntMatrix, NoIntegerSolution, PairHomology,
+                             QuotientLattice, _unit_pivots,
+                             chain_homology, cokernel_invariants,
                              invariant_factors, is_isomorphism_onto,
                              kernel_basis, lattice_basis, matmul, matvec, rank,
                              smith_normal_form, solve_columns,
@@ -19,6 +22,7 @@ from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
 
 from conftest import load_fixture
 from dense_smith import dense_smith
+from determinant import determinant
 
 
 def M(rows, cols=None):
@@ -221,6 +225,81 @@ class TestDenseReference:
                         rng.choice((-3, -2, -1, 1, 2, 3)))
                        for _ in range(rng.randint(0, m * n // 3))]
             assert_matches_dense_reference(sparse_matrix(m, n, entries))
+
+
+def assert_leaves_inputs(call, *args):
+    """call(*args) leaves every matrix argument equal and hash-equal to a copy."""
+    mats = [m for arg in args for m in (arg if isinstance(arg, list) else [arg])
+            if isinstance(m, IntMatrix)]
+    copies = [IntMatrix(m.rows, m.cols, m.data) for m in mats]
+    try:
+        call(*args)
+    except (NoIntegerSolution, ValueError):  # singular, not square, not solvable
+        pass
+    for m, copy in zip(mats, copies):
+        assert m == copy and hash(m) == hash(copy)
+
+
+def assert_factoring_leaves_inputs(ds):
+    """Every factoring entry point on the chain complex with differentials ds."""
+    for a in ds:
+        for call in (invariant_factors, smith_normal_form, kernel_basis, lattice_basis,
+                     unimodular_inverse):
+            assert_leaves_inputs(call, a)
+        assert_leaves_inputs(solve_columns, a, matmul(a, IntMatrix.identity(a.cols)))
+        assert_leaves_inputs(QuotientLattice, a.rows, a)
+    for d_k, d_kplus1 in zip(ds, ds[1:]):
+        assert_leaves_inputs(PairHomology, d_k, d_kplus1)
+    assert_leaves_inputs(chain_homology, ds)
+
+
+class TestInputsUnchanged:
+    """The elimination works in place on copies: inputs may be shared and cached."""
+
+    def test_fixture_boundaries(self):
+        for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):
+            cx = load_fixture(f"{name}.cplx")
+            assert_factoring_leaves_inputs(
+                [cx.boundary_matrix(k) for k in range(cx.dim + 2)])
+
+    def test_random_sparse(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            m, n = rng.randint(1, 20), rng.randint(1, 25)
+            entries = [(rng.randrange(m), rng.randrange(n),
+                        rng.choice((-3, -2, -1, 1, 2, 3)))
+                       for _ in range(rng.randint(0, m * n // 3))]
+            a = sparse_matrix(m, n, entries)
+            assert_factoring_leaves_inputs([a, kernel_basis(a)])
+
+
+class TestStorage:
+    def test_three_constructions_agree(self):
+        want = M([[1, 0, -2], [0, 0, 0], [3, 1, 0]])
+        extra = M([[5, 0, 2], [0, 4, 0], [0, -1, 0]])
+        blocks = IntMatrix.from_blocks(3, 3, (3, 3), [
+            (0, 0, 1, M([[6, 0, 0], [0, 4, 0], [3, 0, 0]])), (0, 0, -1, extra)])
+        product = matmul(M([[1, 1], [0, 0], [1, 0]]), M([[3, 1, 0], [-2, -1, -2]]))
+        for m in (blocks, product):
+            assert m == want and hash(m) == hash(want)
+        for m in (want, blocks, product):
+            assert all(v for row in m._nz for v in row.values())
+
+    def test_blocks_must_fit(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_blocks(2, 2, (2, 2), [(1, 0, 1, None)])
+        with pytest.raises(ValueError):
+            IntMatrix.from_blocks(2, 2, (1, 1), [(0, 1, 1, M([[1, 2]]))])
+
+    def test_storage_stays_in_intlinalg(self):
+        # The row dicts and the dense data view are read only inside intlinalg.
+        offenders = []
+        for path in sorted(Path(intlinalg.__file__).parent.glob("*.py")):
+            if path.name != "intlinalg.py":
+                for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if isinstance(node, ast.Attribute) and node.attr in ("data", "_nz"):
+                        offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert offenders == []
 
 
 class TestSympyOracle:
