@@ -142,52 +142,69 @@ class FlowNetwork:
         return e
 
     def _levels(self, s, t):
+        """BFS levels from s, up to the layer that reaches t; None if t is cut off."""
+        adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         frontier = [s]
-        while frontier:
+        while frontier and level[t] < 0:
             nxt = []
             for v in frontier:
-                for e in self.adj[v]:
-                    w = self.to[e]
-                    if self.cap[e] > 0 and level[w] < 0:
-                        level[w] = level[v] + 1
+                lw = level[v] + 1
+                for e in adj[v]:
+                    w = to[e]
+                    if cap[e] > 0 and level[w] < 0:
+                        level[w] = lw
                         nxt.append(w)
             frontier = nxt
         return level if level[t] >= 0 else None
 
     def _blocking(self, s, t, level):
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         ptr = [0] * self.n
+        vpath = [s]
+        epath = []
+        v = s
         while True:
             # Walk a level-respecting path with per-vertex pointers.
-            vpath = [s]
-            epath = []
-            v = s
             while v != t:
-                advanced = False
-                while ptr[v] < len(self.adj[v]):
-                    e = self.adj[v][ptr[v]]
-                    w = self.to[e]
-                    if self.cap[e] > 0 and level[w] == level[v] + 1:
-                        vpath.append(w)
-                        epath.append(e)
-                        v = w
-                        advanced = True
+                arcs = adj[v]
+                na = len(arcs)
+                i = ptr[v]
+                lw = level[v] + 1
+                while i < na:
+                    e = arcs[i]
+                    w = to[e]
+                    if cap[e] > 0 and level[w] == lw:
                         break
-                    ptr[v] += 1
-                if not advanced:
-                    if v == s:
-                        return total
+                    i += 1
+                ptr[v] = i
+                if i < na:
+                    vpath.append(w)
+                    epath.append(e)
+                    v = w
+                elif v == s:
+                    return total
+                else:
+                    # A dead end for the rest of the phase: unlevel it so
+                    # that no other arc walks into it again.
+                    level[v] = -1
                     vpath.pop()
                     epath.pop()
                     v = vpath[-1]
                     ptr[v] += 1
-            aug = min(self.cap[e] for e in epath)
+            aug = min(cap[e] for e in epath)
             for e in epath:
-                self.cap[e] -= aug
-                self.cap[e ^ 1] += aug
+                cap[e] -= aug
+                cap[e ^ 1] += aug
             total += aug
+            first = next(i for i, e in enumerate(epath) if not cap[e])
+            # The path up to the first saturated arc is still usable, and
+            # its tail's pointer rests on that arc: resume there, not at s.
+            del vpath[first + 1:]
+            del epath[first:]
+            v = vpath[-1]
 
     def max_flow(self, s, t):
         flow = 0

@@ -23,15 +23,17 @@ eliminate on copies of them:
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
-  (``_unit_pivots``); it is kept exact, so it yields the very pivot a
-  rescan of every nonzero would pick, at O(log) per touched entry
-  instead of O(nnz) per pivot.  The sparse residual then goes through
-  the same elimination without transforms.  Invariant factors are
-  canonical, so both paths agree by construction.
+  (``_unit_pivots``).  It holds one key per column, a lower bound on
+  the least key of the column's units, and rescans a column only when
+  that bound reaches the top without being exact; so it yields the very
+  pivot a rescan of every nonzero would pick, at O(log) per column a
+  step changes instead of O(nnz) per pivot.  The sparse residual then
+  goes through the same elimination without transforms.  Invariant
+  factors are canonical, so both paths agree by construction.
 """
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 
 from .errors import PreconditionError
 
@@ -496,59 +498,97 @@ def _unit_pivots(rows, cols, m, n):
     removes its row and clears its column with row operations, and yields
     (row, col) once the step is done.
 
-    The keys sit in a heap packed as ints (cost * m + row) * n + col.  The
-    heap keeps, for every live unit, a key no greater than its current
-    one, so the least valid key popped is exactly the least over all units
-    (a full rescan would pick the same entry, ties included):
+    The queue holds keys per column, not per unit, packed as ints
+    (cost * m + row) * n + col.  low[c] is a lower bound, packed as
+    (row length - 1) * m + row, on (row length - 1, row) over the units of
+    column c: exact when c is scanned, and lowered whenever a unit's row
+    shrinks or a unit appears in c.  In a column of two or more entries
+    the (cost, row) order of its units is their (row length - 1, row)
+    order, so low[c] priced at c's length bounds every key in c from
+    below; a single-entry column is priced by its one entry.  cover[c] is
+    the least key pushed for c since its last scan, and stays at or below
+    every key in c:
 
-    * costs only rise through fill-in, and a popped key whose cost has
-      risen is pushed again with its current cost;
-    * after a step, every unit whose cost fell below its cost at the start
-      of the step, and every entry that became a unit, is pushed with its
-      final cost;
-    * keys of entries that are gone or no longer units are dropped when
-      popped, and when the heap grows past twice the live keys of its
-      last build (plus 64) it is rebuilt with one exact key per live unit.
+    * after a step, each column of the pivot row and each column whose
+      low fell is priced again, and pushed if that beats its cover;
+    * a popped key that is not its column's cover is dropped, and a cover
+      that is not a live unit at its current key has its column scanned
+      and the column's exact least key pushed.
+
+    So the first cover popped that is a live unit at its key is the least
+    key over all units: a full rescan would pick the same entry, ties
+    included.  When the heap grows past twice its size at the last build (plus 64),
+    it is rebuilt from the covers of the live columns.
     """
-    def key(r, c):
-        return ((len(rows[r]) - 1) * (len(cols[c]) - 1) * m + r) * n + c
+    low = {}
+
+    def price(j):
+        cj = cols.get(j)
+        lo = low.get(j)
+        if cj is None or lo is None:
+            return None
+        if len(cj) == 1:
+            (r,) = cj
+            w = rows[r][j]
+            return r * n + j if w == 1 or w == -1 else None
+        a, r = divmod(lo, m)
+        return (a * (len(cj) - 1) * m + r) * n + j
+
+    def offer(j):
+        k = price(j)
+        if k is not None and k < cover.get(j, k + 1):
+            cover[j] = k
+            heappush(heap, k)
+
+    def scan(c):
+        best = None
+        for r in cols.get(c, ()):
+            row = rows[r]
+            v = row[c]
+            if v == 1 or v == -1:
+                lo = (len(row) - 1) * m + r
+                if best is None or lo < best:
+                    best = lo
+        del cover[c]
+        if best is None:
+            del low[c]
+        else:
+            low[c] = best
+            offer(c)
 
     def rebuild():
-        heap.clear()
-        for r, row in rows.items():
-            rl = len(row) - 1
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    heap.append((rl * (len(cols[c]) - 1) * m + r) * n + c)
+        heap[:] = [k for c, k in cover.items() if c in cols]
         heapify(heap)
         return 2 * len(heap) + 64
 
+    for r, row in rows.items():
+        lo = (len(row) - 1) * m + r
+        for c, v in row.items():
+            if (v == 1 or v == -1) and lo < low.get(c, lo + 1):
+                low[c] = lo
+    cover = {c: price(c) for c in low}
     heap = []
     limit = rebuild()
     while heap:
-        k = heap[0]
+        k = heappop(heap)
         rc, c = divmod(k, n)
-        r = rc % m
+        if cover.get(c) != k:
+            continue
+        cost, r = divmod(rc, m)
         row = rows.get(r)
         v = None if row is None else row.get(c)
-        if v != 1 and v != -1:
-            heappop(heap)
+        if (v != 1 and v != -1) or (len(row) - 1) * (len(cols[c]) - 1) != cost:
+            scan(c)
             continue
-        cur = key(r, c)
-        if cur != k:
-            heapreplace(heap, cur)
-            continue
-        heappop(heap)
+        del cover[c], low[c]
         prow = rows.pop(r)
-        clen0 = {}  # column -> its length at the start of the step
         for j in prow:
             cj = cols[j]
-            clen0[j] = len(cj)
             cj.discard(r)
             if not cj:
                 del cols[j]
         rlen0 = {}  # updated row -> its length at the start of the step
-        fresh = []
+        fresh = []  # (row, col) of entries that became units
         for r2 in list(cols.get(c, ())):
             row2 = rows[r2]
             rlen0[r2] = len(row2)
@@ -561,7 +601,7 @@ def _unit_pivots(rows, cols, m, n):
                         cols.setdefault(j, set()).add(r2)
                     row2[j] = nv
                     if (nv == 1 or nv == -1) and old != 1 and old != -1:
-                        fresh.append(r2 * n + j)
+                        fresh.append((r2, j))
                 elif old:
                     del row2[j]
                     cj = cols[j]
@@ -570,31 +610,24 @@ def _unit_pivots(rows, cols, m, n):
                         del cols[j]
             if not row2:
                 del rows[r2]
-        # Only rows in rlen0 and columns in clen0 changed length.
+        fell = set()
         for r2, n0 in rlen0.items():
             row2 = rows.get(r2)
             if row2 is not None and len(row2) < n0:
-                rl = len(row2) - 1
+                lo = (len(row2) - 1) * m + r2
                 for j, w in row2.items():
-                    if w == 1 or w == -1:
-                        cl = len(cols[j]) - 1
-                        cost = rl * cl
-                        if cost < (n0 - 1) * (clen0.get(j, cl + 1) - 1):
-                            heappush(heap, (cost * m + r2) * n + j)
-        for j, n0 in clen0.items():
-            cj = cols.get(j)
-            if cj is not None and len(cj) < n0:
-                cl = len(cj) - 1
-                for r3 in cj:
-                    row3 = rows[r3]
-                    w = row3[j]
-                    if w == 1 or w == -1:
-                        rl = len(row3) - 1
-                        cost = rl * cl
-                        if cost < (rlen0.get(r3, rl + 1) - 1) * (n0 - 1):
-                            heappush(heap, (cost * m + r3) * n + j)
-        for cell in fresh:
-            heappush(heap, key(*divmod(cell, n)))
+                    if (w == 1 or w == -1) and lo < low.get(j, lo + 1):
+                        low[j] = lo
+                        fell.add(j)
+        for r2, j in fresh:
+            lo = (len(rows[r2]) - 1) * m + r2
+            if lo < low.get(j, lo + 1):
+                low[j] = lo
+                fell.add(j)
+        for j in prow:
+            offer(j)
+        for j in fell:
+            offer(j)
         yield r, c
         if len(heap) > limit:
             limit = rebuild()

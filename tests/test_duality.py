@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -88,8 +89,11 @@ class TestOrientation:
 
     def test_torus_class_in_dimension_four(self):
         # The n >= 4 regime of the construction: [T^4] generates H_4(T^4) = Z,
-        # checked exactly on the 1944 top simplices rather than by Kunneth.
+        # checked exactly on the 1944 top simplices rather than by Kunneth,
+        # and H_k(T^4) = Z^C(4,k) in every degree.
         cx = torus_complex(4)
+        assert homology(cx) == [AbelianGroupInvariants(comb(4, k))
+                                for k in range(5)]
         manifold = orient(cx)
         pair = homology_pair(LocalSystem.trivial(cx), 4)
         assert pair.invariants == AbelianGroupInvariants(1)

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqhom import intlinalg
+from eqhom import group_homology, intlinalg
 from eqhom.complexes import (LocalSystem, chain_boundary_matrix,
                              cochain_differential_matrix)
-from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
+from eqhom.group_homology import shift_homology
+from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
+                          regular_rep, tensor_power, todd_coxeter)
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
                              IntMatrix, NoIntegerSolution, PairHomology,
                              QuotientLattice, _unit_pivots,
@@ -361,6 +363,40 @@ class TestUnitPivots:
                        for _ in range(rng.randint(0, m * n // 3))]
             assert_rescan_pivots(sparse_matrix(m, n, entries))
 
+    def test_random_dense_match_rescan(self):
+        # About 40% filled, so nearly every step shortens most columns.
+        rng = random.Random(11)
+        for _ in range(12):
+            m, n = rng.randint(20, 40), rng.randint(40, 90)
+            entries = [(i, j, rng.choice((-2, -1, -1, 1, 1, 2)))
+                       for i in range(m) for j in range(n) if rng.random() < 0.4]
+            assert_rescan_pivots(sparse_matrix(m, n, entries))
+
+    def test_q8_shift_matrix_pushes_fewer_keys_than_entries(self, monkeypatch):
+        # The 301 x 686 matrix the shift route factors for H_3(Q8): removing a
+        # pivot row shortens nearly every column, so a queue that re-keys every
+        # unit of a shortened column pushes far more keys than it has entries.
+        pushes = []
+        written = []
+
+        def counting_heappush(heap, key):
+            pushes.append(key)
+            heapq.heappush(heap, key)
+
+        def recording_factors(a):
+            written.append(a)
+            del pushes[:]
+            return invariant_factors(a)
+
+        monkeypatch.setattr(intlinalg, "heappush", counting_heappush)
+        monkeypatch.setattr(group_homology, "invariant_factors", recording_factors)
+        q8 = todd_coxeter(GroupPresentation(("a", "b"), ("aaaa", "aabb", "abab'")), 100)
+        assert shift_homology(q8, 3) == AbelianGroupInvariants(0, (8,))
+        a, = written
+        nnz = sum(1 for row in a.data for v in row if v)
+        assert (a.rows, a.cols, nnz) == (301, 686, 34426)
+        assert 0 < len(pushes) < nnz
+
     @settings(max_examples=80, deadline=None)
     @given(sparse_matrices)
     def test_sparse_factors_match_smith(self, a):
@@ -376,8 +412,8 @@ class TestUnitPivots:
 
         monkeypatch.setattr(intlinalg, "heapify", counting_heapify)
         rng = random.Random(1)
-        a = IntMatrix(16, 20, [[rng.choice((-1, 0, 1)) for _ in range(20)]
-                               for _ in range(16)])
+        a = IntMatrix(24, 40, [[rng.choice((-1, 0, 1)) for _ in range(40)]
+                               for _ in range(24)])
         facs = invariant_factors(a)
         assert len(builds) >= 2
         assert facs == list(smith_normal_form(a).invariant_factors)
