@@ -7,8 +7,11 @@ Route two: H_n(pi) as the kernel of the map on coinvariants
     I^n (x)_pi Z  ->  (I^{n-1} (x) Zpi) (x)_pi Z
 
 where I is the augmentation ideal and tensor powers carry the diagonal
-action.  The two routes share no code beyond integer matrices, so their
-agreement on every group and degree is a strong correctness check.
+action.  The target is free (a (x) h -> h^-1 a identifies it with
+I^{n-1}), so route two is the homology of I^n -> I^{n-1},
+a (x) (g - 1) -> g^-1 a - a, modulo the source coinvariant relations.
+The two routes share no code beyond integer matrices and homology, so
+their agreement on every group and degree is a strong correctness check.
 """
 
 from eqhom.group_homology import (bar_homology, coinvariants,

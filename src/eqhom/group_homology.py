@@ -8,8 +8,12 @@ the map on coinvariants
     I^n (x)_pi Z  -->  (I^{n-1} (x) Zpi) (x)_pi Z
 
 induced by including the augmentation ideal into the group ring on the
-last tensor factor (tensor powers carry the diagonal action).  Both
-routes are exact and are tested against each other.
+last tensor factor (tensor powers carry the diagonal action).  The target
+is free: a (x) h -> h^-1 a identifies it with I^{n-1} as an abelian group
+(Shapiro's lemma; Brown, Cohomology of Groups, III.6), and the map
+becomes phi : I^n -> I^{n-1}, a (x) (g - 1) -> rho(g^-1) a - a, so
+H_n(pi) = ker(phi) / (relations of the source coinvariants).  Both routes
+are exact and are tested against each other.
 """
 
 from dataclasses import dataclass
@@ -17,10 +21,8 @@ from itertools import product
 
 from .errors import BudgetError
 from .groups import (FiniteGroup, NotFinite, augmentation_ideal_rep,
-                     regular_rep, tensor_power, tensor_rep, trivial_rep)
-from .intlinalg import (AbelianGroupInvariants, IntMatrix, chain_homology,
-                        cokernel_invariants, invariant_factors,
-                        kernel_basis, lattice_basis, solve_columns)
+                     induced_rep, tensor_power, trivial_rep)
+from .intlinalg import IntMatrix, chain_homology, cokernel_invariants
 
 BUDGET = 20000
 
@@ -34,10 +36,12 @@ def _require_finite(model):
         raise NotFinite("group homology routines need a finite model")
 
 
-def _check_budget(model, n):
-    if (model.order - 1) ** n > BUDGET:
-        raise BudgetExceeded(
-            f"(|pi|-1)^{n} = {(model.order - 1) ** n} exceeds budget {BUDGET}")
+def _check_budget(model, n, rank=1):
+    """Bound (|pi|-1)^n * rank, the rank of B_n (x)_pi L for L of that rank."""
+    size = (model.order - 1) ** n * rank
+    if size > BUDGET:
+        what = f"(|pi|-1)^{n}" if rank == 1 else f"(|pi|-1)^{n} * rank {rank}"
+        raise BudgetExceeded(f"{what} = {size} exceeds budget {BUDGET}")
 
 
 class BarComplex:
@@ -45,10 +49,10 @@ class BarComplex:
 
     def __init__(self, model, max_degree, coefficients=None):
         _require_finite(model)
-        _check_budget(model, max_degree)
+        self.coefficients = coefficients or trivial_rep(model, 1)
+        _check_budget(model, max_degree, self.coefficients.rank)
         self.model = model
         self.max_degree = max_degree
-        self.coefficients = coefficients or trivial_rep(model, 1)
         self._matrices = {}
 
     def module_rank(self, k):
@@ -134,64 +138,45 @@ def coinvariants(rep):
     return CoinvariantsPresentation.of(rep).invariants()
 
 
-def _inclusion_matrix(model, n, factor):
-    """(1 (x) i) (x) 1 : I^n -> I^{n-1} (x) Zpi on chosen tensor factor.
+def _untwisted_inclusion(model, in1, factor):
+    """phi : I^n -> I^{n-1}, the inclusion followed by a (x) h -> h^-1 a.
 
-    Bases: I has {g - 1} over nonidentity elements in model order, Zpi has
-    the group elements; tensor bases are lexicographic.
+    The source basis vector a (x) (g - 1), ordered (a, g) for factor
+    "last" and (g, a) for "first" as in the lexicographic basis of I^n,
+    goes to rho(g^-1) a - a, where rho is the action on in1 = I^{n-1}.
     """
-    order = model.order
-    n_i = order - 1
-    rank_in1 = n_i ** (n - 1)
-    rank_src = n_i ** n
-    rank_tgt = rank_in1 * order
-    if factor == "last":
-        # source (a, b) -> a*order + (b+1) minus a*order + 0
-        terms = ((a * order + row, a * n_i + b, c, None)
-                 for a in range(rank_in1) for b in range(n_i)
-                 for row, c in ((b + 1, 1), (0, -1)))
-    elif factor == "first":
-        # source (b, a) -> (b+1)*rank_in1 + a minus 0*rank_in1 + a
-        terms = ((row + a, b * rank_in1 + a, c, None)
-                 for b in range(n_i) for a in range(rank_in1)
-                 for row, c in (((b + 1) * rank_in1, 1), (0, -1)))
-    else:
-        raise ValueError("factor must be 'last' or 'first'")
-    return IntMatrix.from_blocks(rank_tgt, rank_src, (1, 1), terms)
+    n_i = model.order - 1
+    eye = IntMatrix.identity(in1.rank)
+    terms = []
+    for g in range(1, model.order):
+        unit = IntMatrix.from_blocks(1, n_i, (1, 1), [(0, g - 1, 1, None)])
+        for coeff, block in ((1, in1.matrix_of(model.inv(g))), (-1, eye)):
+            placed = unit.kronecker(block) if factor == "first" else block.kronecker(unit)
+            terms.append((0, 0, coeff, placed))
+    return IntMatrix.from_blocks(in1.rank, in1.rank * n_i, (1, 1), terms)
 
 
 def shift_homology(model, n, factor="last"):
     """H_n(pi) as the kernel of I^n (x)_pi Z -> (I^{n-1} (x) Zpi) (x)_pi Z.
 
     The inclusion I -> Zpi is applied to the chosen tensor factor (the
-    last one by default); tensor powers carry the diagonal action.
+    last one by default); tensor powers carry the diagonal action.  The
+    target coinvariants are free: a (x) h -> h^-1 a identifies them with
+    I^{n-1} (Shapiro's lemma), so the map is phi : I^n -> I^{n-1} with
+    a (x) (g - 1) -> rho(g^-1) a - a, and H_n(pi) = ker(phi) / im(rel),
+    where rel presents the source coinvariants.  phi . rel = 0 is the
+    equivariance of the inclusion; chain_homology checks it.
     """
     _require_finite(model)
     if n < 1:
         raise ValueError("degree must be >= 1")
     _check_budget(model, n)
+    if factor not in ("last", "first"):
+        raise ValueError("factor must be 'last' or 'first'")
     ideal = augmentation_ideal_rep(model)
-    source = tensor_power(ideal, n)
-    in1 = tensor_power(ideal, n - 1)
-    reg = regular_rep(model)
-    target = tensor_rep(in1, reg) if factor == "last" else tensor_rep(reg, in1)
-    incl = _inclusion_matrix(model, n, factor)
-
-    rel_src = CoinvariantsPresentation.of(source).matrix
-    rel_tgt = CoinvariantsPresentation.of(target).matrix
-
-    # Lattice of source vectors mapping into im(rel_tgt), i.e. to zero in
-    # the target coinvariants.
-    stacked = IntMatrix.from_blocks(incl.rows, incl.cols + rel_tgt.cols, (1, 1),
-                                    [(0, 0, 1, incl), (0, incl.cols, 1, rel_tgt)])
-    ker = kernel_basis(stacked)
-    projected = ker.row_slice(0, source.rank)
-    preimage = lattice_basis(projected)
-    # Source relations land inside the preimage lattice (the map is
-    # equivariant); express them there and quotient.
-    written = solve_columns(preimage, rel_src)
-    return AbelianGroupInvariants.from_cokernel(preimage.cols,
-                                                invariant_factors(written))
+    phi = _untwisted_inclusion(model, tensor_power(ideal, n - 1), factor)
+    rel_src = CoinvariantsPresentation.of(tensor_power(ideal, n)).matrix
+    return chain_homology([phi, rel_src])[0]
 
 
 @dataclass
@@ -250,7 +235,7 @@ def projective_vanishing_check(model, k, m):
     if k < 1:
         raise ValueError("k must be >= 1")
     ideal = augmentation_ideal_rep(model)
-    coeff = tensor_rep(tensor_power(ideal, k - 1), regular_rep(model))
+    coeff = induced_rep(tensor_power(ideal, k - 1))
     return ProjectiveVanishingReport(
         [bar_homology(model, i, coeff) for i in range(1, m + 1)])
 

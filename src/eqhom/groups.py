@@ -696,6 +696,15 @@ def tensor_rep(left, right):
                              check=False)
 
 
+def induced_rep(rep):
+    """rep (x) Zpi with the diagonal action, for finite pi.
+
+    It is free over Zpi (x (x) h -> h^-1 x (x) h untwists the action), so
+    its homology vanishes in positive degrees.
+    """
+    return tensor_rep(rep, regular_rep(rep.model))
+
+
 def tensor_power(rep, k):
     """I^(x)k-style power; k = 0 is the rank-1 trivial module."""
     out = trivial_rep(rep.model, 1)

@@ -1,13 +1,19 @@
+import re
+
 import pytest
 
-from eqhom.group_homology import (BudgetExceeded, CoinvariantsPresentation,
+from eqhom import group_homology
+from eqhom.group_homology import (BarComplex, BudgetExceeded,
+                                  CoinvariantsPresentation,
                                   abelianization_invariants, bar_homology,
                                   coinvariants, projective_vanishing_check,
                                   shift_chain_check, shift_homology)
 from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
-                          regular_rep, tensor_power, tensor_rep, todd_coxeter,
-                          trivial_rep)
+                          induced_rep, regular_rep, tensor_power, tensor_rep,
+                          todd_coxeter, trivial_rep)
 from eqhom.intlinalg import AbelianGroupInvariants
+
+from shift_oracle import twisted_shift_homology
 
 Z2 = AbelianGroupInvariants(0, (2,))
 ZERO = AbelianGroupInvariants(0)
@@ -20,6 +26,21 @@ PRESENTATIONS = {
     "S3": GroupPresentation(("a", "b"), ("aa", "bbb", "abab")),
 }
 MODELS = {name: todd_coxeter(p, 50) for name, p in PRESENTATIONS.items()}
+Q8 = GroupPresentation(("a", "b"), ("aaaa", "aabb", "abab'"))
+
+
+def kunneth_z2_squared(n):
+    """H_n(Z/2 x Z/2) for n >= 1 by Kunneth, from H_*(Z/2) = Z, Z/2, 0, Z/2, 0, ...
+
+    Z (x) Z/2, Z/2 (x) Z/2 and Tor(Z/2, Z/2) are each Z/2; every other
+    term of degree n >= 1 vanishes.
+    """
+    def nonzero(i):
+        return i == 0 or i % 2 == 1
+
+    tensor = sum(1 for i in range(n + 1) if nonzero(i) and nonzero(n - i))
+    tor = sum(1 for i in range(1, n - 1) if i % 2 == 1 and (n - 1 - i) % 2 == 1)
+    return AbelianGroupInvariants(0, (2,) * (tensor + tor))
 
 
 class TestBarResolution:
@@ -39,8 +60,26 @@ class TestBarResolution:
                 assert bar_homology(m, 0, rep) == coinvariants(rep)
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
+        message = re.escape("(|pi|-1)^7 = 78125 exceeds budget 20000")
+        with pytest.raises(BudgetExceeded, match=message):
             bar_homology(MODELS["S3"], 7)
+        with pytest.raises(BudgetExceeded, match=message):
+            bar_homology(MODELS["S3"], 6)  # from BarComplex, degree 7
+
+    def test_budget_counts_coefficient_rank(self, monkeypatch):
+        # (|pi|-1)^3 = 343 fits, but B_3 (x)_pi (I^3 (x) Zpi) has rank 343 * 2744
+        q8 = todd_coxeter(Q8, 100)
+        coeff = induced_rep(tensor_power(augmentation_ideal_rep(q8), 3))
+        with pytest.raises(BudgetExceeded,
+                           match=re.escape("(|pi|-1)^3 * rank 2744 = 941192")):
+            BarComplex(q8, 3, coeff)
+        monkeypatch.setattr(group_homology, "BUDGET", 10)
+        m = MODELS["Z/3"]
+        assert BarComplex(m, 2).module_rank(2) == 4
+        with pytest.raises(BudgetExceeded):
+            BarComplex(m, 2, regular_rep(m))  # rank 4 * 3
+        with pytest.raises(BudgetExceeded):
+            projective_vanishing_check(m, 1, 1)
 
     def test_torsion_annihilated_by_group_order(self):
         for name, m in MODELS.items():
@@ -89,9 +128,14 @@ class TestShiftFormula:
         assert shift_homology(MODELS["Z/3"], 1) == AbelianGroupInvariants(0, (3,))
 
     def test_matches_bar_everywhere(self):
+        # and the twisted-target oracle, on either tensor factor
         for name, m in MODELS.items():
             for n in (1, 2, 3):
-                assert shift_homology(m, n) == bar_homology(m, n), (name, n)
+                bar = bar_homology(m, n)
+                for factor in ("last", "first"):
+                    assert shift_homology(m, n, factor) == bar, (name, n, factor)
+                    assert twisted_shift_homology(m, n, factor) == bar, \
+                        (name, n, factor)
 
     def test_factor_choice_symmetric(self):
         m = MODELS["Z/2"]
@@ -101,6 +145,16 @@ class TestShiftFormula:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             shift_homology(MODELS["S3"], 7)
+
+    def test_higher_degrees(self):
+        z2z2 = MODELS["Z/2xZ/2"]
+        for n in range(1, 7):
+            assert shift_homology(z2z2, n) == kunneth_z2_squared(n), n
+        assert kunneth_z2_squared(5) == AbelianGroupInvariants(0, (2,) * 4)
+        assert kunneth_z2_squared(6) == AbelianGroupInvariants(0, (2,) * 3)
+        assert shift_homology(MODELS["S3"], 4) == ZERO
+        assert shift_homology(MODELS["Z/4"], 5) == AbelianGroupInvariants(0, (4,))
+        assert shift_homology(MODELS["Z/4"], 6) == ZERO
 
 
 class TestShiftChain:
@@ -142,8 +196,7 @@ class TestProjectiveVanishing:
 class TestQuaternionGroup:
     def test_both_routes_reproduce_q8(self):
         # harder cross-check: order 8, nonabelian, periodic homology
-        q8 = todd_coxeter(
-            GroupPresentation(("a", "b"), ("aaaa", "aabb", "abab'")), 100)
+        q8 = todd_coxeter(Q8, 100)
         assert q8.order == 8
         expected = [AbelianGroupInvariants(0, (2, 2)), ZERO,
                     AbelianGroupInvariants(0, (8,))]
