@@ -173,6 +173,9 @@ def _cmd_cover(args, out):
 
 
 def _cmd_group_homology(args, out):
+    # The shift route starts at H_1; reject its degree before the bar route runs.
+    if args.method != "bar" and args.n < 1:
+        raise InputError("degree must be >= 1")
     pres = _load_presentation(args.presentation)
     model = todd_coxeter(pres, args.max_cosets)
     results = {}

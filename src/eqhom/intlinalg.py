@@ -14,12 +14,12 @@ eliminate on copies of them:
 * ``_smith`` is the one Smith elimination that carries transforms, with
   a fixed pivot rule (least absolute nonzero entry, ties broken by (row,
   col)).  It carries only the unimodular transforms its caller asks for,
-  as {index: value} rows or columns, so each elementary operation costs
-  the nonzeros it touches; it is fully deterministic, and the transforms
-  it returns are sparse ``IntMatrix`` values (columns are transposed in
-  O(nnz)).  ``smith_normal_form`` asks for all four; the kernel,
-  quotient, pair-homology, solve and lattice routines ask for the ones
-  they read.
+  as {index: value} rows or columns, and keeps an index of the rows
+  holding each column, so each elementary operation costs the nonzeros
+  it touches; it is fully deterministic, and the transforms it returns
+  are sparse ``IntMatrix`` values (columns are transposed in O(nnz)).
+  ``smith_normal_form`` asks for all four; the kernel, quotient,
+  pair-homology, solve and lattice routines ask for the ones they read.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
@@ -311,16 +311,41 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
     While step t runs, rows >= t are zero left of column t and rows < t
     hold only their diagonal entry.
 
+    A column index, cols[j] = {row: None} over the rows holding a nonzero
+    in column j, is kept up to date by every operation on md, so clearing
+    column t visits only its nonzeros and a column swap costs the nonzeros
+    of the two columns.  Column t's record is dropped once step t is done:
+    no later operation touches a column left of the active one.
+
     The optional transform accumulators are lists of dicts updated
     alongside: U and Vinv hold rows, Uinv and V hold columns, so every
     update is a dict axpy over the nonzeros of one row or column and
     every swap is a swap of two dicts.  Returns the list of diagonal
     entries (positive chain, then zeros) of length min(m, n).
     """
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(md):
+        for j in row:
+            cols[j][i] = None
+
+    def axpy_row(i, q, k):
+        # R_i += q R_k on md, keeping the column index; q != 0
+        dst = md[i]
+        for j, b in md[k].items():
+            a = dst.get(j)
+            if a is None:
+                dst[j] = q * b
+                cols[j][i] = None
+            else:
+                a += q * b
+                if a:
+                    dst[j] = a
+                else:
+                    del dst[j], cols[j][i]
 
     def row_op(i, t, q):
         # R_i -= q R_t
-        _axpy(md[i], -q, md[t])
+        axpy_row(i, -q, t)
         if U is not None:
             _axpy(U[i], -q, U[t])
         if Uinv is not None:
@@ -328,14 +353,25 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
 
     def add_row(t, i):
         # R_t += R_i
-        _axpy(md[t], 1, md[i])
+        axpy_row(t, 1, i)
         if U is not None:
             _axpy(U[t], 1, U[i])
         if Uinv is not None:
             _axpy(Uinv[i], -1, Uinv[t])
 
     def swap_rows(i, t):
-        md[i], md[t] = md[t], md[i]
+        ri, rt = md[i], md[t]
+        for j in ri:
+            if j not in rt:
+                c = cols[j]
+                del c[i]
+                c[t] = None
+        for j in rt:
+            if j not in ri:
+                c = cols[j]
+                del c[t]
+                c[i] = None
+        md[i], md[t] = rt, ri
         if U is not None:
             U[i], U[t] = U[t], U[i]
         if Uinv is not None:
@@ -358,21 +394,23 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
         if v:
             row[j] = v
         else:
-            del row[j]
+            del row[j], cols[j][t]
         if V is not None:
             _axpy(V[j], -q, V[t])
         if Vinv is not None:
             _axpy(Vinv[t], q, Vinv[j])
 
     def swap_cols(j, t):
-        for row in md[t:]:
-            if j in row:
-                a = row.pop(j)
-                if t in row:
-                    row[j] = row.pop(t)
+        cj, ct = cols[j], cols[t]
+        for i in cj.keys() | ct.keys():
+            row = md[i]
+            a = row.pop(j, None)
+            b = row.pop(t, None)
+            if a is not None:
                 row[t] = a
-            elif t in row:
-                row[j] = row.pop(t)
+            if b is not None:
+                row[j] = b
+        cols[j], cols[t] = ct, cj
         if V is not None:
             V[j], V[t] = V[t], V[j]
         if Vinv is not None:
@@ -406,7 +444,9 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
             # Clear column t below the pivot, in ascending row order; a row
             # operation changes only row i, so the rows to visit are known.
             restart = False
-            for i in [i for i in range(t + 1, m) if t in md[i]]:
+            for i in sorted(cols[t]):
+                if i == t:
+                    continue
                 q = md[i][t] // md[t][t]
                 if q:
                     row_op(i, t, q)
@@ -441,6 +481,7 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
             if offender is None:
                 break
             add_row(t, offender)
+        cols[t] = None
         t += 1
 
     return [md[i].get(i, 0) for i in range(limit)]
@@ -517,8 +558,8 @@ def _unit_pivots(rows, cols, m, n):
 
     So the first cover popped that is a live unit at its key is the least
     key over all units: a full rescan would pick the same entry, ties
-    included.  When the heap grows past twice its size at the last build (plus 64),
-    it is rebuilt from the covers of the live columns.
+    included.  When the heap grows past twice its size at the last build
+    (plus 64), it is rebuilt from the covers of the live columns.
     """
     low = {}
 

@@ -187,6 +187,9 @@ class TestExitCodes:
     (("ponzi", "z2", "--radius", "3", "--bound", "0"), 1, "bound must be >= 1"),
     (("shift-chain", fixture_path("s3.pres"), "--n", "0"), 1,
      "degree must be >= 1"),
+    *[(("group-homology", fixture_path("z2.pres"), "--n", n, "--method", method), 1,
+       "degree must be >= 1")
+      for method in ("both", "shift") for n in ("0", "-1")],
     (("gromov-report", "--rank", "0", "--radius", "4"), 1, "rank must be >= 1"),
     (("homology", "nope.cplx"), 1,
      "cannot read nope.cplx: No such file or directory"),
@@ -199,6 +202,17 @@ class TestExitCodes:
 ])
 def test_error_line_is_the_only_output(argv, code, message):
     assert invoke(*argv) == (code, f"error: {message}\n")
+
+
+def test_shift_degree_checked_before_bar_route(monkeypatch):
+    import eqhom.cli
+
+    def no_bar_work(model, n):
+        raise AssertionError("the bar route ran")
+
+    monkeypatch.setattr(eqhom.cli, "bar_homology", no_bar_work)
+    assert invoke("group-homology", fixture_path("z2.pres"), "--n", "0") == (
+        1, "error: degree must be >= 1\n")
 
 
 def test_ball_budget_exits_3(monkeypatch):

@@ -227,6 +227,44 @@ class TestDenseReference:
                         rng.choice((-3, -2, -1, 1, 2, 3)))
                        for _ in range(rng.randint(0, m * n // 3))]
             assert_matches_dense_reference(sparse_matrix(m, n, entries))
+        # Denser fill and entries in -5..5: pivots leave nonzero remainders
+        # in their row and column far more often, and each one swaps rows or
+        # columns and restarts the step.
+        rng = random.Random(29)
+        for _ in range(40):
+            m, n = rng.randint(1, 30), rng.randint(1, 40)
+            fill = rng.uniform(0.3, 0.6)
+            entries = [(i, j, rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+                       for i in range(m) for j in range(n) if rng.random() < fill]
+            assert_matches_dense_reference(sparse_matrix(m, n, entries))
+
+
+class CountingRows(list):
+    """A row list that counts the rows read from it; a slice counts its length."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += len(range(*k.indices(len(self)))) if isinstance(k, slice) else 1
+        return super().__getitem__(k)
+
+
+class TestSmithWork:
+    def test_row_reads_follow_nonzeros(self):
+        # A signed permutation matrix with shuffled rows needs a column swap
+        # at nearly every pivot.  Each step should read the rows holding the
+        # columns it touches, not every row below the pivot.
+        m = 600
+        rng = random.Random(3)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        md = CountingRows({j: rng.choice((-1, 1))} for j in perm)
+        v = [{j: 1} for j in range(m)]
+        vinv = [{j: 1} for j in range(m)]
+        assert intlinalg._snf_inplace(md, m, m, V=v, Vinv=vinv) == [1] * m
+        assert md.reads < 20 * (m + m)  # 20 (nnz + m)
+        assert matmul(intlinalg._from_columns(m, v),
+                      IntMatrix._adopt(m, m, vinv)) == IntMatrix.identity(m)
 
 
 def assert_leaves_inputs(call, *args):
