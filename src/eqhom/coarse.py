@@ -60,11 +60,17 @@ class CayleyBall:
         self.depth = [0]
         index = {model.identity: 0}
         frontier = [model.identity]
+        # Letters are distinct and closed under inverses, so each edge
+        # {i, j} shows up once as a product of each end: keep it at i < j.
+        edges = []
+        start = 0  # index of the frontier's first vertex
         for d in range(1, radius + 1):
             found = {}  # insertion-ordered set of the next shell
+            products = []  # [v.s for each letter s], for v in frontier
             for v in frontier:
-                for s in self._letters:
-                    w = model.mul(v, s)
+                ws = [model.mul(v, s) for s in self._letters]
+                products.append(ws)
+                for w in ws:
                     if w not in index:
                         found[w] = None
                 if len(index) + len(found) > BUDGET:
@@ -75,16 +81,19 @@ class CayleyBall:
                 index[w] = len(self.vertices)
                 self.vertices.append(w)
                 self.depth.append(d)
+            # Every product of a vertex at depth d - 1 lies in the ball.
+            for i, ws in enumerate(products, start):
+                edges += [(i, j) for w in ws if (j := index[w]) > i]
+            start += len(frontier)
             frontier = new
         self.index = index
-        edges = set()
-        for i, v in enumerate(self.vertices):
-            for s in self._letters:
-                w = model.mul(v, s)
-                j = index.get(w)
-                if j is not None and i != j:
-                    edges.add((min(i, j), max(i, j)))
-        self.edges = sorted(edges)
+        # Only the outermost shell still needs its products.
+        for i in range(start, len(self.vertices)):
+            v = self.vertices[i]
+            edges += [(i, j) for s in self._letters
+                      if (j := index.get(model.mul(v, s), -1)) > i]
+        edges.sort()
+        self.edges = edges
         self.inner_count = sum(1 for d in self.depth if d <= radius - 1)
 
     def __len__(self):
@@ -121,7 +130,18 @@ class MaxFlowResult:
 
 
 class FlowNetwork:
-    """Directed network with integer capacities; arcs added in pairs."""
+    """Directed network with integer capacities; arcs added in pairs.
+
+    cap holds residual capacities: arc e and its reverse e ^ 1 together
+    carry the arc's capacity, so add_arc can seed a flow on the arc.
+    max_flow augments by Dinic's blocking flows.  Each phase levels the
+    vertices by residual distance to t, by a BFS from t that stops at the
+    layer reaching s, and the blocking DFS from s follows arcs one level
+    closer to t.  Every vertex it can enter then still reaches t at the
+    phase's start, so the walk does not stray into the parts of the level
+    graph behind t; the phases are those of the usual s-side levels, since
+    both find the shortest augmenting paths.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -129,35 +149,38 @@ class FlowNetwork:
         self.to = []
         self.cap = []
 
-    def add_arc(self, u, v, cap):
-        if cap < 0:
-            raise ValueError("negative capacity")
+    def add_arc(self, u, v, cap, flow=0):
+        if not 0 <= flow <= cap:
+            raise ValueError("need 0 <= flow <= capacity on every arc")
         e = len(self.to)
         self.adj[u].append(e)
         self.to.append(v)
-        self.cap.append(cap)
+        self.cap.append(cap - flow)
         self.adj[v].append(e + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         return e
 
     def _levels(self, s, t):
-        """BFS levels from s, up to the layer that reaches t; None if t is cut off."""
+        """Residual distances to t, up to the layer that reaches s; None if s is cut off."""
         adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        while frontier and level[t] < 0:
+        level[t] = 0
+        frontier = [t]
+        while frontier:
             nxt = []
-            for v in frontier:
-                lw = level[v] + 1
-                for e in adj[v]:
-                    w = to[e]
-                    if cap[e] > 0 and level[w] < 0:
-                        level[w] = lw
-                        nxt.append(w)
+            for w in frontier:
+                lv = level[w] + 1
+                for e in adj[w]:
+                    # arc e ^ 1 runs from v = to[e] into w
+                    v = to[e]
+                    if level[v] < 0 and cap[e ^ 1] > 0:
+                        level[v] = lv
+                        if v == s:
+                            return level
+                        nxt.append(v)
             frontier = nxt
-        return level if level[t] >= 0 else None
+        return None
 
     def _blocking(self, s, t, level):
         adj, to, cap = self.adj, self.to, self.cap
@@ -167,16 +190,16 @@ class FlowNetwork:
         epath = []
         v = s
         while True:
-            # Walk a level-respecting path with per-vertex pointers.
+            # Walk a path one level closer to t per arc, with per-vertex pointers.
             while v != t:
                 arcs = adj[v]
                 na = len(arcs)
                 i = ptr[v]
-                lw = level[v] + 1
+                lw = level[v] - 1
                 while i < na:
                     e = arcs[i]
                     w = to[e]
-                    if cap[e] > 0 and level[w] == lw:
+                    if level[w] == lw and cap[e] > 0:
                         break
                     i += 1
                 ptr[v] = i
@@ -207,6 +230,7 @@ class FlowNetwork:
             v = vpath[-1]
 
     def max_flow(self, s, t):
+        """Augment to a maximum flow; return the value added."""
         flow = 0
         while True:
             level = self._levels(s, t)
@@ -227,17 +251,32 @@ class FlowNetwork:
         return frozenset(seen)
 
 
-def max_flow(num_vertices, arcs, source, sink):
+def max_flow(num_vertices, arcs, source, sink, start=None):
     """Exact integral max flow plus an optimality-certifying min cut.
 
     arcs is a list of (u, v, capacity).  The returned cut_arcs are indices
     into arcs, saturated and separating source from sink; their total
     capacity equals the flow value (checked; CertificateError otherwise).
+
+    start, if given, is a flow to augment from, one integer per arc: it
+    must lie within the capacities and be conserved at every vertex but
+    source and sink (ValueError otherwise).  The value, and the source side
+    (the vertices reachable from source in the residual graph), are the
+    same for every maximum flow, so they do not depend on start; the arc
+    flows may.
     """
+    start = start or [0] * len(arcs)
+    excess = [0] * num_vertices
+    for (u, v, _), f in zip(arcs, start):
+        excess[u] -= f
+        excess[v] += f
+    if len(start) != len(arcs) or any(
+            x for i, x in enumerate(excess) if i != source and i != sink):
+        raise ValueError("start is not a flow on these arcs")
     net = FlowNetwork(num_vertices)
-    handles = [net.add_arc(u, v, c) for (u, v, c) in arcs]
+    handles = [net.add_arc(u, v, c, f) for (u, v, c), f in zip(arcs, start)]
     caps = [c for (_, _, c) in arcs]
-    value = net.max_flow(source, sink)
+    value = net.max_flow(source, sink) - excess[source]
     side = net.residual_reachable(source)
     cut = [i for i, (u, v, c) in enumerate(arcs)
            if u in side and v not in side]
@@ -308,22 +347,20 @@ class InfeasibleCut:
 
 
 def _ponzi_network(ball, t):
+    """Arcs source -> shell, both directions of each ball edge, inner -> sink.
+
+    Returns (arcs, first, source, sink): the arcs of ball.edges[k] are
+    first + 2k (i -> j) and first + 2k + 1 (j -> i).
+    """
     n = len(ball)
     source, sink = n, n + 1
-    arcs = []
     inner = ball.inner_vertices()
-    big = len(inner)
-    for v in ball.shell(ball.radius):
-        arcs.append((source, v, big))
-    edge_arc = {}
+    arcs = [(source, v, len(inner)) for v in ball.shell(ball.radius)]
+    first = len(arcs)
     for (i, j) in ball.edges:
-        edge_arc[(i, j)] = len(arcs)
-        arcs.append((i, j, t))
-        edge_arc[(j, i)] = len(arcs)
-        arcs.append((j, i, t))
-    for v in inner:
-        arcs.append((v, sink, 1))
-    return arcs, edge_arc, source, sink
+        arcs += ((i, j, t), (j, i, t))
+    arcs += [(v, sink, 1) for v in inner]
+    return arcs, first, source, sink
 
 
 def ponzi_feasible(ball, t):
@@ -333,26 +370,32 @@ def ponzi_feasible(ball, t):
     otherwise the returned min cut is a verifiable obstruction (capacity
     strictly below the demand).
     """
+    return _ponzi_probe(ball, t)[0]
+
+
+def _ponzi_probe(ball, t, start=None):
+    """ponzi_feasible's answer at bound t, and the arc flows of its max flow.
+
+    start is passed to max_flow: the arc flows of a probe at a smaller
+    bound, which the larger capacities at t still admit.
+    """
     if t < 1:
         raise ValueError("bound must be >= 1")
-    arcs, edge_arc, source, sink = _ponzi_network(ball, t)
-    result = max_flow(len(ball) + 2, arcs, source, sink)
+    arcs, first, source, sink = _ponzi_network(ball, t)
+    result = max_flow(len(ball) + 2, arcs, source, sink, start)
     demand = ball.inner_count
     if result.value == demand:
-        flow = {}
-        for (i, j) in ball.edges:
-            net = (result.arc_flows[edge_arc[(i, j)]]
-                   - result.arc_flows[edge_arc[(j, i)]])
-            if net:
-                flow[(i, j)] = net
-        return PonziCertificate(ball, t, flow).check()
+        f = result.arc_flows
+        flow = {edge: x - y for edge, x, y in
+                zip(ball.edges, f[first::2], f[first + 1::2]) if x != y}
+        return PonziCertificate(ball, t, flow).check(), f
     cut_edges = []
     for a in result.cut_arcs:
         u, v, _ = arcs[a]
         if u < len(ball) and v < len(ball):
             cut_edges.append((min(u, v), max(u, v)))
-    return InfeasibleCut(ball, t, result.value, demand, sorted(set(cut_edges)),
-                         result.source_side)
+    return (InfeasibleCut(ball, t, result.value, demand, sorted(set(cut_edges)),
+                          result.source_side), result.arc_flows)
 
 
 @dataclass
@@ -371,16 +414,31 @@ def min_ponzi_bound(ball):
     the search starts at the flux bound ceil(inner / crossing).  It doubles
     t until a flow routes, then bisects.  t = |inner| always routes (every
     vertex has a strictly deeper neighbor), which caps the doubling.
+
+    Every probe above an infeasible one starts from that probe's maximum
+    flow, which the larger bound still admits; the search probes each
+    infeasible bound above the last, so the latest one is the closest.
+    Every probe still checks its cut, and a feasible one its certificate.
+    The certificate returned is recomputed from zero flow (unless t_min
+    is the flux bound, whose probe started from zero): the arc flows of a
+    maximum flow depend on where it started, and the certificate is the
+    one ponzi_feasible(ball, t_min) gives, whatever path the search took.
+    The cut at t_min - 1 is that probe's, warm or not: its capacity and
+    its source side, hence its edges, are the same for every maximum flow.
     """
     demand = ball.inner_count
     results = {}
+    warm = None  # arc flows of the latest infeasible probe
 
     def probe(t):
+        nonlocal warm
         if t not in results:
-            results[t] = ponzi_feasible(ball, t)
+            results[t], flows = _ponzi_probe(ball, t, warm)
+            if not results[t].feasible:
+                warm = flows
         return results[t]
 
-    lo = hi = -(-demand // len(ball.crossing_edges()))
+    flux = lo = hi = -(-demand // len(ball.crossing_edges()))
     while not probe(hi).feasible:
         if hi >= demand:
             raise CertificateError(f"no certificate at t = |inner| = {demand}")
@@ -394,7 +452,8 @@ def min_ponzi_bound(ball):
     below = probe(lo - 1) if lo > 1 else None
     if below is not None and below.feasible:
         raise CertificateError(f"t = {lo - 1} routes below the found t_min")
-    return MinBoundResult(ball, lo, results[lo], below)
+    certificate = results[lo] if lo == flux else ponzi_feasible(ball, lo)
+    return MinBoundResult(ball, lo, certificate, below)
 
 
 def free_group_ponzi(ball):

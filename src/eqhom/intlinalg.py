@@ -416,13 +416,29 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
         if Vinv is not None:
             Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
+    # Rows below the active one only go from nonempty to empty, so the
+    # pivot search skips for good a row it once found empty: skip[i] links
+    # such a row onward (compressed as it is followed), skip[i] == i marks
+    # a row not yet found empty.
+    skip = list(range(m + 1))
+
+    def row_from(i):
+        # the first row >= i not yet found empty
+        r = i
+        while skip[r] != r:
+            r = skip[r]
+        while skip[i] != r:
+            skip[i], i = r, skip[i]
+        return r
+
     t = 0
     limit = min(m, n)
     while t < limit:
         # Locate the pivot: least (|entry|, row, col); stop at a unit row.
         best = None
         best_abs = 0
-        for i in range(t, m):
+        i = row_from(t)
+        while i < m:
             row = md[i]
             if row:
                 a = min(map(abs, row.values()))
@@ -431,6 +447,11 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
                     best_abs = a
                     if a == 1:
                         break
+            else:
+                skip[i] = i + 1
+            i += 1
+            if skip[i] != i:
+                i = row_from(i)
         if best is None:
             break
         if best[0] != t:

@@ -23,10 +23,13 @@ F2 = FreeGroup(2)
 ZZ = FreeAbelianGroup(2)
 Z1 = FreeAbelianGroup(1)
 ZF2 = ProductGroup(FreeAbelianGroup(1, ("a",)), FreeGroup(2, ("s", "t")))
+# an odd relator: edges join vertices of the same shell
+ZZ3 = ProductGroup(FreeAbelianGroup(1, ("a",)),
+                   todd_coxeter(GroupPresentation(("c",), ("ccc",)), 10))
 
 
 def reference_ball(model, radius):
-    """Plain BFS with list-scan discovery: (vertices, depth, index)."""
+    """Plain BFS with list-scan discovery: (vertices, depth, index, edges)."""
     letters = []
     for g in model.generators:
         for e in (+1, -1):
@@ -46,7 +49,12 @@ def reference_ball(model, radius):
         vertices += new
         depth += [d] * len(new)
         frontier = new
-    return vertices, depth, {v: i for i, v in enumerate(vertices)}
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = sorted({(min(i, j), max(i, j))
+                    for i, v in enumerate(vertices) for s in letters
+                    for j in [index.get(model.mul(v, s))]
+                    if j is not None and j != i})
+    return vertices, depth, index, edges
 
 
 def brute_force_min_bound(ball):
@@ -101,15 +109,16 @@ class TestBalls:
             ball = cayley_ball(ZZ, radius=r)
             assert len(ball.crossing_edges()) == 4 * (2 * r - 1)
 
-    @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2],
-                             ids=["z2", "f2", "f3", "z_x_f2"])
+    @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2, ZZ3],
+                             ids=["z2", "f2", "f3", "z_x_f2", "z_x_z3"])
     def test_bfs_order_matches_reference(self, model):
         for r in range(1, 5):
             ball = cayley_ball(model, radius=r)
-            vertices, depth, index = reference_ball(model, r)
+            vertices, depth, index, edges = reference_ball(model, r)
             assert ball.vertices == vertices
             assert ball.depth == depth
             assert ball.index == index
+            assert ball.edges == edges
 
 
 class TestMaxFlow:
@@ -137,7 +146,9 @@ class TestMaxFlow:
                 best = cap if best is None else min(best, cap)
         return best
 
-    def test_against_brute_force(self):
+    @staticmethod
+    def random_networks():
+        """120 seeded networks (n, arcs) of 2-8 vertices, source 0, sink n - 1."""
         rng = random.Random(12)
         for _ in range(120):
             n = rng.randint(2, 8)
@@ -146,9 +157,98 @@ class TestMaxFlow:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     arcs.append((u, v, rng.randint(0, 6)))
+            yield n, arcs
+
+    def test_against_brute_force(self):
+        for n, arcs in self.random_networks():
             s, t = 0, n - 1
             res = max_flow(n, arcs, s, t)
             assert res.value == self.brute_force_min_cut(n, arcs, s, t)
+
+    @staticmethod
+    def random_flow(n, arcs, s, t, rng):
+        """A feasible flow: random pushes along residual s-t paths and cycles."""
+        flows = [0] * len(arcs)
+        for _ in range(rng.randint(1, 8)):
+            moves = [[] for _ in range(n)]
+            for a, (u, v, c) in enumerate(arcs):
+                if flows[a] < c:
+                    moves[u].append((v, a, 1))
+                if flows[a] > 0:
+                    moves[v].append((u, a, -1))
+            x = rng.choice([s] + list(range(n)))
+            goal = t if x == s else x
+            seen = {x}
+
+            def walk(v):
+                # a random residual path from v to goal, as (arc, sign) moves
+                for w, a, sign in rng.sample(moves[v], len(moves[v])):
+                    if w == goal:
+                        return [(a, sign)]
+                    if w not in seen:
+                        seen.add(w)
+                        rest = walk(w)
+                        if rest is not None:
+                            return [(a, sign)] + rest
+                return None
+
+            path = walk(x)
+            if path:
+                room = min(arcs[a][2] - flows[a] if sign > 0 else flows[a]
+                           for a, sign in path)
+                amount = rng.randint(1, room)
+                for a, sign in path:
+                    flows[a] += sign * amount
+        return flows
+
+    def test_warm_start_matches_cold(self):
+        rng = random.Random(5)
+        warm_starts = 0
+        for n, arcs in self.random_networks():
+            s, t = 0, n - 1
+            cold = max_flow(n, arcs, s, t)
+            start = self.random_flow(n, arcs, s, t, rng)
+            warm_starts += any(start)
+            warm = max_flow(n, arcs, s, t, start)
+            assert warm.value == cold.value
+            assert warm.source_side == cold.source_side
+            assert warm.cut_arcs == cold.cut_arcs
+            net = [0] * n
+            for (u, v, c), f in zip(arcs, warm.arc_flows):
+                assert 0 <= f <= c
+                net[u] -= f
+                net[v] += f
+            assert net[t] == warm.value
+            assert not any(net[v] for v in range(1, n - 1))
+        assert warm_starts >= 50  # 55 of the 120; 43 networks carry flow
+
+    def test_start_must_be_a_flow(self):
+        arcs = [(0, 1, 2), (1, 2, 2)]
+        assert max_flow(3, arcs, 0, 2, [1, 1]).value == 2
+        for start in ([3, 0], [-1, -1], [1, 0], [1]):
+            with pytest.raises(ValueError):
+                max_flow(3, arcs, 0, 2, start)
+
+    PONZI_NETWORKS = ([(ZZ, r) for r in range(1, 9)]
+                      + [(F2, r) for r in range(1, 5)] + [(ZF2, 2)])
+
+    def test_ponzi_networks_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for model, r in self.PONZI_NETWORKS:
+            ball = cayley_ball(model, radius=r)
+            for bound in (1, 2, 3):
+                arcs, _, source, sink = coarse._ponzi_network(ball, bound)
+                graph = nx.DiGraph()
+                for u, v, c in arcs:
+                    if graph.has_edge(u, v):
+                        graph[u][v]["capacity"] += c
+                    else:
+                        graph.add_edge(u, v, capacity=c)
+                want = nx.maximum_flow_value(graph, source, sink)
+                res = max_flow(len(ball) + 2, arcs, source, sink)
+                assert res.value == want, (model.describe(), r, bound)
+                assert sum(arcs[a][2] for a in res.cut_arcs) == want
+                assert source in res.source_side and sink not in res.source_side
 
 
 class TestPonzi:
@@ -264,6 +364,21 @@ class TestMinBound:
             kinds.add("one" if t_min == 1 else
                       "flux" if t_min == flux else "above flux")
         assert kinds == {"one", "flux", "above flux"}
+
+    def test_warm_search_runs_fewer_phases(self, monkeypatch):
+        # Every probe above an infeasible bound resumes from that bound's
+        # flow; a search that starts every probe from zero runs 133 phases.
+        phases = []
+        blocking = coarse.FlowNetwork._blocking
+
+        def counted(self, s, t, level):
+            phases.append(t)
+            return blocking(self, s, t, level)
+
+        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        res = min_ponzi_bound(cayley_ball(ZZ, radius=25))
+        assert (res.t_min, res.cut_below.capacity) == (8, 1176)
+        assert len(phases) <= 90
 
     def test_boundary_monotonicity(self):
         ball = cayley_ball(ZZ, radius=5)

@@ -266,6 +266,21 @@ class TestSmithWork:
         assert matmul(intlinalg._from_columns(m, v),
                       IntMatrix._adopt(m, m, vinv)) == IntMatrix.identity(m)
 
+    def test_pivot_search_skips_emptied_rows(self):
+        # k copies of e_0, then e_1 .. e_k: the first pivot empties the
+        # other copies, which then lie between every later pivot row and
+        # the row it is swapped into.  The search should read an emptied
+        # row once, not once per later pivot.
+        k = 300
+        rows = [{0: 1}] * k + [{j: 1} for j in range(1, k + 1)]
+        m, n = len(rows), k + 1
+        md = CountingRows(dict(r) for r in rows)
+        u = [{i: 1} for i in range(m)]
+        assert intlinalg._snf_inplace(md, m, n, U=u) == [1] * n
+        assert md.reads < 20 * (m + m)  # 20 (nnz + m)
+        s = IntMatrix._adopt(m, n, [{i: 1} if i < n else {} for i in range(m)])
+        assert matmul(IntMatrix._adopt(m, m, u), IntMatrix._adopt(m, n, rows)) == s
+
 
 def assert_leaves_inputs(call, *args):
     """call(*args) leaves every matrix argument equal and hash-equal to a copy."""
