@@ -40,11 +40,11 @@ print()
 ideal = augmentation_ideal_rep(model)
 system = LocalSystem.from_rep(cover, ideal, label="I")
 print("homology with coefficients in the augmentation ideal (sign action):")
-print(render_homology(local_homology(cover, system)))
+print(render_homology(local_homology(system)))
 print("and its cohomology:")
-print(render_homology(local_cohomology(cover, system), prefix="H^"))
+print(render_homology(local_cohomology(system), prefix="H^"))
 
 print()
 reg = LocalSystem.from_rep(cover, regular_rep(model), label="Zpi")
 print("group-ring coefficients reproduce the cover (an exact identity):")
-print(render_homology(local_homology(cover, reg)))
+print(render_homology(local_homology(reg)))

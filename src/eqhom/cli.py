@@ -111,11 +111,10 @@ def _resolve_coeff(cx, path, max_cosets):
             raise InputError(f"bad trivial rank in {descriptor!r}") from None
         if rank < 0:
             raise InputError(f"bad trivial rank in {descriptor!r}")
-        return LocalSystem.trivial(cx, rank), None
+        return LocalSystem.trivial(cx, rank)
     cover = build_cover(cx, max_cosets=max_cosets)
     if parts[0] == "regular":
-        return LocalSystem.from_rep(cover, regular_rep(cover.model),
-                                    label="Zpi"), cover
+        return LocalSystem.from_rep(cover, regular_rep(cover.model), label="Zpi")
     if parts[0] == "I" or parts[0].startswith("I^"):
         try:
             power = int(parts[0][2:]) if parts[0] != "I" else 1
@@ -125,7 +124,7 @@ def _resolve_coeff(cx, path, max_cosets):
             raise InputError(f"bad ideal power in {descriptor!r}")
         rep = tensor_power(augmentation_ideal_rep(cover.model), power)
         label = "I" if power == 1 else f"I^{power}"
-        return LocalSystem.from_rep(cover, rep, label=label), cover
+        return LocalSystem.from_rep(cover, rep, label=label)
     raise InputError(f"unknown coefficient module {descriptor!r}")
 
 
@@ -135,8 +134,7 @@ def _resolve_coeff(cx, path, max_cosets):
 def _cmd_homology(args, out):
     cx = _load_complex(args.file)
     if args.coeff:
-        system, cover = _resolve_coeff(cx, args.coeff, args.max_cosets)
-        groups = local_homology(cover, system)
+        groups = local_homology(_resolve_coeff(cx, args.coeff, args.max_cosets))
     else:
         groups = homology(cx)
     out.append(render_homology(groups))
@@ -145,10 +143,10 @@ def _cmd_homology(args, out):
 def _cmd_cohomology(args, out):
     cx = _load_complex(args.file)
     if args.coeff:
-        system, cover = _resolve_coeff(cx, args.coeff, args.max_cosets)
+        system = _resolve_coeff(cx, args.coeff, args.max_cosets)
     else:
-        system, cover = LocalSystem.trivial(cx), None
-    out.append(render_homology(local_cohomology(cover, system), prefix="H^"))
+        system = LocalSystem.trivial(cx)
+    out.append(render_homology(local_cohomology(system), prefix="H^"))
 
 
 def _cmd_pi1(args, out):
@@ -208,7 +206,7 @@ def _cmd_pd_check(args, out):
     cx = _load_complex(args.file)
     manifold = orient(cx)
     if args.coeff:
-        system, _ = _resolve_coeff(cx, args.coeff, args.max_cosets)
+        system = _resolve_coeff(cx, args.coeff, args.max_cosets)
     else:
         system = LocalSystem.trivial(cx)
     report = pd_check(manifold, system)
@@ -317,11 +315,12 @@ def build_parser():
     parser = _Parser(prog="eqhom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, cosets=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--max-cosets", type=int, default=20000,
-                       help="coset enumeration budget")
+        if cosets:  # the coarse commands enumerate no cosets
+            p.add_argument("--max-cosets", type=int, default=20000,
+                           help="coset enumeration budget")
         return p
 
     p = add("homology", _cmd_homology, help="homology of a complex file")
@@ -365,24 +364,24 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--power", type=int, default=1)
 
-    p = add("ball", _cmd_ball, help="Cayley ball summary")
+    p = add("ball", _cmd_ball, cosets=False, help="Cayley ball summary")
     p.add_argument("group")
     p.add_argument("--radius", type=int, required=True)
 
-    p = add("ponzi", _cmd_ponzi, help="bounded-divergence flow probe")
+    p = add("ponzi", _cmd_ponzi, cosets=False, help="bounded-divergence flow probe")
     p.add_argument("group")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--bound", type=int, default=1)
 
-    p = add("min-bound", _cmd_min_bound, help="least feasible flow bound")
+    p = add("min-bound", _cmd_min_bound, cosets=False, help="least feasible flow bound")
     p.add_argument("group")
     p.add_argument("--radius", type=int, required=True)
 
-    p = add("folner", _cmd_folner, help="isoperimetric ratios per radius")
+    p = add("folner", _cmd_folner, cosets=False, help="isoperimetric ratios per radius")
     p.add_argument("group")
     p.add_argument("--radius", type=int, required=True)
 
-    p = add("gromov-report", _cmd_gromov_report,
+    p = add("gromov-report", _cmd_gromov_report, cosets=False,
             help="three-section counterexample-mechanism report")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)

@@ -103,10 +103,6 @@ class SimplicialComplex:
                                      ((face, j, sign, None) for j, faces in enumerate(terms)
                                       for face, sign in faces))
 
-    def euler_characteristic(self):
-        return sum((-1) ** k * len(level)
-                   for k, level in enumerate(self._simplices))
-
     def vertex_adjacency(self):
         adj = {v: [] for v in self.vertex_ids}
         for (u, v) in self._simplices[1] if self.dim >= 1 else []:
@@ -375,6 +371,10 @@ class LocalSystem:
     rep: IntRepresentation = None
     label: str = "Z"
 
+    def __post_init__(self):
+        if self.rep is not None and self.cover is None:
+            raise ModelMismatch("twisted local system has no cover")
+
     @classmethod
     def trivial(cls, cx, rank=1, label=None):
         return cls(cx, rank, label=label or ("Z" if rank == 1 else f"Z^{rank}"))
@@ -388,14 +388,6 @@ class LocalSystem:
     @property
     def is_trivial(self):
         return self.rep is None
-
-    def matrix(self, element):
-        return None if self.rep is None else self.rep.matrix_of(element)
-
-    def matrix_inv(self, element):
-        if self.rep is None:
-            return None
-        return self.rep.matrix_of(self.cover.model.inv(element))
 
     def tensor(self, other):
         if self.complex is not other.complex:
@@ -421,12 +413,13 @@ def _boundary_blocks(system, k, dual):
             for face, sign in terms:
                 yield (j, face, sign, None) if dual else (face, j, sign, None)
         return
+    rho, inv = system.rep.matrix_of, system.cover.model.inv
     for j, terms in enumerate(system.cover.boundary_terms(k)):
         for face, sign, elt in terms:
             if dual:
-                yield j, face, sign, system.matrix(elt)
+                yield j, face, sign, rho(elt)
             else:
-                yield face, j, sign, system.matrix_inv(elt)
+                yield face, j, sign, rho(inv(elt))
 
 
 def chain_boundary_matrix(system, k):
@@ -451,33 +444,22 @@ def homology(cx):
     >>> [str(h) for h in homology(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))]
     ['Z^1', 'Z^1']
     """
-    return local_homology(None, LocalSystem.trivial(cx))
+    return local_homology(LocalSystem.trivial(cx))
 
 
 def cohomology(cx):
     """H^k(X; Z) via the transposed boundaries."""
-    return local_cohomology(None, LocalSystem.trivial(cx))
+    return local_cohomology(LocalSystem.trivial(cx))
 
 
-def _check_system(cover, system):
-    if system.is_trivial:
-        return
-    if cover is not None and system.cover is not cover:
-        raise ModelMismatch("local system is attached to a different cover")
-    if system.cover is None:
-        raise ModelMismatch("twisted local system has no cover")
-
-
-def local_homology(cover, system):
+def local_homology(system):
     """H_k(X; L) for k = 0..dim."""
-    _check_system(cover, system)
     return chain_homology(chain_boundary_matrix(system, k)
                           for k in range(system.complex.dim + 2))
 
 
-def local_cohomology(cover, system):
+def local_cohomology(system):
     """H^k(X; L) for k = 0..dim; the pair (delta^k, delta^{k-1}) gives H^k."""
-    _check_system(cover, system)
     return chain_homology(cochain_differential_matrix(system, k)
                           for k in range(system.complex.dim, -2, -1))[::-1]
 

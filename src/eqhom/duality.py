@@ -148,10 +148,6 @@ class Cochain:
                        [[a + b for a, b in zip(va, vb)]
                         for va, vb in zip(self.values, other.values)])
 
-    def scale(self, c):
-        return Cochain(self.system, self.degree,
-                       [[c * a for a in v] for v in self.values])
-
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.system is other.system
                 and self.degree == other.degree and self.values == other.values)
@@ -236,13 +232,6 @@ def cap(phi, manifold):
     if phi.system.complex is not manifold.complex:
         raise BaseMismatch("cochain lives on a different complex")
     return cap_chain(phi, manifold.fundamental_cycle(), manifold.dim)
-
-
-def unit_cocycle(system_or_complex):
-    """The augmentation 0-cocycle with trivial Z coefficients (cup unit)."""
-    cx = getattr(system_or_complex, "complex", system_or_complex)
-    system = LocalSystem.trivial(cx)
-    return Cocycle(system, 0, [[1] for _ in cx.simplices(0)])
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,12 @@ class CoinvariantsPresentation:
 
     @classmethod
     def of(cls, rep):
-        r, gens = rep.rank, rep.model.generators
+        r, model = rep.rank, rep.model
+        gens = [model.gen_element(g) for g in model.generators]
         return cls(rep, IntMatrix.from_blocks(
             r, r * len(gens), (r, r),
-            ((0, k, c, img) for k, g in enumerate(gens)
-             for c, img in ((1, rep.images[g]), (-1, None)))))
+            ((0, k, c, img) for k, s in enumerate(gens)
+             for c, img in ((1, rep.matrix_of(s)), (-1, None)))))
 
     def invariants(self):
         return cokernel_invariants(self.matrix)
@@ -138,12 +139,12 @@ def coinvariants(rep):
     return CoinvariantsPresentation.of(rep).invariants()
 
 
-def _untwisted_inclusion(model, in1, factor):
+def _untwisted_inclusion(model, in1):
     """phi : I^n -> I^{n-1}, the inclusion followed by a (x) h -> h^-1 a.
 
-    The source basis vector a (x) (g - 1), ordered (a, g) for factor
-    "last" and (g, a) for "first" as in the lexicographic basis of I^n,
-    goes to rho(g^-1) a - a, where rho is the action on in1 = I^{n-1}.
+    The source basis vector a (x) (g - 1), ordered (a, g) as in the
+    lexicographic basis of I^n, goes to rho(g^-1) a - a, where rho is the
+    action on in1 = I^{n-1}.
     """
     n_i = model.order - 1
     eye = IntMatrix.identity(in1.rank)
@@ -151,30 +152,27 @@ def _untwisted_inclusion(model, in1, factor):
     for g in range(1, model.order):
         unit = IntMatrix.from_blocks(1, n_i, (1, 1), [(0, g - 1, 1, None)])
         for coeff, block in ((1, in1.matrix_of(model.inv(g))), (-1, eye)):
-            placed = unit.kronecker(block) if factor == "first" else block.kronecker(unit)
-            terms.append((0, 0, coeff, placed))
+            terms.append((0, 0, coeff, block.kronecker(unit)))
     return IntMatrix.from_blocks(in1.rank, in1.rank * n_i, (1, 1), terms)
 
 
-def shift_homology(model, n, factor="last"):
+def shift_homology(model, n):
     """H_n(pi) as the kernel of I^n (x)_pi Z -> (I^{n-1} (x) Zpi) (x)_pi Z.
 
-    The inclusion I -> Zpi is applied to the chosen tensor factor (the
-    last one by default); tensor powers carry the diagonal action.  The
-    target coinvariants are free: a (x) h -> h^-1 a identifies them with
-    I^{n-1} (Shapiro's lemma), so the map is phi : I^n -> I^{n-1} with
-    a (x) (g - 1) -> rho(g^-1) a - a, and H_n(pi) = ker(phi) / im(rel),
-    where rel presents the source coinvariants.  phi . rel = 0 is the
-    equivariance of the inclusion; chain_homology checks it.
+    The inclusion I -> Zpi is applied to the last tensor factor; tensor
+    powers carry the diagonal action.  The target coinvariants are free:
+    a (x) h -> h^-1 a identifies them with I^{n-1} (Shapiro's lemma), so
+    the map is phi : I^n -> I^{n-1} with a (x) (g - 1) -> rho(g^-1) a - a,
+    and H_n(pi) = ker(phi) / im(rel), where rel presents the source
+    coinvariants.  phi . rel = 0 is the equivariance of the inclusion;
+    chain_homology checks it.
     """
     _require_finite(model)
     if n < 1:
         raise ValueError("degree must be >= 1")
     _check_budget(model, n)
-    if factor not in ("last", "first"):
-        raise ValueError("factor must be 'last' or 'first'")
     ideal = augmentation_ideal_rep(model)
-    phi = _untwisted_inclusion(model, tensor_power(ideal, n - 1), factor)
+    phi = _untwisted_inclusion(model, tensor_power(ideal, n - 1))
     rel_src = CoinvariantsPresentation.of(tensor_power(ideal, n)).matrix
     return chain_homology([phi, rel_src])[0]
 
@@ -239,10 +237,3 @@ def projective_vanishing_check(model, k, m):
     return ProjectiveVanishingReport(
         [bar_homology(model, i, coeff) for i in range(1, m + 1)])
 
-
-def abelianization_invariants(pres):
-    """H_1 from a presentation: cokernel of the relator exponent matrix."""
-    gidx = {g: i for i, g in enumerate(pres.generators)}
-    return cokernel_invariants(IntMatrix.from_blocks(
-        len(gidx), len(pres.relators), (1, 1),
-        ((gidx[g], j, e, None) for j, rel in enumerate(pres.relators) for g, e in rel)))

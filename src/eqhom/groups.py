@@ -5,7 +5,10 @@ coset enumeration of a presentation, or an explicit multiplication
 table), free groups, free abelian groups, and binary direct products.
 On top of these sit integer matrix representations: the regular module
 Z[pi], the augmentation ideal I with its basis {g - 1 : g != e}, and
-tensor powers of I under the diagonal action.
+tensor powers of I under the diagonal action.  A representation holds
+one matrix per group element, built on first use; the regular module and
+I are built from the multiplication table and checked to be
+homomorphisms once, when they are made.
 
 Word syntax: a generator is a name, an inverse is the name with a
 trailing apostrophe.  In text form a word is either a string of
@@ -15,7 +18,7 @@ single-character names (``aba'``) or dot-separated names (``x0.x1'``).
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
-from .intlinalg import IntMatrix, matmul, unimodular_inverse
+from .intlinalg import IntMatrix, matmul
 
 
 class UnknownGenerator(InputError):
@@ -301,13 +304,15 @@ class FreeGroup(GroupModel):
         return ((self._index[name] + 1) * (1 if exp > 0 else -1),)
 
     def mul(self, x, y):
-        out = list(x)
+        # x and y are reduced, so letters cancel only at the junction: the
+        # first i letters of x survive and the first n - i of y cancel.
+        # When nothing cancels, x + y skips building two slices.
+        n = i = len(x)
         for s in y:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return tuple(out)
+            if not i or x[i - 1] != -s:
+                break
+            i -= 1
+        return x + y if i == n else x[:i] + y[n - i:]
 
     def inv(self, x):
         return tuple(-s for s in reversed(x))
@@ -585,56 +590,32 @@ def todd_coxeter(pres, max_cosets):
 # integer representations
 
 class IntRepresentation:
-    """An action of a group model on Z^rank by invertible integer matrices."""
+    """An action of a group model on Z^rank by invertible integer matrices.
 
-    def __init__(self, model, rank, images, check=True):
+    build(g) gives the matrix of the element g; it runs once per element,
+    on first use, and its result is kept.
+    """
+
+    def __init__(self, model, rank, build):
         self.model = model
         self.rank = rank
-        self.images = dict(images)
-        if set(self.images) != set(model.generators):
-            raise ValueError("need exactly one image per generator")
-        for m in self.images.values():
-            if m.rows != rank or m.cols != rank:
-                raise ValueError("image matrix has wrong shape")
-        self._inv_images = {}    # generator name -> inverse image
-        self._inv_by_matrix = {}  # image -> inverse, so equal images factor once
-        self._element_cache = {}
-        if check:
-            self._check()
+        self._build = build
+        self._matrices = {}
 
-    def _check(self):
-        for name in self.images:
-            self._gen_matrix(name, -1)  # raises when det != +-1
-        pres = getattr(self.model, "presentation", None)
-        if pres is not None:
-            for rel in pres.relators:
-                if self.word_matrix(rel) != IntMatrix.identity(self.rank):
-                    raise PreconditionError(
-                        f"relator {render_word(rel)} not satisfied by images")
-
-    def _gen_matrix(self, name, exp):
-        if exp > 0:
-            return self.images[name]
-        inv = self._inv_images.get(name)
-        if inv is None:
-            m = self.images[name]
-            inv = self._inv_by_matrix.get(m)
-            if inv is None:
-                inv = self._inv_by_matrix[m] = unimodular_inverse(m)
-            self._inv_images[name] = inv
-        return inv
-
-    def word_matrix(self, word):
-        m = IntMatrix.identity(self.rank)
-        for g, e in _as_word(word):
-            m = matmul(m, self._gen_matrix(g, e))
-        return m
+    @property
+    def images(self):
+        """The matrix of each generator, by name."""
+        return {name: self.matrix_of(self.model.gen_element(name))
+                for name in self.model.generators}
 
     def matrix_of(self, element):
-        key = element
-        if key not in self._element_cache:
-            self._element_cache[key] = self.word_matrix(self.model.word_of(element))
-        return self._element_cache[key]
+        m = self._matrices.get(element)
+        if m is None:
+            m = self._build(element)
+            if m.rows != self.rank or m.cols != self.rank:
+                raise ValueError("image matrix has wrong shape")
+            self._matrices[element] = m
+        return m
 
     def act(self, element, vector):
         from .intlinalg import matvec
@@ -644,29 +625,45 @@ class IntRepresentation:
         return self.act(self.model.inv(element), vector)
 
 
+def _checked_rep(model, rank, build):
+    """The representation of a finite model built by build, checked.
+
+    rho(e) = 1 and rho(s) rho(g) = rho(sg) for every generator element s
+    and every g make rho(w) the product of rho over the letters of any
+    positive word w.  Every element of a finite group is such a word, so
+    rho is a homomorphism and every rho(g) is invertible.
+    """
+    rep = IntRepresentation(model, rank, build)
+    if rep.matrix_of(model.identity) != IntMatrix.identity(rank):
+        raise PreconditionError("the identity does not act as 1")
+    for s in sorted(set(model.gens.values())):
+        rho_s = rep.matrix_of(s)
+        for g in model.elements():
+            if matmul(rho_s, rep.matrix_of(g)) != rep.matrix_of(model.mul(s, g)):
+                raise PreconditionError(
+                    f"rho({model.element_name(s)}) rho({model.element_name(g)}) "
+                    f"!= rho({model.element_name(model.mul(s, g))})")
+    return rep
+
+
 def trivial_rep(model, rank=1):
     eye = IntMatrix.identity(rank)
-    return IntRepresentation(model, rank, {g: eye for g in model.generators},
-                             check=False)
+    return IntRepresentation(model, rank, lambda g: eye)
 
 
 def regular_rep(model):
     """Z[pi] as a module over itself (left multiplication), for finite pi."""
     if not isinstance(model, FiniteGroup):
         raise NotFinite("regular representation needs a finite model")
-    n = model.order
-    images = {}
-    for name in model.generators:
-        s = model.gens[name]
-        images[name] = IntMatrix.from_blocks(
-            n, n, (1, 1), ((model.table[s][g], g, 1, None) for g in range(n)))
-    return IntRepresentation(model, n, images)
+    n, table = model.order, model.table
+    return _checked_rep(model, n, lambda s: IntMatrix.from_blocks(
+        n, n, (1, 1), ((table[s][g], g, 1, None) for g in range(n))))
 
 
 def augmentation_ideal_rep(model):
     """The augmentation ideal I on the basis {g - 1 : g != e}, for finite pi.
 
-    The generator s sends g - 1 to (sg - 1) - (s - 1); columns are indexed
+    The element s sends g - 1 to (sg - 1) - (s - 1); columns are indexed
     by the model's element order with the identity dropped.
 
     >>> z2 = todd_coxeter(GroupPresentation(("g",), (parse_word("gg"),)), 5)
@@ -675,25 +672,21 @@ def augmentation_ideal_rep(model):
     """
     if not isinstance(model, FiniteGroup):
         raise NotFinite("augmentation ideal module needs a finite model")
-    n = model.order
-    images = {}
-    for name in model.generators:
-        s = model.gens[name]
-        # row -1 is the dropped identity
-        images[name] = IntMatrix.from_blocks(n - 1, n - 1, (1, 1), (
+    n, table = model.order, model.table
+    # row -1 is the dropped identity
+    return _checked_rep(model, n - 1, lambda s: IntMatrix.from_blocks(
+        n - 1, n - 1, (1, 1), (
             (row, g - 1, c, None) for g in range(1, n)
-            for row, c in ((model.table[s][g] - 1, 1), (s - 1, -1)) if row >= 0))
-    return IntRepresentation(model, n - 1, images)
+            for row, c in ((table[s][g] - 1, 1), (s - 1, -1)) if row >= 0)))
 
 
 def tensor_rep(left, right):
     """Tensor product with the diagonal action, on the lexicographic basis."""
     if left.model != right.model:
         raise ModelMismatch("tensor factors over different models")
-    images = {g: left.images[g].kronecker(right.images[g])
-              for g in left.model.generators}
-    return IntRepresentation(left.model, left.rank * right.rank, images,
-                             check=False)
+    return IntRepresentation(
+        left.model, left.rank * right.rank,
+        lambda g: left.matrix_of(g).kronecker(right.matrix_of(g)))
 
 
 def induced_rep(rep):

@@ -18,8 +18,8 @@ eliminate on copies of them:
   holding each column, so each elementary operation costs the nonzeros
   it touches; it is fully deterministic, and the transforms it returns
   are sparse ``IntMatrix`` values (columns are transposed in O(nnz)).
-  ``smith_normal_form`` asks for all four; the kernel, quotient,
-  pair-homology, solve and lattice routines ask for the ones they read.
+  ``smith_normal_form`` asks for all four; the kernel, quotient and
+  pair-homology routines ask for the ones they read.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
@@ -40,10 +40,6 @@ from .errors import PreconditionError
 
 class ChainConditionViolated(PreconditionError):
     """d_k . d_{k+1} != 0; the boundary construction upstream is broken."""
-
-
-class NoIntegerSolution(PreconditionError):
-    """The linear system has no solution over the integers."""
 
 
 class IntMatrix:
@@ -164,9 +160,6 @@ class IntMatrix:
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._nz == other._nz)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._nz)))
 
     def __repr__(self):
         if self.rows * self.cols <= 16:
@@ -901,40 +894,3 @@ def is_isomorphism_onto(source, target, image_coordinates):
         return target.is_trivial()
     return cokernel_invariants(_from_columns(k, cols)).is_trivial()
 
-
-def solve_columns(A, B):
-    """X with A.X = B over the integers, or NoIntegerSolution."""
-    if A.rows != B.rows:
-        raise ValueError("shape mismatch in solve")
-    sf = _smith(A, U=True, V=True)
-    diag = sf.invariant_factors
-    r = sf.rank
-    Y = matmul(sf.U, B)
-    Z = [{} for _ in range(A.cols)]
-    for i, row in enumerate(Y._nz):
-        if row and i >= r:
-            raise NoIntegerSolution("inconsistent system")
-        for j, v in row.items():
-            if v % diag[i]:
-                raise NoIntegerSolution("entry not divisible by invariant factor")
-            Z[i][j] = v // diag[i]
-    return matmul(sf.V, IntMatrix._adopt(A.cols, B.cols, Z))
-
-
-def lattice_basis(A):
-    """A matrix whose columns are a basis of the lattice spanned by A's columns."""
-    sf = _smith(A, Uinv=True)
-    r = sf.rank
-    diag = sf.invariant_factors
-    return IntMatrix._adopt(A.rows, r, [
-        {j: diag[j] * v for j, v in row.items() if j < r} for row in sf.uinv._nz])
-
-
-def unimodular_inverse(M):
-    """Exact inverse of a unimodular integer matrix."""
-    if M.rows != M.cols:
-        raise ValueError("not square")
-    sf = _smith(M, U=True, V=True)
-    if any(d != 1 for d in sf.invariant_factors):
-        raise ValueError("matrix is not unimodular")
-    return matmul(sf.V, sf.U)

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from eqhom.complexes import build_cover, load_complex_file
+from eqhom.complexes import LocalSystem, build_cover, load_complex_file
+from eqhom.duality import Cocycle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -13,6 +14,11 @@ def fixture_path(name):
 
 def load_fixture(name):
     return load_complex_file(fixture_path(name))
+
+
+def unit_cocycle(cx):
+    """The augmentation 0-cocycle with trivial Z coefficients (cup unit)."""
+    return Cocycle(LocalSystem.trivial(cx), 0, [[1] for _ in cx.simplices(0)])
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,9 @@ from eqhom.group_homology import CoinvariantsPresentation
 from eqhom.groups import (augmentation_ideal_rep, regular_rep, tensor_power,
                           tensor_rep)
 from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix,
-                             invariant_factors, kernel_basis, lattice_basis,
-                             solve_columns)
+                             invariant_factors, kernel_basis)
+
+from lattice_oracle import lattice_basis, solve_columns
 
 
 def inclusion_matrix(model, n, factor):

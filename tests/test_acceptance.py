@@ -14,7 +14,7 @@ from eqhom.coarse import (cayley_ball, free_group_ponzi, isoperimetric_ratio,
 from eqhom.complexes import LocalSystem
 from eqhom.duality import (Cochain, bs_power, cap_chain, cup,
                            essentiality_pairing, orient, pd_check,
-                           pert_finite, unit_cocycle)
+                           pert_finite)
 from eqhom.complexes import chain_boundary_matrix
 from eqhom.group_homology import (bar_homology, projective_vanishing_check,
                                   shift_homology)
@@ -23,7 +23,7 @@ from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
 from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, matmul,
                              matvec, smith_normal_form)
 
-from conftest import load_fixture
+from conftest import load_fixture, unit_cocycle
 from determinant import determinant
 
 Z2 = AbelianGroupInvariants(0, (2,))

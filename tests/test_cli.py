@@ -199,6 +199,9 @@ class TestExitCodes:
     *[(("group-homology", fixture_path("z2.pres"), "--n", n, "--method", method), 1,
        "degree must be >= 1")
       for method in ("both", "shift") for n in ("0", "-1")],
+    # The coarse commands enumerate no cosets, so they take no coset budget.
+    (("ball", "f2", "--radius", "1", "--max-cosets", "5"), 1,
+     "unrecognized arguments: --max-cosets 5"),
 ])
 def test_error_line_is_the_only_output(argv, code, message):
     assert invoke(*argv) == (code, f"error: {message}\n")

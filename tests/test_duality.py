@@ -9,11 +9,12 @@ from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            NotPseudomanifold, bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
-                           pd_check, pert_finite, unit_cocycle)
+                           pd_check, pert_finite)
 from eqhom.groups import augmentation_ideal_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
 
+from conftest import unit_cocycle
 from determinant import determinant
 
 Z2 = AbelianGroupInvariants(0, (2,))

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqhom import groups
+from eqhom import groups, intlinalg
+from eqhom.errors import PreconditionError
 from eqhom.groups import (Exceeded, FiniteGroup, FreeAbelianGroup, FreeGroup,
                           GroupPresentation, ModelMismatch, NotFinite,
                           ProductGroup, UnknownGenerator,
@@ -87,6 +90,36 @@ class TestNormalForms:
     def test_free(self):
         f2 = FreeGroup(2)
         assert f2.normal_form("abb'") == f2.normal_form("a")
+
+    def test_free_mul_matches_stack_reduction(self):
+        # Half the right factors start with the inverse of a suffix of the
+        # left one, so junctions cancel by every length, up to all of x.
+        rng = random.Random(12)
+        f2 = FreeGroup(2)
+
+        def reduced(length):
+            word = []
+            while len(word) < length:
+                s = rng.choice((1, -1, 2, -2))
+                if not word or word[-1] != -s:
+                    word.append(s)
+            return tuple(word)
+
+        def stack_reduce(letters):
+            out = []
+            for s in letters:
+                if out and out[-1] == -s:
+                    out.pop()
+                else:
+                    out.append(s)
+            return tuple(out)
+
+        for _ in range(2000):
+            x = reduced(rng.randint(0, 8))
+            y = reduced(rng.randint(0, 8))
+            if rng.random() < 0.5:
+                y = stack_reduce(f2.inv(x[rng.randint(0, len(x)):]) + y)
+            assert f2.mul(x, y) == stack_reduce(x + y)
 
     def test_free_abelian(self):
         za = FreeAbelianGroup(2)
@@ -177,24 +210,65 @@ class TestRepresentations:
         s3 = todd_coxeter(S3_PRES, 20)
         rep = regular_rep(s3)
         for rel in S3_PRES.relators:
-            assert rep.word_matrix(rel) == IntMatrix.identity(6)
+            m = IntMatrix.identity(6)
+            for g, e in rel:
+                m = matmul(m, rep.matrix_of(s3.gen_element(g, e)))
+            assert m == IntMatrix.identity(6)
 
-    def test_equal_images_factored_once(self, monkeypatch):
+    def test_equal_images_built_without_factoring(self, monkeypatch):
         # Z/2 on three generators with equal images, as in an edge-path
         # presentation where many edges map to the same element.
         pres = GroupPresentation(("a", "b", "c"), ("aa", "ab'", "ac'"))
         model = todd_coxeter(pres, 10)
         factored = []
-        real = groups.unimodular_inverse
-        monkeypatch.setattr(groups, "unimodular_inverse",
-                            lambda m: factored.append(m) or real(m))
+        real = intlinalg._smith
+        monkeypatch.setattr(intlinalg, "_smith",
+                            lambda m, **kw: factored.append(m) or real(m, **kw))
         rep = regular_rep(model)
-        assert len(set(rep.images.values())) == 1
-        assert len(factored) == 1
-        swap = rep.images["a"]
+        images = rep.images
+        assert images["a"] == images["b"] == images["c"]
+        assert factored == []
+        swap = images["a"]
         for g in "abc":
-            assert matmul(swap, rep.word_matrix(((g, -1),))) == \
+            assert matmul(swap, rep.matrix_of(model.gen_element(g, -1))) == \
                 IntMatrix.identity(2)
+
+    def test_right_multiplication_fails_the_check(self):
+        # R(s) e_g = e_{gs} reverses products, so on the nonabelian S3 it
+        # is no homomorphism; it still satisfies the relators read
+        # backwards (aa, bbb, baba), which a relator walk would accept.
+        s3 = todd_coxeter(S3_PRES, 20)
+        n, table = s3.order, s3.table
+
+        def right(s):
+            return IntMatrix.from_blocks(
+                n, n, (1, 1), ((table[g][s], g, 1, None) for g in range(n)))
+
+        with pytest.raises(PreconditionError):
+            groups._checked_rep(s3, n, right)
+        left = groups._checked_rep(
+            s3, n, lambda s: IntMatrix.from_blocks(
+                n, n, (1, 1), ((table[s][g], g, 1, None) for g in range(n))))
+        assert left.images == regular_rep(s3).images
+
+    def test_cover_reps_build_once_per_element(self, rp3_cover, monkeypatch):
+        # The RP^3 edge-path presentation has many generator names for
+        # its two elements: build one matrix per element, factor nothing.
+        model = rp3_cover.model
+        assert len(model.generators) > 100 and model.order == 2
+        factored, built = [], []
+        real_smith = intlinalg._smith
+        monkeypatch.setattr(intlinalg, "_smith",
+                            lambda m, **kw: factored.append(m) or real_smith(m, **kw))
+        real_blocks = IntMatrix.from_blocks.__func__
+        monkeypatch.setattr(IntMatrix, "from_blocks", classmethod(
+            lambda cls, *args: built.append(args) or real_blocks(cls, *args)))
+        for make in (regular_rep, augmentation_ideal_rep):
+            built.clear()
+            rep = make(model)
+            assert len(rep.images) == len(model.generators)
+            assert len(built) <= model.order
+        assert factored == []
 
     def test_homomorphism_property_small_groups(self):
         for model in (Z(2), Z(3), Z(4), todd_coxeter(V4_PRES, 20),

@@ -53,7 +53,7 @@ def test_twisted_homology(lens_cover):
     ideal = augmentation_ideal_rep(lens_cover.model)
     assert ideal.rank == 2
     system = LocalSystem.from_rep(lens_cover, ideal, label="I")
-    groups = local_homology(lens_cover, system)
+    groups = local_homology(system)
     assert groups == [Z3, AbelianGroupInvariants(0), Z3,
                       AbelianGroupInvariants(0)]
 
