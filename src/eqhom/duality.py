@@ -299,10 +299,13 @@ def pd_check(manifold, system):
     if system.complex is not manifold.complex:
         raise BaseMismatch("local system lives on a different complex")
     n = manifold.dim
+    # each differential once: delta[k + 1] is delta^k, bd[k] is d_k
+    delta = [cochain_differential_matrix(system, k) for k in range(-1, n + 1)]
+    bd = [chain_boundary_matrix(system, k) for k in range(n + 2)]
     entries = []
     for k in range(n + 1):
-        co = cohomology_pair(system, k)
-        ho = homology_pair(system, n - k)
+        co = PairHomology(delta[k + 1], delta[k])
+        ho = PairHomology(bd[n - k], bd[n - k + 1])
         images = []
         for i in range(co.num_generators):
             phi = Cochain.from_flat(system, k, co.generator_cycle(i))

@@ -11,15 +11,15 @@ An ``IntMatrix`` stores one {col: value} dict of nonzeros per row, and
 only this module reads or writes those dicts.  Both computation paths
 eliminate on copies of them:
 
-* ``_smith`` is the one Smith elimination that carries transforms, with
-  a fixed pivot rule (least absolute nonzero entry, ties broken by (row,
-  col)).  It carries only the unimodular transforms its caller asks for,
-  as {index: value} rows or columns, and keeps an index of the rows
-  holding each column, so each elementary operation costs the nonzeros
-  it touches; it is fully deterministic, and the transforms it returns
-  are sparse ``IntMatrix`` values (columns are transposed in O(nnz)).
-  ``smith_normal_form`` asks for all four; the kernel, quotient and
-  pair-homology routines ask for the ones they read.
+* ``_smith`` is the one Smith elimination that yields transforms, with a
+  fixed pivot rule (least absolute nonzero entry, ties broken by (row,
+  col)).  It keeps an index of the rows holding each column, so each
+  elementary operation costs the nonzeros it touches, and it records
+  the operations on two tapes instead of multiplying out transforms: row
+  axpys, swaps and negations; column axpys and swaps.  Replaying a tape
+  on a vector applies U or V^-1 (in order) or U^-1 or V (in reverse);
+  ``PairHomology`` replays the column tape on the rows of d_{k+1}, and a
+  transform is built as a matrix only on request, from the identity.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
@@ -259,19 +259,17 @@ class SmithForm:
     """U.A.V = S with U, V unimodular and S diagonal in divisibility order.
 
     invariant_factors has length min(rows, cols): the positive chain
-    d_1 | d_2 | ... | d_r followed by zeros.  uinv and vinv are the exact
-    integer inverses of U and V.  A transform the elimination was not
-    asked to carry is None.  shape is that of A; S is rebuilt from it and
-    the factors on access, so no factorization keeps a copy of the
-    eliminated matrix.
+    d_1 | d_2 | ... | d_r followed by zeros.  The elimination's tapes (see
+    _snf_inplace) stand for the transforms: replayed in order, the row
+    tape applies U and the column tape V^-1; replayed backwards through
+    the inverse operations, U^-1 and V.  apply_* replays on one vector;
+    U, uinv, V and vinv build the matrix afresh on each access, as does S.
     """
 
     shape: tuple
     invariant_factors: tuple
-    U: IntMatrix = None
-    uinv: IntMatrix = None
-    V: IntMatrix = None
-    vinv: IntMatrix = None
+    row_ops: list
+    col_ops: list
 
     @property
     def rank(self):
@@ -280,22 +278,76 @@ class SmithForm:
     @property
     def S(self):
         m, n = self.shape
-        return IntMatrix._adopt(m, n, [{i: d} if d else {} for i, d in
-                                       enumerate(self.invariant_factors)]
-                                + [{} for _ in range(m - len(self.invariant_factors))])
+        diag = list(self.invariant_factors) + [0] * (m - len(self.invariant_factors))
+        return IntMatrix._adopt(m, n, [{i: d} if d else {} for i, d in enumerate(diag)])
+
+    def apply_U(self, y):
+        return _replay_vector(self.row_ops, y)
+
+    def apply_uinv(self, x):
+        return _replay_vector(self.row_ops, x, inverse=True)
+
+    def apply_V(self, x):
+        return _replay_vector(self.col_ops, x, inverse=True)
+
+    def apply_vinv(self, x):
+        return _replay_vector(self.col_ops, x)
+
+    U = property(lambda self: _tape_matrix(self.row_ops, self.shape[0]))
+    uinv = property(lambda self: _tape_matrix(self.row_ops, self.shape[0], True))
+    V = property(lambda self: _tape_matrix(self.col_ops, self.shape[1], True))
+    vinv = property(lambda self: _tape_matrix(self.col_ops, self.shape[1]))
 
 
-def _axpy(dst, q, src):
-    """dst += q * src for {index: value} dicts, q != 0; zeros are dropped."""
-    for k, b in src.items():
-        v = dst.get(k, 0) + q * b
-        if v:
-            dst[k] = v
+def _replay(ops, rows, inverse=False):
+    """Apply a tape to a list of {index: value} rows in place; return rows.
+
+    An op (d, srcs, qs) adds qs[k] * rows[srcs[k]] to rows[d] for each k
+    (d is not among srcs), (a, b) swaps rows a and b, and (a,) negates
+    row a.  With inverse the inverse operations run, last first.
+    """
+    sign = -1 if inverse else 1
+    for op in reversed(ops) if inverse else ops:
+        if len(op) == 3:
+            dst = rows[op[0]]
+            for s, q in zip(op[1], op[2]):
+                q *= sign
+                for k, b in rows[s].items():
+                    v = dst.get(k, 0) + q * b
+                    if v:
+                        dst[k] = v
+                    else:
+                        del dst[k]
+        elif len(op) == 2:
+            a, b = op
+            rows[a], rows[b] = rows[b], rows[a]
         else:
-            del dst[k]
+            rows[op[0]] = {k: -v for k, v in rows[op[0]].items()}
+    return rows
 
 
-def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
+def _replay_vector(ops, x, inverse=False):
+    """_replay on a copy of the int vector x, as in y = M.x."""
+    x = list(x)
+    sign = -1 if inverse else 1
+    for op in reversed(ops) if inverse else ops:
+        if len(op) == 3:
+            d, srcs, qs = op
+            x[d] += sign * sum([q * x[s] for s, q in zip(srcs, qs)])
+        elif len(op) == 2:
+            a, b = op
+            x[a], x[b] = x[b], x[a]
+        else:
+            x[op[0]] = -x[op[0]]
+    return x
+
+
+def _tape_matrix(ops, n, inverse=False):
+    """The n x n transform a tape stands for: _replay on the identity."""
+    return IntMatrix._adopt(n, n, _replay(ops, [{i: 1} for i in range(n)], inverse))
+
+
+def _snf_inplace(md, m, n, row_ops=None, col_ops=None):
     """Reduce the sparse m x n matrix md to Smith form in place.
 
     md is a list of m {col: value} dicts of nonzeros.  Pivot rule: least
@@ -310,11 +362,11 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
     of the two columns.  Column t's record is dropped once step t is done:
     no later operation touches a column left of the active one.
 
-    The optional transform accumulators are lists of dicts updated
-    alongside: U and Vinv hold rows, Uinv and V hold columns, so every
-    update is a dict axpy over the nonzeros of one row or column and
-    every swap is a swap of two dicts.  Returns the list of diagonal
-    entries (positive chain, then zeros) of length min(m, n).
+    Operations are appended in the op format of _replay to the optional
+    tapes: row operations on md to row_ops as they are, column operations
+    to col_ops as the row operations they make on V^-1 (C_j -= q C_t is
+    R_t += q R_j there).  Returns the list of diagonal entries (positive
+    chain, then zeros) of length min(m, n).
     """
     cols = [{} for _ in range(n)]
     for i, row in enumerate(md):
@@ -323,6 +375,8 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
 
     def axpy_row(i, q, k):
         # R_i += q R_k on md, keeping the column index; q != 0
+        if row_ops is not None:
+            row_ops.append((i, (k,), (q,)))
         dst = md[i]
         for j, b in md[k].items():
             a = dst.get(j)
@@ -336,23 +390,9 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
                 else:
                     del dst[j], cols[j][i]
 
-    def row_op(i, t, q):
-        # R_i -= q R_t
-        axpy_row(i, -q, t)
-        if U is not None:
-            _axpy(U[i], -q, U[t])
-        if Uinv is not None:
-            _axpy(Uinv[t], q, Uinv[i])
-
-    def add_row(t, i):
-        # R_t += R_i
-        axpy_row(t, 1, i)
-        if U is not None:
-            _axpy(U[t], 1, U[i])
-        if Uinv is not None:
-            _axpy(Uinv[i], -1, Uinv[t])
-
     def swap_rows(i, t):
+        if row_ops is not None:
+            row_ops.append((i, t))
         ri, rt = md[i], md[t]
         for j in ri:
             if j not in rt:
@@ -365,35 +405,10 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
                 del c[t]
                 c[i] = None
         md[i], md[t] = rt, ri
-        if U is not None:
-            U[i], U[t] = U[t], U[i]
-        if Uinv is not None:
-            Uinv[i], Uinv[t] = Uinv[t], Uinv[i]
-
-    def negate_row(t):
-        md[t] = {k: -a for k, a in md[t].items()}
-        if U is not None:
-            U[t] = {k: -a for k, a in U[t].items()}
-        if Uinv is not None:
-            Uinv[t] = {k: -a for k, a in Uinv[t].items()}
-
-    # Column operations run only while row t is cleared: column t is then
-    # zero below row t, and rows above t are zero in every column >= t, so
-    # on md they touch row t alone.
-    def col_op(j, t, q):
-        # C_j -= q C_t
-        row = md[t]
-        v = row[j] - q * row[t]
-        if v:
-            row[j] = v
-        else:
-            del row[j], cols[j][t]
-        if V is not None:
-            _axpy(V[j], -q, V[t])
-        if Vinv is not None:
-            _axpy(Vinv[t], q, Vinv[j])
 
     def swap_cols(j, t):
+        if col_ops is not None:
+            col_ops.append((j, t))
         cj, ct = cols[j], cols[t]
         for i in cj.keys() | ct.keys():
             row = md[i]
@@ -404,10 +419,6 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
             if b is not None:
                 row[j] = b
         cols[j], cols[t] = ct, cj
-        if V is not None:
-            V[j], V[t] = V[t], V[j]
-        if Vinv is not None:
-            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     # Rows below the active one only go from nonempty to empty, so the
     # pivot search skips for good a row it once found empty: skip[i] links
@@ -452,7 +463,9 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
         if best[1] != t:
             swap_cols(best[1], t)
         if md[t][t] < 0:
-            negate_row(t)
+            md[t] = {k: -a for k, a in md[t].items()}
+            if row_ops is not None:
+                row_ops.append((t,))
 
         while True:
             # Clear column t below the pivot, in ascending row order; a row
@@ -463,7 +476,7 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
                     continue
                 q = md[i][t] // md[t][t]
                 if q:
-                    row_op(i, t, q)
+                    axpy_row(i, -q, t)
                 if t in md[i]:
                     # Remainder is a strictly smaller positive pivot.
                     swap_rows(i, t)
@@ -472,18 +485,29 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
             if restart:
                 continue
             # Clear row t right of the pivot, in ascending column order.
+            # Column t is zero off row t, so C_j -= q_j C_t changes md in
+            # row t alone; on V^-1 the pass is one op R_t += sum q_j R_j.
             row = md[t]
             p = row[t]
+            js, qs = [], []
             for j in sorted(row):
                 if j != t:
                     q = row[j] // p
                     if q:
-                        col_op(j, t, q)
+                        js.append(j)
+                        qs.append(q)
+                        v = row[j] - q * p
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j], cols[j][t]
                     if j in row:
-                        swap_cols(j, t)
                         restart = True
                         break
+            if js and col_ops is not None:
+                col_ops.append((t, tuple(js), tuple(qs)))
             if restart:
+                swap_cols(j, t)
                 continue
             # Pivot row and column are clear; enforce divisibility.
             offender = None
@@ -494,40 +518,20 @@ def _snf_inplace(md, m, n, U=None, Uinv=None, V=None, Vinv=None):
                         break
             if offender is None:
                 break
-            add_row(t, offender)
+            axpy_row(t, 1, offender)
         cols[t] = None
+        md[t] = {t: md[t][t]}  # a fresh dict: the cleared one keeps its peak size
         t += 1
 
     return [md[i].get(i, 0) for i in range(limit)]
 
 
-def _from_columns(rows, columns):
-    """The IntMatrix whose columns are the given {row: value} dicts, in O(nnz)."""
-    nz = [{} for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            nz[i][j] = v
-    return IntMatrix._adopt(rows, len(columns), nz)
-
-
-def _smith(A, U=False, Uinv=False, V=False, Vinv=False):
-    """SmithForm of A carrying only the requested transforms.
-
-    The elimination runs on a copy of A's rows, so A is left as it was.
-    U and Vinv are accumulated as rows and adopted as they are; Uinv and
-    V are accumulated as columns and transposed.
-    """
+def _smith(A):
+    """SmithForm of A with both tapes, eliminating on a copy of A's rows."""
     m, n = A.rows, A.cols
-    md = [dict(r) for r in A._nz]
-    acc = [[{i: 1} for i in range(k)] if want else None
-           for want, k in ((U, m), (Uinv, m), (V, n), (Vinv, n))]
-    diag = _snf_inplace(md, m, n, *acc)
-    u, uinv, v, vinv = acc
-    return SmithForm((m, n), tuple(diag),
-                     None if u is None else IntMatrix._adopt(m, m, u),
-                     None if uinv is None else _from_columns(m, uinv),
-                     None if v is None else _from_columns(n, v),
-                     None if vinv is None else IntMatrix._adopt(n, n, vinv))
+    row_ops, col_ops = [], []
+    diag = _snf_inplace([dict(r) for r in A._nz], m, n, row_ops, col_ops)
+    return SmithForm((m, n), tuple(diag), row_ops, col_ops)
 
 
 def smith_normal_form(A):
@@ -539,7 +543,7 @@ def smith_normal_form(A):
     >>> (sf.U @ IntMatrix.from_rows([[2, 0], [0, 3]])) @ sf.V == sf.S
     True
     """
-    return _smith(A, U=True, Uinv=True, V=True, Vinv=True)
+    return _smith(A)
 
 
 def _unit_pivots(rows, cols, m, n):
@@ -741,14 +745,11 @@ def kernel_basis(A):
     >>> kernel_basis(IntMatrix.from_rows([[2, 4]])).col(0)
     [-2, 1]
     """
-    sf = _smith(A, V=True)
-    return _drop_columns(sf.V, sf.rank)
-
-
-def _drop_columns(M, r):
-    """M without its first r columns."""
-    return IntMatrix._adopt(M.rows, M.cols - r, [
-        {j - r: v for j, v in row.items() if j >= r} for row in M._nz])
+    sf = _smith(A)
+    n, r = A.cols, sf.rank
+    # V times the columns r..n-1 of the identity
+    return IntMatrix._adopt(n, n - r, _replay(
+        sf.col_ops, [{j - r: 1} if j >= r else {} for j in range(n)], inverse=True))
 
 
 def cokernel_invariants(A):
@@ -798,17 +799,16 @@ class QuotientLattice:
 
     Coordinate order matches the rendered invariants: free coordinates
     first, then torsion in ascending order; entries with invariant factor
-    1 are dropped.
+    1 are dropped.  Only the row tape of the factorization is kept.
     """
 
     def __init__(self, ambient, relations):
         if relations.rows != ambient:
             raise ValueError("relations must live in the ambient lattice")
-        sf = _smith(relations, U=True, Uinv=True)
+        sf = _smith(relations)
         diag = sf.invariant_factors
         self.ambient = ambient
-        self._U = sf.U
-        self._Uinv = sf.uinv
+        self._row_ops = sf.row_ops
         r = sf.rank
         torsion_idx = [i for i in range(r) if diag[i] > 1]
         free_idx = list(range(r, ambient))
@@ -823,39 +823,39 @@ class QuotientLattice:
 
     def coordinates(self, vector):
         """Smith coordinates of a lattice vector's class, reduced mod torsion."""
-        y = matvec(self._U, vector)
-        out = []
-        for i, d in zip(self._coord_idx, self._orders):
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
+        if len(vector) != self.ambient:
+            raise ValueError("vector is not in the ambient lattice")
+        y = _replay_vector(self._row_ops, vector)
+        return tuple(y[i] % d if d else y[i] for i, d in zip(self._coord_idx, self._orders))
 
     def generator(self, i):
-        """An ambient lift of the i-th Smith generator."""
-        return self._Uinv.col(self._coord_idx[i])
-
-    def generator_order(self, i):
-        """Order of the i-th generator (0 for infinite)."""
-        return self._orders[i]
+        """An ambient lift of the i-th Smith generator: U^-1 e_i."""
+        e = [0] * self.ambient
+        e[self._coord_idx[i]] = 1
+        return _replay_vector(self._row_ops, e, inverse=True)
 
 
 class PairHomology:
-    """ker(d_k)/im(d_{k+1}) with cycle coordinates and generator lifts."""
+    """ker(d_k)/im(d_{k+1}) with cycle coordinates and generator lifts.
+
+    ker(d_k) is the last n - r coordinates of V^-1, so below row r,
+    V^-1 d_{k+1} (d_k's column tape replayed on d_{k+1}'s rows) is the
+    image in kernel coordinates.  Only that tape is kept.
+    """
 
     def __init__(self, d_k, d_kplus1):
         _check_composition_zero(d_k, d_kplus1)
-        n = d_k.cols
-        sf = _smith(d_k, V=True, Vinv=True)
-        r = sf.rank
-        self._n = n
-        self._r = r
-        self._kernel = _drop_columns(sf.V, r)
-        self._vinv = sf.vinv
-        image_in_kernel = matmul(sf.vinv, d_kplus1).row_slice(r, n)
-        self.quotient = QuotientLattice(n - r, image_in_kernel)
+        sf = _smith(d_k)
+        n, r = d_k.cols, sf.rank
+        self._n, self._r, self._col_ops = n, r, sf.col_ops
+        image = _replay(sf.col_ops, [dict(row) for row in d_kplus1._nz])[r:]
+        self.quotient = QuotientLattice(n - r, IntMatrix._adopt(n - r, d_kplus1.cols, image))
         self.invariants = self.quotient.invariants
 
     def kernel_coordinates(self, cycle):
-        y = matvec(self._vinv, cycle)
+        if len(cycle) != self._n:
+            raise ValueError("vector has the wrong length")
+        y = _replay_vector(self._col_ops, cycle)
         if any(y[:self._r]):
             raise ValueError("vector is not a cycle")
         return y[self._r:]
@@ -866,10 +866,8 @@ class PairHomology:
 
     def generator_cycle(self, i):
         """A cycle representing the i-th Smith generator of the homology."""
-        return matvec(self._kernel, self.quotient.generator(i))
-
-    def generator_order(self, i):
-        return self.quotient.generator_order(i)
+        return _replay_vector(self._col_ops, [0] * self._r + self.quotient.generator(i),
+                              inverse=True)
 
     @property
     def num_generators(self):
@@ -890,7 +888,7 @@ def is_isomorphism_onto(source, target, image_coordinates):
     k = len(orders)
     cols = [{i: v for i, v in enumerate(c) if v} for c in image_coordinates]
     cols += [{i: d} for i, d in enumerate(orders) if d]
-    if not cols:
-        return target.is_trivial()
-    return cokernel_invariants(_from_columns(k, cols)).is_trivial()
+    # Z^k / span(cols) is trivial iff its k invariant factors are all 1;
+    # the transpose, whose rows are cols, has the same invariant factors.
+    return invariant_factors(IntMatrix._adopt(len(cols), k, cols)) == [1] * k
 

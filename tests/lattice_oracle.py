@@ -1,9 +1,10 @@
 """Reference oracles: integer solves, lattice bases and unimodular inverses.
 
-Each runs one transform-carrying Smith elimination (``intlinalg._smith``)
-and reads the transforms it asked for.  The library has no caller for
-them; tests use them to build reference answers (the twisted shift route
-in ``shift_oracle``) and to change bases by random unimodular matrices.
+Each runs one Smith elimination (``intlinalg._smith``) and builds the
+transforms it reads from the elimination's tapes.  The library has no
+caller for them; tests use them to build reference answers (the
+twisted shift route in ``shift_oracle``) and to change bases by random
+unimodular matrices.
 """
 
 from eqhom.errors import PreconditionError
@@ -18,7 +19,7 @@ def solve_columns(A, B):
     """X with A.X = B over the integers, or NoIntegerSolution."""
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve")
-    sf = _smith(A, U=True, V=True)
+    sf = _smith(A)
     diag = sf.invariant_factors
     r = sf.rank
     Y = matmul(sf.U, B)
@@ -35,7 +36,7 @@ def solve_columns(A, B):
 
 def lattice_basis(A):
     """A matrix whose columns are a basis of the lattice spanned by A's columns."""
-    sf = _smith(A, Uinv=True)
+    sf = _smith(A)
     r = sf.rank
     diag = sf.invariant_factors
     return IntMatrix._adopt(A.rows, r, [
@@ -46,7 +47,7 @@ def unimodular_inverse(M):
     """Exact inverse of a unimodular integer matrix."""
     if M.rows != M.cols:
         raise ValueError("not square")
-    sf = _smith(M, U=True, V=True)
+    sf = _smith(M)
     if any(d != 1 for d in sf.invariant_factors):
         raise ValueError("matrix is not unimodular")
     return matmul(sf.V, sf.U)

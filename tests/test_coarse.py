@@ -19,6 +19,8 @@ from eqhom.errors import CertificateError
 from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
                           ProductGroup, todd_coxeter)
 
+from conftest import fixture_path
+
 F2 = FreeGroup(2)
 ZZ = FreeAbelianGroup(2)
 Z1 = FreeAbelianGroup(1)
@@ -470,13 +472,16 @@ class TestOptimizedMode:
         return subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True, check=True).stdout
 
-    @pytest.mark.parametrize("argv", [
-        ("ponzi", "f2", "--radius", "4", "--bound", "1"),
-        ("min-bound", "z2", "--radius", "6"),
-    ], ids=["ponzi", "min-bound"])
-    def test_cli_output_unchanged(self, argv):
+    @pytest.mark.parametrize("argv, marker", [
+        (("ponzi", "f2", "--radius", "4", "--bound", "1"), "verified"),
+        (("min-bound", "z2", "--radius", "6"), "verified"),
+        (("pd-check", fixture_path("rp3.cplx"), "--coeff", fixture_path("regular.rep")),
+         "PD CHECK: PASS"),
+        (("essential", fixture_path("rp3.cplx")), "(1) in Z/2 [nonzero]\nESSENTIAL"),
+    ], ids=["ponzi", "min-bound", "pd-check-rp3-regular", "essential-rp3"])
+    def test_cli_output_unchanged(self, argv, marker):
         plain = self.run_python("-m", "eqhom.cli", *argv)
-        assert "verified" in plain
+        assert marker in plain
         assert self.run_python("-O", "-m", "eqhom.cli", *argv) == plain
 
     def test_tampered_certificate_raises(self):

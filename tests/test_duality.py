@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from eqhom import duality, intlinalg
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
                              chain_boundary_matrix, homology, torus_complex)
 from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
@@ -10,7 +11,7 @@ from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
                            pd_check, pert_finite)
-from eqhom.groups import augmentation_ideal_rep, tensor_power
+from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
 
@@ -215,6 +216,40 @@ class TestPdCheck:
             ideal = augmentation_ideal_rep(rp3_cover.model)
             system = LocalSystem.from_rep(rp3_cover, tensor_power(ideal, power))
         assert pd_check(orient(rp3), system).ok
+
+
+class TestReadersReplayTapes:
+    """Coordinates and generator lifts come from replaying the elimination's
+    tapes on vectors; no transform matrix is built on the way."""
+
+    def test_no_transform_matrix_built(self, rp3, rp3_cover, monkeypatch):
+        factored, built = [], []
+        real_smith, real_build = intlinalg._smith, intlinalg._tape_matrix
+        monkeypatch.setattr(intlinalg, "_smith",
+                            lambda m: factored.append(m) or real_smith(m))
+        monkeypatch.setattr(intlinalg, "_tape_matrix",
+                            lambda *args: built.append(args) or real_build(*args))
+        manifold = orient(rp3)
+        system = LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+        assert pd_check(manifold, system).ok
+        assert essentiality_pairing(manifold, rp3_cover).coordinates == (1,)
+        assert bs_class_report(rp3_cover, 3).coordinates == (1,)
+        assert len(factored) > 10
+        assert built == []
+
+    def test_pd_check_assembles_each_differential_once(self, rp3, rp3_cover,
+                                                       monkeypatch):
+        made = []
+        for name in ("cochain_differential_matrix", "chain_boundary_matrix"):
+            real = getattr(duality, name)
+            monkeypatch.setattr(duality, name, lambda system, k, name=name, real=real:
+                                made.append((name, k)) or real(system, k))
+        ideal = augmentation_ideal_rep(rp3_cover.model)
+        assert pd_check(orient(rp3), LocalSystem.from_rep(rp3_cover, ideal)).ok
+        # delta^-1..delta^3 and d_0..d_4
+        assert sorted(made) == sorted(
+            [("cochain_differential_matrix", k) for k in range(-1, 4)]
+            + [("chain_boundary_matrix", k) for k in range(5)])
 
 
 class TestObstructionClass:

@@ -240,6 +240,48 @@ class TestDenseReference:
             assert_matches_dense_reference(sparse_matrix(m, n, entries))
 
 
+class TestTapeReplay:
+    """The four replays against the matrices built from the same tapes."""
+
+    def test_replays_match_built_transforms(self):
+        rng = random.Random(31)
+        kinds = set()
+        for trial in range(80):
+            m, n = rng.randint(1, 30), rng.randint(1, 40)
+            # Half sparse in -3..3, half denser in -5..5 (more remainders,
+            # so more swaps and restarts).
+            values = (-3, -2, -1, 1, 2, 3) if trial % 2 else tuple(range(-5, 6))
+            fill = rng.uniform(0.05, 0.3) if trial % 2 else rng.uniform(0.3, 0.6)
+            a = sparse_matrix(m, n, [(i, j, rng.choice(values)) for i in range(m)
+                                     for j in range(n) if rng.random() < fill])
+            sf = smith_normal_form(a)
+            u, uinv, v, vinv = sf.U, sf.uinv, sf.V, sf.vinv
+            assert matmul(u, uinv) == IntMatrix.identity(m)
+            assert matmul(v, vinv) == IntMatrix.identity(n)
+            assert matmul(matmul(u, a), v) == sf.S
+            y = [rng.randint(-5, 5) for _ in range(m)]
+            x = [rng.randint(-5, 5) for _ in range(n)]
+            y0, x0 = list(y), list(x)
+            assert sf.apply_U(y) == matvec(u, y)
+            assert sf.apply_uinv(y) == matvec(uinv, y)
+            assert sf.apply_V(x) == matvec(v, x)
+            assert sf.apply_vinv(x) == matvec(vinv, x)
+            assert (y, x) == (y0, x0)
+            # The column tape on the rows of a matrix is V^-1 times it.
+            b = sparse_matrix(n, 3, [(rng.randrange(n), rng.randrange(3),
+                                      rng.randint(-3, 3)) for _ in range(n)])
+            rows = intlinalg._replay(sf.col_ops, [dict(r) for r in b._nz])
+            assert IntMatrix._adopt(n, 3, rows) == matmul(vinv, b)
+            kinds.update(("row", len(op), len(op) == 3 and len(op[1]) > 1)
+                         for op in sf.row_ops)
+            kinds.update(("col", len(op), len(op) == 3 and len(op[1]) > 1)
+                         for op in sf.col_ops)
+        # every kind of operation was replayed: row axpys, swaps and
+        # negations; column gathers of one and of several sources, swaps
+        assert kinds >= {("row", 3, False), ("row", 2, False), ("row", 1, False),
+                         ("col", 3, False), ("col", 3, True), ("col", 2, False)}
+
+
 class CountingRows(list):
     """A row list that counts the rows read from it; a slice counts its length."""
 
@@ -260,12 +302,11 @@ class TestSmithWork:
         perm = list(range(m))
         rng.shuffle(perm)
         md = CountingRows({j: rng.choice((-1, 1))} for j in perm)
-        v = [{j: 1} for j in range(m)]
-        vinv = [{j: 1} for j in range(m)]
-        assert intlinalg._snf_inplace(md, m, m, V=v, Vinv=vinv) == [1] * m
+        row_ops, col_ops = [], []
+        assert intlinalg._snf_inplace(md, m, m, row_ops, col_ops) == [1] * m
         assert md.reads < 20 * (m + m)  # 20 (nnz + m)
-        assert matmul(intlinalg._from_columns(m, v),
-                      IntMatrix._adopt(m, m, vinv)) == IntMatrix.identity(m)
+        v = intlinalg._tape_matrix(col_ops, m, inverse=True)
+        assert matmul(v, intlinalg._tape_matrix(col_ops, m)) == IntMatrix.identity(m)
 
     def test_pivot_search_skips_emptied_rows(self):
         # k copies of e_0, then e_1 .. e_k: the first pivot empties the
@@ -276,11 +317,12 @@ class TestSmithWork:
         rows = [{0: 1}] * k + [{j: 1} for j in range(1, k + 1)]
         m, n = len(rows), k + 1
         md = CountingRows(dict(r) for r in rows)
-        u = [{i: 1} for i in range(m)]
-        assert intlinalg._snf_inplace(md, m, n, U=u) == [1] * n
+        row_ops = []
+        assert intlinalg._snf_inplace(md, m, n, row_ops) == [1] * n
         assert md.reads < 20 * (m + m)  # 20 (nnz + m)
         s = IntMatrix._adopt(m, n, [{i: 1} if i < n else {} for i in range(m)])
-        assert matmul(IntMatrix._adopt(m, m, u), IntMatrix._adopt(m, n, rows)) == s
+        u = intlinalg._tape_matrix(row_ops, m)
+        assert matmul(u, IntMatrix._adopt(m, n, rows)) == s
 
 
 def assert_leaves_inputs(call, *args):

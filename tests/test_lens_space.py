@@ -8,6 +8,7 @@ coefficient module.
 
 import pytest
 
+from eqhom.cli import run
 from eqhom.complexes import (LocalSystem, build_cover, homology, lens_space,
                              local_homology)
 from eqhom.duality import (bs_class_report, essentiality_pairing, orient,
@@ -85,3 +86,20 @@ def test_duality_with_rank_two_coefficients(lens, lens_cover):
     assert report.ok
     assert [str(e.cohomology) for e in report.entries] == \
         ["0", "Z/3", "0", "Z/3"]
+
+
+# Printed Smith coordinates depend on the elimination's pivot order, so
+# these pin the exact stdout: a change of basis must fail here first.
+@pytest.mark.parametrize("p, argv, stdout", [
+    (3, ("essential",), "pi1 order = 3\n"
+     "(beta^3) cap [M] class = (0, 0, 1) in Z^2 + Z/3 [nonzero]\nESSENTIAL\n"),
+    (3, ("bs-class", "--power", "3"),
+     "beta^3 class = (0, 0, 1) in Z^2 + Z/3 [nonzero]\n"),
+    (4, ("essential",), "pi1 order = 4\n(beta^3) cap [M] class = "
+     "(0, 0, 0, 0, 0, 0, 1) in Z^6 + Z/4 [nonzero]\nESSENTIAL\n"),
+], ids=["essential-l3", "bs-class-3-l3", "essential-l4"])
+def test_cli_stdout_pins_smith_coordinates(p, argv, stdout, lens, tmp_path):
+    cx = lens if p == 3 else lens_space(p)
+    path = tmp_path / f"lens{p}.cplx"
+    path.write_text("".join("f " + " ".join(map(str, f)) + "\n" for f in cx.facets))
+    assert run([*argv, str(path)]) == (0, stdout)
