@@ -30,6 +30,13 @@ eliminate on copies of them:
   step changes instead of O(nnz) per pivot.  The sparse residual then
   goes through the same elimination without transforms.  Invariant
   factors are canonical, so both paths agree by construction.
+
+``chain_homology`` compresses: it factors d_{k+1} without the rows at
+the unit pivot columns of d_k.  Those pivots form a unimodular block of
+d_k (the unit elimination is triangular with +-1 on the diagonal in
+pivot order), so d_k . d_{k+1} = 0 makes each row left out an integer
+combination of the rows kept, and the invariant factors do not change.
+Only unit pivots are used: a residual pivot need not be a unit.
 """
 
 from dataclasses import dataclass
@@ -692,44 +699,51 @@ def _unit_pivots(rows, cols, m, n):
             limit = rebuild()
 
 
+def _nonzero_factors(A, skip=frozenset()):
+    """(nonzero invariant factors, unit pivot columns) of A minus the rows in skip.
+
+    Unit pivots are eliminated on a copy of the kept rows (no transforms
+    tracked), and the residual rows, re-indexed onto the surviving rows
+    and columns, go through _snf_inplace without transforms.  The unit
+    pivots come from a priority queue in Markowitz order, least (row
+    length - 1) * (column length - 1), ties by (row, col); the queue is
+    exact, so every pivot is the one a rescan of all nonzeros would pick
+    (see _unit_pivots).  The factors are the canonical chain, 1s first.
+
+    The pivot columns I returned, with their rows R, form a unimodular
+    block A[R, I]: in pivot order each pivot row, reduced by the earlier
+    ones, is +-1 at its own column and 0 at the earlier pivot columns.
+    Residual pivots are not returned; they need not be units.
+    """
+    m, n = A.rows, A.cols
+    rows = {}
+    cols = {}
+    for i, row in enumerate(A._nz):
+        if row and i not in skip:
+            rows[i] = dict(row)
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    pivots = {c for _, c in _unit_pivots(rows, cols, m, n)}
+    factors = [1] * len(pivots)
+    if rows:
+        cindex = {c: k for k, c in enumerate(sorted(cols))}
+        residual = [{cindex[j]: v for j, v in rows[r].items()} for r in sorted(rows)]
+        factors += [d for d in _snf_inplace(residual, len(residual), len(cindex)) if d]
+    return factors, pivots
+
+
 def invariant_factors(A):
     """Invariant factors of A, zero-padded to length min(rows, cols).
 
-    Fast path: unit pivots are eliminated on a copy of A's rows (no
-    transforms tracked), and the residual rows, re-indexed onto the
-    surviving rows and columns, go through _snf_inplace without
-    transforms.  The unit pivots come from a priority queue in Markowitz
-    order, least (row length - 1) * (column length - 1), ties by (row,
-    col); the queue is exact, so every pivot is the one a rescan of all
-    nonzeros would pick (see _unit_pivots).  The output is the canonical
-    chain, identical to smith_normal_form(A).
+    Unit pivots in Markowitz order first, then the residual, all without
+    transforms (see _nonzero_factors).  The output is the canonical chain,
+    identical to smith_normal_form(A).
 
     >>> invariant_factors(IntMatrix.from_rows([[4, 6], [6, 9]]))
     [1, 0]
     """
-    m, n = A.rows, A.cols
-    limit = min(m, n)
-    if limit == 0:
-        return []
-    rows = {}
-    cols = {}
-    for i, row in enumerate(A._nz):
-        if row:
-            rows[i] = dict(row)
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-    units = 0
-    for _ in _unit_pivots(rows, cols, m, n):
-        units += 1
-    # The residual, re-indexed onto the surviving rows and columns.
-    res_factors = []
-    if rows:
-        cindex = {c: k for k, c in enumerate(sorted(cols))}
-        residual = [{cindex[j]: v for j, v in rows[r].items()} for r in sorted(rows)]
-        res_factors = [d for d in _snf_inplace(residual, len(residual), len(cindex)) if d]
-    out = [1] * units + res_factors
-    out += [0] * (limit - len(out))
-    return out
+    factors = _nonzero_factors(A)[0]
+    return factors + [0] * (min(A.rows, A.cols) - len(factors))
 
 
 def rank(A):
@@ -778,19 +792,29 @@ def chain_homology(differentials):
     differentials is any iterable of consecutive differentials; each is
     factored and each composition checked once, two held at a time.  As
     ker(d_k) is a direct summand, H_k has the torsion of Z^n / im(d_{k+1}).
+
+    Compression: d_{k+1} is factored without the rows at d_k's unit pivot
+    columns I.  With R their pivot rows, d_k[R, I] is unimodular, so the
+    rows R of d_k . d_{k+1} = 0 give d_{k+1}[I, :] =
+    -d_k[R, I]^-1 . d_k[R, not I] . d_{k+1}[not I, :]: the rows left out
+    are integer combinations of the rows kept, and the nonzero invariant
+    factors are unchanged.  d_k may itself have been compressed, as its
+    kept rows still compose to 0 with d_{k+1}.  The composition is
+    checked on the whole pair before any row is left out.
     """
     stream = iter(differentials)
     d_k = next(stream)
-    r_k = rank(d_k)
+    facs, pivots = _nonzero_factors(d_k)
     groups = []
     for d_kplus1 in stream:
         _check_composition_zero(d_k, d_kplus1)
-        facs = [d for d in invariant_factors(d_kplus1) if d]
+        r_k = len(facs)
+        facs, pivots = _nonzero_factors(d_kplus1, pivots)
         free = d_k.cols - r_k - len(facs)
         if free < 0:
             raise ChainConditionViolated("rank bookkeeping failed; not a chain complex")
         groups.append(AbelianGroupInvariants(free, tuple(d for d in facs if d > 1)))
-        d_k, r_k = d_kplus1, len(facs)
+        d_k = d_kplus1
     return groups
 
 

@@ -1,13 +1,16 @@
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqhom.complexes import (DuplicateVertexInSimplex, EquivariantComplex,
                              LocalSystem, NotConnected, ParseError,
                              PresentationMismatch, SimplicialComplex,
                              build_cover, chain_boundary_matrix,
                              cochain_differential_matrix, cohomology,
-                             cycle_complex, fundamental_group, homology,
+                             barycentric_subdivision, cycle_complex,
+                             fundamental_group, homology,
                              lens_space, load_complex, local_cohomology,
                              local_homology, render_homology,
                              simplicial_product, torus_complex)
@@ -15,7 +18,8 @@ from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
                           regular_rep, todd_coxeter, trivial_rep)
 import eqhom.intlinalg
 from eqhom.errors import ModelMismatch
-from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matmul
+from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix,
+                             cokernel_invariants, matmul)
 
 from conftest import fixture_path, load_fixture
 
@@ -101,13 +105,13 @@ class TestHomology:
     @pytest.mark.parametrize("name, groups", [("t3", homology), ("rp3", cohomology)])
     def test_each_differential_factored_once(self, monkeypatch, name, groups):
         factored = []
-        real = eqhom.intlinalg.invariant_factors
+        real = eqhom.intlinalg._nonzero_factors
 
-        def counting(mat):
+        def counting(mat, skip=frozenset()):
             factored.append((mat.rows, mat.cols, tuple(map(tuple, mat.data))))
-            return real(mat)
+            return real(mat, skip)
 
-        monkeypatch.setattr(eqhom.intlinalg, "invariant_factors", counting)
+        monkeypatch.setattr(eqhom.intlinalg, "_nonzero_factors", counting)
         groups(load_fixture(f"{name}.cplx"))
         assert len(factored) == len(set(factored)) == 5
 
@@ -266,3 +270,60 @@ class TestBuilders:
 
     def test_torus_complex_matches_fixture(self, t3):
         assert torus_complex(3).counts() == t3.counts()
+
+
+# Pure complexes of dimension 1 or 2 on at most 6 vertices (subdivision
+# keeps only the top simplices), and three small fixtures, one with torsion.
+pure_complexes = st.integers(2, 3).flatmap(
+    lambda size: st.sets(st.sampled_from(list(combinations(range(6), size))),
+                         min_size=1, max_size=7)
+).map(lambda facets: SimplicialComplex(sorted(facets)))
+small_complexes = st.one_of(
+    pure_complexes,
+    st.sampled_from(("circle", "s2", "rp2")).map(lambda name: load_fixture(f"{name}.cplx")))
+
+
+def cyclic_orders(group):
+    """The group as a list of cyclic orders, 0 for each copy of Z."""
+    return [0] * group.free_rank + list(group.torsion)
+
+
+def direct_sum(orders):
+    """Invariants of the sum of cyclic groups Z/d (Z for d = 0)."""
+    n = len(orders)
+    return cokernel_invariants(IntMatrix(n, n, [
+        [d if i == j else 0 for j in range(n)] for i, d in enumerate(orders)]))
+
+
+def kunneth(hx, hy):
+    """H_n(X x Y) from H_*(X) and H_*(Y): the tensor and Tor terms."""
+    out = []
+    for n in range(len(hx) + len(hy) - 1):
+        orders = []
+        for i, gx in enumerate(hx):
+            for j, gy in enumerate(hy):
+                if i + j == n:  # Z/a (x) Z/b = Z/gcd(a, b), with Z = Z/0
+                    orders += [gcd(a, b) for a in cyclic_orders(gx) for b in cyclic_orders(gy)]
+                elif i + j == n - 1:  # Tor(Z/a, Z/b) = Z/gcd(a, b) for a, b >= 2
+                    orders += [gcd(a, b) for a in gx.torsion for b in gy.torsion]
+        out.append(direct_sum([d for d in orders if d != 1]))
+    return out
+
+
+class TestHomologyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes)
+    def test_subdivision_invariance(self, cx):
+        assert homology(barycentric_subdivision(cx)[0]) == homology(cx)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_complexes, small_complexes)
+    def test_kunneth_on_products(self, cx1, cx2):
+        assert homology(simplicial_product(cx1, cx2)) == kunneth(homology(cx1), homology(cx2))
+
+    def test_kunneth_tor_term(self):
+        # RP2 x RP2 is the smallest product here whose H_3 is all Tor.
+        rp2 = load_fixture("rp2.cplx")
+        hx = homology(rp2)
+        assert [str(h) for h in kunneth(hx, hx)] == ["Z^1", "Z/2 + Z/2", "Z/2", "Z/2", "0"]
+        assert homology(simplicial_product(rp2, rp2)) == kunneth(hx, hx)

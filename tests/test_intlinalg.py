@@ -2,6 +2,7 @@ import ast
 import heapq
 import random
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eqhom import intlinalg
 from eqhom.complexes import (LocalSystem, chain_boundary_matrix,
                              cochain_differential_matrix)
+from eqhom.group_homology import BarComplex, bar_homology
 from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
                           regular_rep, tensor_power, todd_coxeter)
 from eqhom.intlinalg import (AbelianGroupInvariants, ChainConditionViolated,
@@ -711,6 +713,134 @@ def _random_unimodular(n, rng):
         q = rng.randint(-2, 2)
         data[i] = [a + q * b for a, b in zip(data[i], data[j])]
     return IntMatrix(n, n, data)
+
+
+def per_differential_homology(ds):
+    """The uncompressed route: every whole differential factored, plus ranks."""
+    groups = []
+    for d_k, d_kplus1 in zip(ds, ds[1:]):
+        facs = [d for d in invariant_factors(d_kplus1) if d]
+        free = d_k.cols - rank(d_k) - len(facs)
+        groups.append(AbelianGroupInvariants(free, tuple(d for d in facs if d > 1)))
+    return groups
+
+
+def torsion_chain(orders):
+    """The invariant factors > 1 of the sum of the Z/d, by pairwise gcd and lcm."""
+    ds = sorted(orders)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return tuple(d for d in ds if d > 1)
+
+
+def random_elementary_complex(rng):
+    """A chain complex in random bases, with its homology.
+
+    Sums of Z in one degree and Z --t--> Z across two (t in 1..6), so the
+    homology has torsion; each C_k is then changed by a random unimodular
+    P_k, d_k -> P_{k-1}^-1 d_k P_k, which keeps d d = 0 and the homology.
+    """
+    top = rng.randint(1, 3)
+    ranks = [0] * (top + 1)
+    free = [0] * (top + 1)
+    torsion = [[] for _ in range(top + 1)]
+    pieces = []  # (degree of the source, t, source index, target index)
+    for _ in range(rng.randint(2, 7)):
+        k = rng.randint(0, top)
+        if k == 0 or rng.random() < 0.3:
+            ranks[k] += 1
+            free[k] += 1
+        else:
+            t = rng.choice((1, 1, 2, 3, 4, 6))
+            pieces.append((k, t, ranks[k], ranks[k - 1]))
+            torsion[k - 1].append(t)
+            ranks[k] += 1
+            ranks[k - 1] += 1
+    ds = [IntMatrix.zeros(0, ranks[0])]
+    for k in range(1, top + 1):
+        data = [[0] * ranks[k] for _ in range(ranks[k - 1])]
+        for deg, t, src, dst in pieces:
+            if deg == k:
+                data[dst][src] = t
+        ds.append(IntMatrix(ranks[k - 1], ranks[k], data))
+    ds.append(IntMatrix.zeros(ranks[top], 0))
+    ps = [_random_unimodular(r, rng) for r in ranks]
+    based = [ds[0] @ ps[0]] + [
+        unimodular_inverse(ps[k - 1]) @ ds[k] @ ps[k] for k in range(1, top + 1)
+    ] + [unimodular_inverse(ps[top]) @ ds[-1]]
+    return based, [AbelianGroupInvariants(f, torsion_chain(ts))
+                   for f, ts in zip(free, torsion)]
+
+
+def random_kernel_complex(rng):
+    """d_{k+1} = kernel basis of d_k times random integers, from a random d_1."""
+    n0, n1 = rng.randint(1, 4), rng.randint(1, 5)
+    ds = [IntMatrix.zeros(0, n0),
+          IntMatrix(n0, n1, [[rng.randint(-3, 3) for _ in range(n1)] for _ in range(n0)])]
+    for _ in range(rng.randint(1, 3)):
+        ker = kernel_basis(ds[-1])
+        cols = rng.randint(0, 4)
+        ds.append(matmul(ker, IntMatrix(ker.cols, cols, [
+            [rng.choice((-3, -2, 0, 0, 1, 2, 3, 4)) for _ in range(cols)]
+            for _ in range(ker.cols)])))
+    return ds
+
+
+class TestCompression:
+    """chain_homology leaves out the rows at the unit pivot columns of d_k."""
+
+    def test_matches_per_differential_route(self, monkeypatch):
+        skipped = []
+        real = intlinalg._nonzero_factors
+
+        def recording(mat, skip=frozenset()):
+            skipped.append(len(skip))
+            return real(mat, skip)
+
+        monkeypatch.setattr(intlinalg, "_nonzero_factors", recording)
+        rng = random.Random(14)
+        torsion = 0
+        for _ in range(150):
+            ds, known = random_elementary_complex(rng)
+            assert chain_homology(ds) == per_differential_homology(ds) == known
+            torsion += any(g.torsion for g in known)
+        for _ in range(150):
+            ds = random_kernel_complex(rng)
+            groups = chain_homology(ds)
+            assert groups == per_differential_homology(ds)
+            torsion += any(g.torsion for g in groups)
+        assert torsion >= 50 and sum(1 for n in skipped if n) >= 100
+
+    def test_residual_pivot_is_not_left_out(self):
+        # d_0 = [2 3] has no unit entry; leaving out the row of d_1 at the
+        # column of its residual pivot would give Z/2 or Z/3.
+        assert chain_homology([M([[2, 3]]), M([[3], [-2]])]) == [AbelianGroupInvariants(0)]
+        assert chain_homology([M([[3, 2]]), M([[-2], [3]])]) == [AbelianGroupInvariants(0)]
+
+    def test_check_runs_on_the_whole_pair(self):
+        # As in test_chain_condition_enforced, but inside a stream: the
+        # offending row of d_2 sits at d_1's unit pivot column.
+        with pytest.raises(ChainConditionViolated):
+            chain_homology([IntMatrix.zeros(0, 1), M([[1, 0]]), M([[1, 1], [0, 1]])])
+
+    def test_q8_bar_d4_rows(self, monkeypatch):
+        # H_3(Q8) by the bar route: d_3 has rank 42, so at most 343 - 42
+        # rows of the 343 x 2401 d_4 go to the unit elimination.
+        shapes = []
+        real = intlinalg._unit_pivots
+
+        def recording(rows, cols, m, n):
+            shapes.append((m, n, len(rows)))
+            return real(rows, cols, m, n)
+
+        monkeypatch.setattr(intlinalg, "_unit_pivots", recording)
+        q8 = todd_coxeter(GroupPresentation(("a", "b"), ("aaaa", "aabb", "abab'")), 100)
+        assert str(bar_homology(q8, 3)) == "Z/8"
+        assert rank(BarComplex(q8, 4).boundary_matrix(3)) == 42
+        (live,) = [k for m, n, k in shapes if (m, n) == (343, 2401)]
+        assert live <= 343 - 42
 
 
 class TestCoordinates:
