@@ -293,6 +293,8 @@ def _cmd_min_bound(args, out):
 
 def _cmd_folner(args, out):
     model = parse_group_spec(args.group)
+    if args.radius < 1:  # the loop below would build no ball to reject it
+        raise ValueError("radius must be >= 1")
     out.append(f"group = {model.describe()}")
     for r in range(1, args.radius + 1):
         ball = cayley_ball(model, radius=r)

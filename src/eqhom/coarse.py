@@ -10,12 +10,10 @@ small cut) is the amenable one.  Nothing here decides amenability: all
 outputs are certificates or obstructions at a stated finite radius.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .errors import BudgetError, CertificateError, ModelMismatch, PreconditionError
-from .groups import FreeGroup, GroupModel
+from .groups import FreeGroup
 
 BUDGET = 200000  # vertices of one Cayley ball
 
@@ -121,19 +119,20 @@ def cayley_ball(model, gens=None, radius=1):
 # ---------------------------------------------------------------------------
 # max flow (blocking flows on level graphs) with a min-cut certificate
 
-@dataclass
 class MaxFlowResult:
-    value: int
-    arc_flows: list
-    cut_arcs: list
-    source_side: frozenset
+    def __init__(self, value, arc_flows, cut_arcs, source_side):
+        self.value = value
+        self.arc_flows = arc_flows
+        self.cut_arcs = cut_arcs
+        self.source_side = source_side
 
 
 class FlowNetwork:
-    """Directed network with integer capacities; arcs added in pairs.
+    """Directed network with integer capacities and a starting flow.
 
+    arcs[i] = (u, v, capacity) becomes arc 2i, and 2i + 1 is its reverse.
     cap holds residual capacities: arc e and its reverse e ^ 1 together
-    carry the arc's capacity, so add_arc can seed a flow on the arc.
+    carry the arc's capacity, so the flow on arcs[i] is cap[2i + 1].
     max_flow augments by Dinic's blocking flows.  Each phase levels the
     vertices by residual distance to t, by a BFS from t that stops at the
     layer reaching s, and the blocking DFS from s follows arcs one level
@@ -143,23 +142,20 @@ class FlowNetwork:
     both find the shortest augmenting paths.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, arcs, flows):
         self.n = n
-        self.adj = [[] for _ in range(n)]
-        self.to = []
-        self.cap = []
-
-    def add_arc(self, u, v, cap, flow=0):
-        if not 0 <= flow <= cap:
-            raise ValueError("need 0 <= flow <= capacity on every arc")
-        e = len(self.to)
-        self.adj[u].append(e)
-        self.to.append(v)
-        self.cap.append(cap - flow)
-        self.adj[v].append(e + 1)
-        self.to.append(u)
-        self.cap.append(flow)
-        return e
+        self.adj = adj = [[] for _ in range(n)]
+        self.to = to = []
+        self.cap = cap = []
+        e = 0
+        for (u, v, c), f in zip(arcs, flows):
+            if not 0 <= f <= c:
+                raise ValueError("need 0 <= flow <= capacity on every arc")
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            to += (v, u)
+            cap += (c - f, f)
+            e += 2
 
     def _levels(self, s, t):
         """Residual distances to t, up to the layer that reaches s; None if s is cut off."""
@@ -273,34 +269,31 @@ def max_flow(num_vertices, arcs, source, sink, start=None):
     if len(start) != len(arcs) or any(
             x for i, x in enumerate(excess) if i != source and i != sink):
         raise ValueError("start is not a flow on these arcs")
-    net = FlowNetwork(num_vertices)
-    handles = [net.add_arc(u, v, c, f) for (u, v, c), f in zip(arcs, start)]
-    caps = [c for (_, _, c) in arcs]
+    net = FlowNetwork(num_vertices, arcs, start)
     value = net.max_flow(source, sink) - excess[source]
     side = net.residual_reachable(source)
     cut = [i for i, (u, v, c) in enumerate(arcs)
            if u in side and v not in side]
-    if sum(caps[i] for i in cut) != value:
+    if sum(arcs[i][2] for i in cut) != value:
         raise CertificateError("cut does not certify the flow")
-    flows = [caps[i] - net.cap[handles[i]] for i in range(len(arcs))]
-    return MaxFlowResult(value, flows, cut, side)
+    return MaxFlowResult(value, net.cap[1::2], cut, side)
 
 
 # ---------------------------------------------------------------------------
 # Ponzi certificates
 
-@dataclass
 class PonziCertificate:
     """Bounded flow giving every inner vertex net inflow exactly one.
 
     flow maps each ball edge (i, j) with i < j to the net flow from i to j.
     """
 
-    ball: CayleyBall
-    bound: int
-    flow: dict
-
     feasible = True
+
+    def __init__(self, ball, bound, flow):
+        self.ball = ball
+        self.bound = bound
+        self.flow = flow
 
     def verify(self):
         """Re-check both certificate invariants edge-by-edge, vertex-by-vertex.
@@ -332,18 +325,18 @@ class PonziCertificate:
         return self
 
 
-@dataclass
 class InfeasibleCut:
     """A cut whose capacity is too small to feed the inner ball."""
 
-    ball: CayleyBall
-    bound: int
-    capacity: int
-    demand: int
-    cut_edges: list
-    source_side: frozenset
-
     feasible = False
+
+    def __init__(self, ball, bound, capacity, demand, cut_edges, source_side):
+        self.ball = ball
+        self.bound = bound
+        self.capacity = capacity
+        self.demand = demand
+        self.cut_edges = cut_edges
+        self.source_side = source_side
 
 
 def _ponzi_network(ball, t):
@@ -398,12 +391,12 @@ def _ponzi_probe(ball, t, start=None):
                           result.source_side), result.arc_flows)
 
 
-@dataclass
 class MinBoundResult:
-    ball: CayleyBall
-    t_min: int
-    certificate: PonziCertificate
-    cut_below: InfeasibleCut  # None when t_min == 1
+    def __init__(self, ball, t_min, certificate, cut_below):
+        self.ball = ball
+        self.t_min = t_min
+        self.certificate = certificate
+        self.cut_below = cut_below  # None when t_min == 1
 
 
 def min_ponzi_bound(ball):
@@ -493,6 +486,7 @@ def free_group_ponzi(ball):
 
 def isoperimetric_ratio(ball):
     """(inner count, crossing edges, inner/crossing as an exact rational)."""
+    from fractions import Fraction  # imported here to keep it off eqhom's start-up
     inner = ball.inner_count
     crossing = len(ball.crossing_edges())
     return inner, crossing, Fraction(inner, crossing)
@@ -501,11 +495,11 @@ def isoperimetric_ratio(ball):
 # ---------------------------------------------------------------------------
 # the counterexample-mechanism report
 
-@dataclass
 class AmenabilityReport:
-    group: str
-    rows: list = field(default_factory=list)  # (R, ball, inner, crossing, t_min)
-    verdict: str = ""
+    def __init__(self, group, rows=None, verdict=""):
+        self.group = group
+        self.rows = [] if rows is None else rows  # (R, ball, inner, crossing, t_min)
+        self.verdict = verdict
 
     def add(self, radius, ball_size, inner, crossing, t_min):
         if t_min is not None and crossing and t_min < -(-inner // crossing):
@@ -523,16 +517,17 @@ class AmenabilityReport:
         return "\n".join(lines)
 
 
-@dataclass
 class GromovReport:
-    rank: int
-    radius: int
-    factor: GroupModel
-    torus_lines: list
-    ponzi_lines: list
-    tensor_lines: list
-    certified: bool
-    kv: dict
+    def __init__(self, rank, radius, factor, torus_lines, ponzi_lines, tensor_lines,
+                 certified, kv):
+        self.rank = rank
+        self.radius = radius
+        self.factor = factor
+        self.torus_lines = torus_lines
+        self.ponzi_lines = ponzi_lines
+        self.tensor_lines = tensor_lines
+        self.certified = certified
+        self.kv = kv
 
     def render(self):
         out = ["[H_n(Z^n)]"]

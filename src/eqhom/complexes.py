@@ -13,12 +13,11 @@ v), and the lift of a simplex at sheet g places its smallest vertex v0 on
 (v0, g) and vertex v_i on (v_i, g . h(v0, v_i)).
 """
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import InputError, ModelMismatch, PreconditionError
-from .groups import (FiniteGroup, GroupPresentation, Exceeded,
-                     IntRepresentation, todd_coxeter, trivial_rep)
+from .groups import (FiniteGroup, GroupPresentation, Exceeded, todd_coxeter,
+                     trivial_rep)
 from .intlinalg import IntMatrix, chain_homology
 
 
@@ -357,7 +356,6 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
 # ---------------------------------------------------------------------------
 # local coefficient systems
 
-@dataclass
 class LocalSystem:
     """A coefficient module for a complex: trivial Z^rank, or a pi-module.
 
@@ -365,15 +363,14 @@ class LocalSystem:
     only the base complex.
     """
 
-    complex: SimplicialComplex
-    rank: int
-    cover: EquivariantComplex = None
-    rep: IntRepresentation = None
-    label: str = "Z"
-
-    def __post_init__(self):
-        if self.rep is not None and self.cover is None:
+    def __init__(self, complex, rank, cover=None, rep=None, label="Z"):
+        if rep is not None and cover is None:
             raise ModelMismatch("twisted local system has no cover")
+        self.complex = complex
+        self.rank = rank
+        self.cover = cover
+        self.rep = rep
+        self.label = label
 
     @classmethod
     def trivial(cls, cx, rank=1, label=None):

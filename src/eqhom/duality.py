@@ -14,14 +14,11 @@ facts, verified exactly by the test suite on random cochain/chain data:
 Cocycles map to cycles under cap with the fundamental class.
 """
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .complexes import (LocalSystem, chain_boundary_matrix,
                         cochain_differential_matrix)
 from .groups import augmentation_ideal_rep
-from .intlinalg import (AbelianGroupInvariants, PairHomology,
-                        is_isomorphism_onto, matvec)
+from .intlinalg import PairHomology, is_isomorphism_onto, matvec
 
 
 class NotPseudomanifold(PreconditionError):
@@ -40,13 +37,13 @@ class DimensionMismatch(PreconditionError):
     pass
 
 
-@dataclass
 class TriangulatedManifold:
     """A closed oriented triangulated manifold: complex + facet signs."""
 
-    complex: object
-    dim: int
-    orientation: tuple
+    def __init__(self, complex, dim, orientation):
+        self.complex = complex
+        self.dim = dim
+        self.orientation = orientation
 
     def fundamental_cycle(self):
         return list(self.orientation)
@@ -237,13 +234,13 @@ def cap(phi, manifold):
 # ---------------------------------------------------------------------------
 # homology classes and reports
 
-@dataclass
 class HomologyClassReport:
     """A class in a computed homology group, in Smith coordinates."""
 
-    group: AbelianGroupInvariants
-    coordinates: tuple
-    description: str = ""
+    def __init__(self, group, coordinates, description=""):
+        self.group = group
+        self.coordinates = coordinates
+        self.description = description
 
     @property
     def is_zero(self):
@@ -255,17 +252,17 @@ class HomologyClassReport:
         return f"{self.description}class = {coords} in {self.group} [{status}]"
 
 
-@dataclass
 class PdEntry:
-    degree: int
-    cohomology: AbelianGroupInvariants
-    homology: AbelianGroupInvariants
-    cap_is_isomorphism: bool
+    def __init__(self, degree, cohomology, homology, cap_is_isomorphism):
+        self.degree = degree
+        self.cohomology = cohomology
+        self.homology = homology
+        self.cap_is_isomorphism = cap_is_isomorphism
 
 
-@dataclass
 class PdReport:
-    entries: list
+    def __init__(self, entries):
+        self.entries = entries
 
     @property
     def ok(self):

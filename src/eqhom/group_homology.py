@@ -16,7 +16,6 @@ H_n(pi) = ker(phi) / (relations of the source coinvariants).  Both routes
 are exact and are tested against each other.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetError
@@ -114,12 +113,12 @@ def bar_homology(model, n, coefficients=None):
     return chain_homology([bar.boundary_matrix(n), bar.boundary_matrix(n + 1)])[0]
 
 
-@dataclass
 class CoinvariantsPresentation:
     """Z^rank(L) / span{rho(g) x - x : g generator} presents L (x)_pi Z."""
 
-    representation: object
-    matrix: IntMatrix
+    def __init__(self, representation, matrix):
+        self.representation = representation
+        self.matrix = matrix
 
     @classmethod
     def of(cls, rep):
@@ -177,12 +176,12 @@ def shift_homology(model, n):
     return chain_homology([phi, rel_src])[0]
 
 
-@dataclass
 class ShiftChainReport:
     """H_{n-k}(pi; I^(x)k) for k = 0..n-1, with an equality verdict."""
 
-    degrees: list
-    values: list
+    def __init__(self, degrees, values):
+        self.degrees = degrees
+        self.values = values
 
     @property
     def all_equal(self):
@@ -212,9 +211,9 @@ def shift_chain_check(model, n):
     return ShiftChainReport(degrees, values)
 
 
-@dataclass
 class ProjectiveVanishingReport:
-    values: list
+    def __init__(self, values):
+        self.values = values
 
     @property
     def all_trivial(self):

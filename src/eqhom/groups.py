@@ -15,8 +15,6 @@ trailing apostrophe.  In text form a word is either a string of
 single-character names (``aba'``) or dot-separated names (``x0.x1'``).
 """
 
-from dataclasses import dataclass
-
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
 from .intlinalg import IntMatrix, matmul
 
@@ -95,23 +93,27 @@ def _as_word(word):
     return tuple((g, int(e)) for g, e in word)
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
-    """Generators and relators; relator words are freely reduced."""
+    """Generators and relators; relator words are freely reduced.
 
-    generators: tuple
-    relators: tuple
+    Equal presentations compare and hash equal.
+    """
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
-        rels = tuple(free_reduce(_as_word(w)) for w in self.relators)
-        object.__setattr__(self, "relators", rels)
+    def __init__(self, generators, relators):
+        self.generators = gens = tuple(generators)
+        self.relators = rels = tuple(free_reduce(_as_word(w)) for w in relators)
         known = set(gens)
         for rel in rels:
             for g, _ in rel:
                 if g not in known:
                     raise UnknownGenerator(f"relator uses unknown generator {g!r}")
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupPresentation) and self.generators == other.generators
+                and self.relators == other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     def render(self):
         lines = ["gens: " + " ".join(self.generators)]

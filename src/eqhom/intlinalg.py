@@ -39,7 +39,6 @@ combination of the rows kept, and the invariant factors do not change.
 Only unit pivots are used: a residual pivot need not be a unit.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import PreconditionError
@@ -210,23 +209,20 @@ def matvec(a, v):
     return [sum([x * v[j] for j, x in row.items()]) for row in a._nz]
 
 
-@dataclass(frozen=True)
 class AbelianGroupInvariants:
     """A finitely generated abelian group: Z^free_rank + sum of Z/d.
 
     torsion is the ascending divisibility chain d_1 | d_2 | ..., each >= 2.
+    Equal invariants compare and hash equal.
 
     >>> str(AbelianGroupInvariants(1, (2,)))
     'Z^1 + Z/2'
     """
 
-    free_rank: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        tor = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", tor)
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion=()):
+        self.free_rank = free_rank
+        self.torsion = tor = tuple(int(d) for d in torsion)
+        if free_rank < 0:
             raise ValueError("negative free rank")
         for d in tor:
             if d < 2:
@@ -234,6 +230,13 @@ class AbelianGroupInvariants:
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise ValueError(f"torsion chain broken: {a} does not divide {b}")
+
+    def __eq__(self, other):
+        return (isinstance(other, AbelianGroupInvariants)
+                and self.free_rank == other.free_rank and self.torsion == other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def from_cokernel(cls, ambient_rank, factors):
@@ -261,7 +264,6 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """U.A.V = S with U, V unimodular and S diagonal in divisibility order.
 
@@ -273,10 +275,11 @@ class SmithForm:
     U, uinv, V and vinv build the matrix afresh on each access, as does S.
     """
 
-    shape: tuple
-    invariant_factors: tuple
-    row_ops: list
-    col_ops: list
+    def __init__(self, shape, invariant_factors, row_ops, col_ops):
+        self.shape = shape
+        self.invariant_factors = invariant_factors
+        self.row_ops = row_ops
+        self.col_ops = col_ops
 
     @property
     def rank(self):

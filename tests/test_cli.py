@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import eqhom
 from eqhom.cli import parse_group_spec, run
 from eqhom.groups import FreeAbelianGroup, FreeGroup, ProductGroup
 
@@ -202,9 +208,31 @@ class TestExitCodes:
     # The coarse commands enumerate no cosets, so they take no coset budget.
     (("ball", "f2", "--radius", "1", "--max-cosets", "5"), 1,
      "unrecognized arguments: --max-cosets 5"),
+    # folner checks the radius itself: a radius below 1 builds no ball.
+    *[((cmd, "z2", "--radius", r), 1, "radius must be >= 1")
+      for cmd in ("ball", "ponzi", "min-bound", "folner") for r in ("0", "-3")],
 ])
 def test_error_line_is_the_only_output(argv, code, message):
     assert invoke(*argv) == (code, f"error: {message}\n")
+
+
+def test_import_loads_every_layer_and_nothing_slow():
+    """A fresh ``import eqhom.cli`` binds every layer module, which
+    bench/tracejob.py looks up right after it, and leaves dataclasses,
+    fractions and decimal unloaded: they cost start-up time in every job."""
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import eqhom.cli
+        print(" ".join(sorted(set(sys.modules) - before)))
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqhom.__file__)))
+    added = set(subprocess.run([sys.executable, "-c", script],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, check=True).stdout.split())
+    layers = ("cli", "intlinalg", "groups", "complexes", "duality", "group_homology", "coarse")
+    assert {f"eqhom.{m}" for m in layers} <= added
+    assert not added & {"dataclasses", "fractions", "decimal"}
 
 
 def test_shift_degree_checked_before_bar_route(monkeypatch):

@@ -251,7 +251,7 @@ class TestLocalCoefficients:
 
     def test_twisted_system_needs_a_cover(self, rp3_cover):
         rep = augmentation_ideal_rep(rp3_cover.model)
-        with pytest.raises(ModelMismatch):
+        with pytest.raises(ModelMismatch, match="^twisted local system has no cover$"):
             LocalSystem(rp3_cover.base, rep.rank, rep=rep)
 
     def test_simply_connected_any_coefficients(self, s2cx):

@@ -44,8 +44,15 @@ class TestWords:
         assert len(pres.relators) == 3
 
     def test_unknown_generator(self):
-        with pytest.raises(UnknownGenerator):
+        with pytest.raises(UnknownGenerator, match="^relator uses unknown generator 'b'$"):
             GroupPresentation(("a",), ("ab",))
+
+    def test_presentations_equal_by_value(self):
+        a = GroupPresentation(("a", "b"), ("aa", "bb'b"))
+        b = GroupPresentation(["a", "b"], [parse_word("aa"), (("b", 1),)])
+        assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+        assert a != GroupPresentation(("a", "b"), ("aa",))
+        assert a != GroupPresentation(("b", "a"), ("aa", "b"))
 
 
 class TestToddCoxeter:

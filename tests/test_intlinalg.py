@@ -645,6 +645,21 @@ class TestCokernel:
         assert str(AbelianGroupInvariants(0)) == "0"
         assert str(AbelianGroupInvariants(0, (2, 4))) == "Z/2 + Z/4"
 
+    def test_value_equality_and_hash(self):
+        a, b = AbelianGroupInvariants(1, (2,)), AbelianGroupInvariants(1, [2])
+        assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+        assert a != AbelianGroupInvariants(1, (4,)) and a != AbelianGroupInvariants(2, (2,))
+        assert a != (1, (2,))
+
+    @pytest.mark.parametrize("free, torsion, message", [
+        (-1, (), "negative free rank"),
+        (0, (1,), "torsion order 1 < 2"),
+        (0, (2, 3), "torsion chain broken: 2 does not divide 3"),
+    ])
+    def test_validation(self, free, torsion, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AbelianGroupInvariants(free, torsion)
+
 
 class TestHomologyOfPair:
     def triangle_boundary(self):
