@@ -20,6 +20,8 @@ eliminate on copies of them:
   on a vector applies U or V^-1 (in order) or U^-1 or V (in reverse);
   ``PairHomology`` replays the column tape on the rows of d_{k+1}, and a
   transform is built as a matrix only on request, from the identity.
+  Each reader records only the tape it replays: ``QuotientLattice`` the
+  row tape, ``PairHomology`` and ``kernel_basis`` the column tape.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   in Markowitz order first: least (row length - 1) * (column length - 1),
   ties broken by (row, col).  A priority queue supplies them
@@ -273,6 +275,7 @@ class SmithForm:
     tape applies U and the column tape V^-1; replayed backwards through
     the inverse operations, U^-1 and V.  apply_* replays on one vector;
     U, uinv, V and vinv build the matrix afresh on each access, as does S.
+    A tape that was not recorded is None.
     """
 
     def __init__(self, shape, invariant_factors, row_ops, col_ops):
@@ -536,10 +539,15 @@ def _snf_inplace(md, m, n, row_ops=None, col_ops=None):
     return [md[i].get(i, 0) for i in range(limit)]
 
 
-def _smith(A):
-    """SmithForm of A with both tapes, eliminating on a copy of A's rows."""
+def _smith(A, row_tape=True, col_tape=True):
+    """SmithForm of A, eliminating on a copy of A's rows.
+
+    Only the tapes asked for are recorded; an unrecorded tape is None.
+    The pivots do not depend on which tapes are kept.
+    """
     m, n = A.rows, A.cols
-    row_ops, col_ops = [], []
+    row_ops = [] if row_tape else None
+    col_ops = [] if col_tape else None
     diag = _snf_inplace([dict(r) for r in A._nz], m, n, row_ops, col_ops)
     return SmithForm((m, n), tuple(diag), row_ops, col_ops)
 
@@ -762,7 +770,7 @@ def kernel_basis(A):
     >>> kernel_basis(IntMatrix.from_rows([[2, 4]])).col(0)
     [-2, 1]
     """
-    sf = _smith(A)
+    sf = _smith(A, row_tape=False)
     n, r = A.cols, sf.rank
     # V times the columns r..n-1 of the identity
     return IntMatrix._adopt(n, n - r, _replay(
@@ -826,13 +834,13 @@ class QuotientLattice:
 
     Coordinate order matches the rendered invariants: free coordinates
     first, then torsion in ascending order; entries with invariant factor
-    1 are dropped.  Only the row tape of the factorization is kept.
+    1 are dropped.  Only the row tape of the factorization is recorded.
     """
 
     def __init__(self, ambient, relations):
         if relations.rows != ambient:
             raise ValueError("relations must live in the ambient lattice")
-        sf = _smith(relations)
+        sf = _smith(relations, col_tape=False)
         diag = sf.invariant_factors
         self.ambient = ambient
         self._row_ops = sf.row_ops
@@ -867,12 +875,12 @@ class PairHomology:
 
     ker(d_k) is the last n - r coordinates of V^-1, so below row r,
     V^-1 d_{k+1} (d_k's column tape replayed on d_{k+1}'s rows) is the
-    image in kernel coordinates.  Only that tape is kept.
+    image in kernel coordinates.  Only that tape is recorded.
     """
 
     def __init__(self, d_k, d_kplus1):
         _check_composition_zero(d_k, d_kplus1)
-        sf = _smith(d_k)
+        sf = _smith(d_k, row_tape=False)
         n, r = d_k.cols, sf.rank
         self._n, self._r, self._col_ops = n, r, sf.col_ops
         image = _replay(sf.col_ops, [dict(row) for row in d_kplus1._nz])[r:]

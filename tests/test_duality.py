@@ -4,10 +4,13 @@ from math import comb
 import pytest
 
 from eqhom import duality, intlinalg
+from eqhom.cli import run
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
-                             chain_boundary_matrix, homology, torus_complex)
+                             chain_boundary_matrix, homology, lens_space,
+                             torus_complex)
 from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
-                           NotPseudomanifold, bs_class_report, bs_power,
+                           NotPseudomanifold, TriangulatedManifold,
+                           bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
                            pd_check, pert_finite)
@@ -15,7 +18,7 @@ from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
 
-from conftest import unit_cocycle
+from conftest import load_fixture, unit_cocycle
 from determinant import determinant
 
 Z2 = AbelianGroupInvariants(0, (2,))
@@ -198,6 +201,24 @@ class TestToruspairing:
         assert abs(determinant(IntMatrix.from_rows(images))) == 1
 
 
+def by_degree(manifold, system):
+    """The per-degree route pd_check falls back to when the cone is not acyclic."""
+    return duality._pd_check_by_degree(
+        manifold, system, *duality._differentials(system, manifold.dim))
+
+
+def suspension(cx):
+    """Cone every facet to two new vertices: the suspension of cx."""
+    top = max(v for f in cx.facets for v in f)
+    return SimplicialComplex([f + (v,) for f in cx.facets for v in (top + 1, top + 2)])
+
+
+def doubled(manifold):
+    """The same complex with twice its fundamental class."""
+    return TriangulatedManifold(manifold.complex, manifold.dim,
+                                tuple(2 * c for c in manifold.orientation))
+
+
 class TestPdCheck:
     @pytest.mark.parametrize("name", ["t2", "s2cx", "s3cx"])
     def test_trivial_coefficients(self, name, request):
@@ -217,6 +238,89 @@ class TestPdCheck:
             system = LocalSystem.from_rep(rp3_cover, tensor_power(ideal, power))
         assert pd_check(orient(rp3), system).ok
 
+    def test_suspended_torus_fails_by_degree(self, t2, tmp_path):
+        # An orientable pseudomanifold whose cone points break duality:
+        # H^1 = 0 but H_2 = Z^2.
+        path = tmp_path / "susp_t2.cplx"
+        path.write_text("".join("f " + " ".join(map(str, f)) + "\n"
+                                for f in suspension(t2).facets))
+        assert run(["pd-check", str(path)]) == (2, (
+            "error: duality pairing failed: k=1: H^1 = 0 ~ H_2 = Z^2 [NOT ISO]; "
+            "k=2: H^2 = Z^2 ~ H_1 = 0 [NOT ISO]\n"))
+
+    def test_doubled_class_fails_with_z(self, rp3):
+        manifold = doubled(orient(rp3))
+        report = pd_check(manifold, LocalSystem.trivial(rp3))
+        assert report.render() == (
+            "k=0: H^0 = Z^1 ~ H_3 = Z^1 [NOT ISO]\n"
+            "k=1: H^1 = 0 ~ H_2 = 0 [iso]\n"
+            "k=2: H^2 = Z/2 ~ H_1 = Z/2 [NOT ISO]\n"
+            "k=3: H^3 = Z^1 ~ H_0 = Z^1 [NOT ISO]\n"
+            "PD CHECK: FAIL")
+
+    def test_doubled_class_fails_with_group_ring(self, rp3, rp3_cover):
+        manifold = doubled(orient(rp3))
+        system = LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+        assert pd_check(manifold, system).render() == (
+            "k=0: H^0 = Z^1 ~ H_3 = Z^1 [NOT ISO]\n"
+            "k=1: H^1 = 0 ~ H_2 = 0 [iso]\n"
+            "k=2: H^2 = 0 ~ H_1 = 0 [iso]\n"
+            "k=3: H^3 = Z^1 ~ H_0 = Z^1 [NOT ISO]\n"
+            "PD CHECK: FAIL")
+
+    def test_doubled_class_passes_on_three_torsion(self):
+        # H_*(L(3, 1); I) is all 3-torsion, where doubling is invertible,
+        # so these coefficients cannot see a doubled class.
+        cx = lens_space(3)
+        cover = build_cover(cx)
+        system = LocalSystem.from_rep(cover, augmentation_ideal_rep(cover.model))
+        assert pd_check(doubled(orient(cx)), system).ok
+
+    def test_wrong_cap_sign_is_refused(self, t2, monkeypatch):
+        # The cone's composition check, not an assert, proves the eps_k signs.
+        real = duality._cap_matrix
+
+        def flipped(manifold, system, k):
+            phi = real(manifold, system, k)
+            sign = -1 if k == 1 else 1
+            return IntMatrix.from_blocks(phi.rows, phi.cols, (1, 1), [(0, 0, sign, phi)])
+
+        monkeypatch.setattr(duality, "_cap_matrix", flipped)
+        with pytest.raises(intlinalg.ChainConditionViolated):
+            pd_check(orient(t2), LocalSystem.trivial(t2))
+
+
+class TestPdRoutesAgree:
+    """The cone verdict against the per-degree route it replaces on a pass."""
+
+    @pytest.mark.parametrize("name", ["circle", "t2", "t3", "s2", "s3", "rp3"])
+    def test_closed_fixtures_with_z(self, name):
+        cx = load_fixture(name + ".cplx")
+        manifold, system = orient(cx), LocalSystem.trivial(cx)
+        report = pd_check(manifold, system)
+        assert report.ok
+        assert report.render() == by_degree(manifold, system).render()
+
+    @pytest.mark.parametrize("power", [1, 2, 3, None], ids=["I", "I^2", "I^3", "Zpi"])
+    def test_rp3_twisted(self, rp3, rp3_cover, power):
+        model = rp3_cover.model
+        rep = regular_rep(model) if power is None else \
+            tensor_power(augmentation_ideal_rep(model), power)
+        manifold, system = orient(rp3), LocalSystem.from_rep(rp3_cover, rep)
+        report = pd_check(manifold, system)
+        assert report.ok
+        assert report.render() == by_degree(manifold, system).render()
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_lens_spaces_with_i(self, p):
+        cx = lens_space(p)
+        cover = build_cover(cx)
+        system = LocalSystem.from_rep(cover, augmentation_ideal_rep(cover.model))
+        manifold = orient(cx)
+        report = pd_check(manifold, system)
+        assert report.ok
+        assert report.render() == by_degree(manifold, system).render()
+
 
 class TestReadersReplayTapes:
     """Coordinates and generator lifts come from replaying the elimination's
@@ -226,12 +330,16 @@ class TestReadersReplayTapes:
         factored, built = [], []
         real_smith, real_build = intlinalg._smith, intlinalg._tape_matrix
         monkeypatch.setattr(intlinalg, "_smith",
-                            lambda m: factored.append(m) or real_smith(m))
+                            lambda m, **kw: factored.append(m) or real_smith(m, **kw))
         monkeypatch.setattr(intlinalg, "_tape_matrix",
                             lambda *args: built.append(args) or real_build(*args))
         manifold = orient(rp3)
         system = LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+        # a passing pd_check decides by the cone, without a Smith transform
         assert pd_check(manifold, system).ok
+        assert factored == []
+        # the per-degree route still reads its coordinates from tapes
+        assert by_degree(manifold, system).ok
         assert essentiality_pairing(manifold, rp3_cover).coordinates == (1,)
         assert bs_class_report(rp3_cover, 3).coordinates == (1,)
         assert len(factored) > 10

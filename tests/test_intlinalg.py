@@ -284,6 +284,34 @@ class TestTapeReplay:
                          ("col", 3, False), ("col", 3, True), ("col", 2, False)}
 
 
+    def test_one_tape_is_the_same_elimination(self, monkeypatch):
+        # Recording one tape leaves the pivots alone: the factors and the
+        # recorded tape are those of the two-tape elimination.
+        rng = random.Random(47)
+        for _ in range(30):
+            m, n = rng.randint(1, 20), rng.randint(1, 25)
+            a = sparse_matrix(m, n, [(i, j, rng.randint(-4, 4)) for i in range(m)
+                                     for j in range(n) if rng.random() < 0.3])
+            both = intlinalg._smith(a)
+            rows_only = intlinalg._smith(a, col_tape=False)
+            cols_only = intlinalg._smith(a, row_tape=False)
+            assert rows_only.invariant_factors == cols_only.invariant_factors \
+                == both.invariant_factors
+            assert (rows_only.row_ops, rows_only.col_ops) == (both.row_ops, None)
+            assert (cols_only.row_ops, cols_only.col_ops) == (None, both.col_ops)
+        # Each reader asks for the one tape it replays.
+        asked = []
+        real = intlinalg._smith
+        monkeypatch.setattr(intlinalg, "_smith",
+                            lambda a, **kw: asked.append(kw) or real(a, **kw))
+        d1 = M([[1, -1, 0], [0, 1, -1]])
+        PairHomology(d1, IntMatrix.zeros(3, 0))
+        assert asked == [{"row_tape": False}, {"col_tape": False}]
+        asked.clear()
+        kernel_basis(d1)
+        assert asked == [{"row_tape": False}]
+
+
 class CountingRows(list):
     """A row list that counts the rows read from it; a slice counts its length."""
 
