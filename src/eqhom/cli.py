@@ -103,29 +103,29 @@ def _resolve_coeff(cx, path, max_cosets):
         descriptor = line[len("module:"):].strip()
     if descriptor is None:
         raise InputError(f"{path}: no 'module:' line")
-    parts = descriptor.split()
-    if parts[0] == "trivial":
+    kind, *rest = descriptor.split() or [""]
+    if kind == "trivial" and len(rest) <= 1:
         try:
-            rank = int(parts[1]) if len(parts) > 1 else 1
+            rank = int(rest[0]) if rest else 1
         except ValueError:
             raise InputError(f"bad trivial rank in {descriptor!r}") from None
         if rank < 0:
             raise InputError(f"bad trivial rank in {descriptor!r}")
         return LocalSystem.trivial(cx, rank)
+    if rest or kind not in ("regular", "I") and not kind.startswith("I^"):
+        raise InputError(f"unknown coefficient module {descriptor!r}")
+    try:
+        power = int(kind[2:]) if kind.startswith("I^") else 1
+    except ValueError:
+        raise InputError(f"bad ideal power in {descriptor!r}") from None
+    if power < 1:
+        raise InputError(f"bad ideal power in {descriptor!r}")
     cover = build_cover(cx, max_cosets=max_cosets)
-    if parts[0] == "regular":
+    if kind == "regular":
         return LocalSystem.from_rep(cover, regular_rep(cover.model), label="Zpi")
-    if parts[0] == "I" or parts[0].startswith("I^"):
-        try:
-            power = int(parts[0][2:]) if parts[0] != "I" else 1
-        except ValueError:
-            raise InputError(f"bad ideal power in {descriptor!r}") from None
-        if power < 1:
-            raise InputError(f"bad ideal power in {descriptor!r}")
-        rep = tensor_power(augmentation_ideal_rep(cover.model), power)
-        label = "I" if power == 1 else f"I^{power}"
-        return LocalSystem.from_rep(cover, rep, label=label)
-    raise InputError(f"unknown coefficient module {descriptor!r}")
+    rep = tensor_power(augmentation_ideal_rep(cover.model), power)
+    label = "I" if power == 1 else f"I^{power}"
+    return LocalSystem.from_rep(cover, rep, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +164,11 @@ def _cmd_cover(args, out):
     cx = _load_complex(args.file)
     cover = build_cover(cx, max_cosets=args.max_cosets)
     out.append(f"pi1 order = {cover.model.order}")
-    counts = cover.cover_complex().counts()
-    for k, c in enumerate(counts):
+    for k, c in enumerate(cover.counts()):
         out.append(f"dim {k}: {c} cells")
-    out.append(render_homology(homology(cover.cover_complex())))
+    # Shapiro's lemma: H_*(cover; Z) = H_*(X; Z[pi]).
+    out.append(render_homology(local_homology(
+        LocalSystem.from_rep(cover, regular_rep(cover.model)))))
 
 
 def _cmd_group_homology(args, out):

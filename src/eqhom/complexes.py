@@ -10,7 +10,9 @@ translation of the leading face.
 Deck bookkeeping follows the edge-path group: the holonomy of an edge
 (u, v) is the class of (tree path to u) + (u, v) + (tree path back from
 v), and the lift of a simplex at sheet g places its smallest vertex v0 on
-(v0, g) and vertex v_i on (v_i, g . h(v0, v_i)).
+(v0, g) and vertex v_i on (v_i, g . h(v0, v_i)).  Computations on the
+cover run on the base with Z[pi] coefficients (Shapiro's lemma); the plain
+cover as a simplicial complex is only a reference for checking them.
 """
 
 from itertools import combinations, permutations
@@ -44,7 +46,7 @@ class PresentationMismatch(PreconditionError):
 class SimplicialComplex:
     """Downward-closed face lattice generated by a list of simplices."""
 
-    def __init__(self, simplices, orient_directive=False):
+    def __init__(self, simplices):
         faces = set()
         for s in simplices:
             s = tuple(sorted(int(v) for v in s))
@@ -66,7 +68,6 @@ class SimplicialComplex:
         # Faces are downward closed: a facet is no codimension-one face.
         covered = {f[:i] + f[i + 1:] for f in faces for i in range(len(f))}
         self.facets = sorted(faces - covered, key=lambda s: (len(s), s))
-        self.orient_directive = orient_directive
 
     def simplices(self, k):
         if 0 <= k <= self.dim:
@@ -126,15 +127,14 @@ class SimplicialComplex:
 
 
 def load_complex(text):
-    """Parse the ``f v0 v1 ...`` facet format (# comments, orient: auto)."""
+    """Parse the ``f v0 v1 ...`` facet format (# comments); an ``orient:
+    auto`` line is ignored, as ``orient`` always computes the orientation."""
     simplices = []
-    orient_directive = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "orient: auto":
-            orient_directive = True
             continue
         parts = line.split()
         if parts[0] != "f":
@@ -150,7 +150,7 @@ def load_complex(text):
         if len(set(verts)) != len(verts):
             raise DuplicateVertexInSimplex(f"line {lineno}: repeated vertex")
         simplices.append(tuple(verts))
-    return SimplicialComplex(simplices, orient_directive=orient_directive)
+    return SimplicialComplex(simplices)
 
 
 def load_complex_file(path):
@@ -222,8 +222,9 @@ class EquivariantComplex:
     """The universal cover of a base complex, as a free Z[pi] chain complex.
 
     boundary_terms(k)[j] lists (face_index, sign, deck_element) triples for
-    the j-th base k-simplex; the plain cover is exposed as a simplicial
-    complex on vertex labels v * |pi| + g.
+    the j-th base k-simplex.  The plain cover, a simplicial complex on
+    vertex labels v * |pi| + g, is a reference only: the library computes
+    on the cover through LocalSystem.from_rep with Z[pi] coefficients.
     """
 
     def __init__(self, base, model, basepoint=0):
@@ -246,7 +247,6 @@ class EquivariantComplex:
             self._holonomy[(e[1], e[0])] = model.inv(h)
         self._terms = {}
         self._cover = None
-        self._cover_index = {}
 
     def holonomy(self, u, v):
         """Deck translation of the edge u -> v (both orders stored)."""
@@ -286,7 +286,7 @@ class EquivariantComplex:
                     return False
         return True
 
-    # -- the plain cover ----------------------------------------------------
+    # -- the plain cover, a reference for tests and demos ---------------------
 
     def vertex_label(self, v, g):
         return v * self.model.order + g
@@ -305,18 +305,6 @@ class EquivariantComplex:
                                         for i, v in enumerate(s)))
             self._cover = SimplicialComplex(facets)
         return self._cover
-
-    def cover_cell(self, simplex, g):
-        """Vertex tuple of the lift of a base simplex at sheet g."""
-        return tuple(self.vertex_label(v, self.vertex_sheet(simplex, i, g))
-                     for i, v in enumerate(simplex))
-
-    def cover_cell_index(self, simplex, g):
-        key = (tuple(simplex), g)
-        if key not in self._cover_index:
-            self._cover_index[key] = self.cover_complex().index(
-                self.cover_cell(simplex, g))
-        return self._cover_index[key]
 
     def deck_image_label(self, label, h):
         v, g = divmod(label, self.model.order)

@@ -34,7 +34,8 @@ generators of each H^k to name the failing degrees.
 from .errors import PreconditionError
 from .complexes import (LocalSystem, chain_boundary_matrix,
                         cochain_differential_matrix)
-from .groups import augmentation_ideal_rep
+from .groups import (augmentation_ideal_rep, regular_rep, tensor_rep,
+                     trivial_rep)
 from .intlinalg import (IntMatrix, PairHomology, chain_homology,
                         is_isomorphism_onto, matvec)
 
@@ -454,9 +455,12 @@ def essentiality_pairing(manifold, cover):
 def pert_finite(phi, cover):
     """Forget equivariance: the class of phi in H^k(cover; Z^rank).
 
-    The value on a lift (sigma, g) is rho(g) applied to the value on the
-    base cell; coordinates are reported in the Smith basis of the cover's
-    ordinary cohomology with Z^rank coefficients.
+    By Shapiro's lemma the cover's cochains are the base's with values in
+    Z[pi] (x) Z^rank, sheet g at basis element g^-1: the lift of sigma at
+    sheet g has face 0 at sheet g h, h = h(v0, v1), and delta reads face 0
+    through left multiplication by h, which fills x from h^-1 x, that is
+    sheet x^-1 h.  The lift carries rho(g) phi(sigma) at sheet g; Smith
+    coordinates refuse a vector that is not a cocycle.
     """
     if phi.system.complex is not cover.base:
         raise BaseMismatch("cochain lives on a different complex")
@@ -464,17 +468,17 @@ def pert_finite(phi, cover):
         raise BaseMismatch("cochain is twisted through a different cover")
     k = phi.degree
     r = phi.system.rank
-    cc = cover.cover_complex()
-    flat = [0] * (len(cc.simplices(k)) * r)
-    for j, s in enumerate(cover.base.simplices(k)):
-        base_val = phi.values[j]
-        for g in cover.model.elements():
+    model = cover.model
+    n = model.order
+    flat = [0] * (len(phi.values) * n * r)
+    for j, base_val in enumerate(phi.values):
+        for g in model.elements():
             val = base_val if phi.system.is_trivial \
                 else phi.system.rep.act(g, base_val)
-            idx = cover.cover_cell_index(s, g) * r
-            for a in range(r):
-                flat[idx + a] = val[a]
-    target = LocalSystem.trivial(cc, r)
+            idx = (j * n + model.inv(g)) * r
+            flat[idx:idx + r] = val
+    target = LocalSystem.from_rep(
+        cover, tensor_rep(regular_rep(model), trivial_rep(model, r)))
     pair = cohomology_pair(target, k)
     coords = pair.coordinates(flat)
     return HomologyClassReport(pair.invariants, coords, description="pert ")

@@ -183,10 +183,14 @@ class TestExitCodes:
 
     def test_bad_coeff_descriptor(self, tmp_path):
         bad = tmp_path / "bad.rep"
-        bad.write_text("module: J^2\n")
-        code, text = invoke("homology", fixture_path("rp3.cplx"),
-                            "--coeff", str(bad))
-        assert code == 1 and "error:" in text
+        for line in ("module: J^2", "module:", "module: trivial 1 2",
+                     "module: regular extra", "module: I^2 junk",
+                     "module: I^x", "module: I^0", "module: trivial -1"):
+            bad.write_text(line + "\n")
+            code, text = invoke("homology", fixture_path("rp3.cplx"),
+                                "--coeff", str(bad))
+            assert code == 1 and text.startswith("error:"), line
+            assert text.count("\n") == 1, line
 
 
 @pytest.mark.parametrize("argv, code, message", [

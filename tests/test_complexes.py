@@ -53,8 +53,16 @@ class TestConstruction:
         with pytest.raises(DuplicateVertexInSimplex):
             load_complex("f 0 0 1\n")
 
-    def test_orient_directive(self, t2):
-        assert t2.orient_directive
+    def test_orient_line_is_ignored(self):
+        with open(fixture_path("t2.cplx"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "orient: auto" in text
+        bare = "\n".join(line for line in text.splitlines()
+                         if line.strip() != "orient: auto")
+        with_line, without = load_complex(text), load_complex(bare)
+        assert with_line.facets == without.facets
+        assert all(with_line.simplices(k) == without.simplices(k)
+                   for k in range(with_line.dim + 1))
 
     def test_facets_are_the_maximal_faces(self):
         def quadratic_facets(cx):

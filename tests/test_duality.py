@@ -418,7 +418,75 @@ class TestEssentiality:
             orient(rp2)
 
 
+@pytest.fixture(scope="module")
+def s2_cover(s2cx):
+    return build_cover(s2cx)
+
+
+@pytest.fixture(scope="module")
+def lens3_cover():
+    return build_cover(lens_space(3))
+
+
+def pert_on_cover_complex(phi, cover):
+    """Reference for pert_finite: lift phi cell by cell onto the plain cover.
+
+    The lift of sigma at sheet g is the cover simplex on the labels of
+    (v_i, g h(v0, v_i)) and carries rho(g) phi(sigma).  Returns the
+    invariants and Smith coordinates of its class in H^k(cover; Z^rank).
+    """
+    k, r = phi.degree, phi.system.rank
+    cc = cover.cover_complex()
+    flat = [0] * (len(cc.simplices(k)) * r)
+    for s, base_val in zip(cover.base.simplices(k), phi.values):
+        for g in cover.model.elements():
+            cell = tuple(cover.vertex_label(v, cover.vertex_sheet(s, i, g))
+                         for i, v in enumerate(s))
+            idx = cc.index(cell) * r
+            flat[idx:idx + r] = base_val if phi.system.is_trivial \
+                else phi.system.rep.act(g, base_val)
+    pair = cohomology_pair(LocalSystem.trivial(cc, r), k)
+    return pair.invariants, pair.coordinates(flat)
+
+
+def pert_inputs(cover):
+    """Every integral generator of H^k(base), then beta^1..beta^3."""
+    sys0 = LocalSystem.trivial(cover.base)
+    for k in range(cover.base.dim + 1):
+        co = cohomology_pair(sys0, k)
+        for i in range(co.num_generators):
+            yield f"H^{k} generator {i}", Cochain.from_flat(sys0, k, co.generator_cycle(i))
+    for k in (1, 2, 3):
+        yield f"beta^{k}", bs_power(cover, k)
+
+
 class TestPert:
+    @pytest.mark.parametrize("cover_name", ["rp2_cover", "rp3_cover", "s2_cover",
+                                            "lens3_cover"])
+    def test_matches_cover_complex_lift(self, cover_name, request):
+        # H^*(cover; Z^r) computed as H^*(base; Zpi (x) Z^r) agrees with the
+        # plain cover; Smith bases may differ in sign, so compare |coordinates|.
+        cover = request.getfixturevalue(cover_name)
+        seen_nonzero = False
+        for name, phi in pert_inputs(cover):
+            report = pert_finite(phi, cover)
+            group, coords = pert_on_cover_complex(phi, cover)
+            assert report.group == group, name
+            assert tuple(map(abs, report.coordinates)) == tuple(map(abs, coords)), name
+            seen_nonzero |= not report.is_zero
+        assert seen_nonzero
+
+    def test_lift_at_sheet_g_is_not_a_cocycle(self, lens3_cover, monkeypatch):
+        # Storing sheet g at basis element g rather than g^-1 breaks the
+        # identification with the cover's cochains.  Z/3 has elements that
+        # are not their own inverses, so the cocycle check must refuse it.
+        # beta^3 is left out: every top-degree cochain is a cocycle.
+        powers = [bs_power(lens3_cover, k) for k in (1, 2)]
+        monkeypatch.setattr(lens3_cover.model, "inv", lambda g: g)
+        for power in powers:
+            with pytest.raises(ValueError, match="vector is not a cycle"):
+                pert_finite(power, lens3_cover)
+
     def test_trivial_group_identity(self, s2cx):
         cover = build_cover(s2cx)
         sys0 = LocalSystem.trivial(s2cx)
