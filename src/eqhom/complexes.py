@@ -162,30 +162,29 @@ def load_complex_file(path):
 # edge-path fundamental group
 
 def _spanning_tree(cx, basepoint):
+    """Edges, as sorted pairs, of the BFS spanning tree at the basepoint."""
     if (basepoint,) not in cx._index[0]:
         raise InputError(f"basepoint {basepoint} is not a vertex")
-    if not cx.is_connected():
-        raise NotConnected("complex is not connected")
     adj = cx.vertex_adjacency()
-    parent = {basepoint: None}
-    order = [basepoint]
+    seen = {basepoint}
+    tree_edges = set()
     frontier = [basepoint]
     while frontier:
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
+                if w not in seen:
+                    seen.add(w)
+                    tree_edges.add((u, w) if u < w else (w, u))
                     nxt.append(w)
         frontier = nxt
-    tree_edges = {tuple(sorted((u, p))) for u, p in parent.items()
-                  if p is not None}
-    return parent, tree_edges
+    if len(seen) != cx.vertices:
+        raise NotConnected("complex is not connected")
+    return tree_edges
 
 
 def _edge_path_data(cx, basepoint):
-    parent, tree_edges = _spanning_tree(cx, basepoint)
+    tree_edges = _spanning_tree(cx, basepoint)
     nontree = [e for e in cx.simplices(1) if e not in tree_edges]
     if len(nontree) <= 26:
         names = ["abcdefghijklmnopqrstuvwxyz"[i] for i in range(len(nontree))]
@@ -250,8 +249,7 @@ class EquivariantComplex:
 
     def holonomy(self, u, v):
         """Deck translation of the edge u -> v (both orders stored)."""
-        return self._holonomy[(u, v)] if (u, v) in self._holonomy \
-            else self._holonomy[tuple(sorted((u, v)))]
+        return self._holonomy[(u, v)]
 
     def vertex_sheet(self, simplex, i, g=0):
         """Sheet of the i-th vertex in the lift of simplex at sheet g."""

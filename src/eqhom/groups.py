@@ -102,7 +102,11 @@ class GroupPresentation:
     def __init__(self, generators, relators):
         self.generators = gens = tuple(generators)
         self.relators = rels = tuple(free_reduce(_as_word(w)) for w in relators)
-        known = set(gens)
+        known = set()
+        for g in gens:
+            if g in known:
+                raise InputError(f"repeated generator {g!r}")
+            known.add(g)
         for rel in rels:
             for g, _ in rel:
                 if g not in known:
@@ -130,6 +134,8 @@ def parse_presentation(text):
         if not line:
             continue
         if line.startswith("gens:"):
+            if gens is not None:
+                raise InputError(f"line {lineno}: second 'gens:' line")
             gens = tuple(line[len("gens:"):].split())
         elif line.startswith("rels:"):
             rels.extend(line[len("rels:"):].split())

@@ -23,14 +23,11 @@ eliminate on copies of them:
   Each reader records only the tape it replays: ``QuotientLattice`` the
   row tape, ``PairHomology`` and ``kernel_basis`` the column tape.
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
-  in Markowitz order first: least (row length - 1) * (column length - 1),
-  ties broken by (row, col).  A priority queue supplies them
-  (``_unit_pivots``).  It holds one key per column, a lower bound on
-  the least key of the column's units, and rescans a column only when
-  that bound reaches the top without being exact; so it yields the very
-  pivot a rescan of every nonzero would pick, at O(log) per column a
-  step changes instead of O(nnz) per pivot.  The sparse residual then
-  goes through the same elimination without transforms.  Invariant
+  first: the unit-holding column of least (length, index), and in it the
+  unit whose row has least (length, index).  A heap of column keys
+  supplies them (``_unit_pivots``); it re-keys only the columns a step
+  changes and drops stale keys when they surface.  The sparse residual
+  then goes through the same elimination without transforms.  Invariant
   factors are canonical, so both paths agree by construction.
 
 ``chain_homology`` compresses: it factors d_{k+1} without the rows at
@@ -570,105 +567,55 @@ def _unit_pivots(rows, cols, m, n):
     rows maps a row index to its {col: value} dict of nonzeros, cols maps
     a column index to the set of rows holding a nonzero there; both are
     updated as rows are cleared, and a row or column that empties out is
-    deleted.  Each step takes the unit entry (value +-1) of least key
-    (cost, row, col), cost = (row length - 1) * (column length - 1),
-    removes its row and clears its column with row operations, and yields
-    (row, col) once the step is done.
+    deleted.  Each step takes, among the columns holding a unit (value
+    +-1), the one of least (column length, column index), and in it the
+    unit whose row has least (row length, row index); it removes that
+    row, clears the column with row operations, and yields (row, col)
+    once the step is done.
 
-    The queue holds keys per column, not per unit, packed as ints
-    (cost * m + row) * n + col.  low[c] is a lower bound, packed as
-    (row length - 1) * m + row, on (row length - 1, row) over the units of
-    column c: exact when c is scanned, and lowered whenever a unit's row
-    shrinks or a unit appears in c.  In a column of two or more entries
-    the (cost, row) order of its units is their (row length - 1, row)
-    order, so low[c] priced at c's length bounds every key in c from
-    below; a single-entry column is priced by its one entry.  cover[c] is
-    the least key pushed for c since its last scan, and stays at or below
-    every key in c:
-
-    * after a step, each column of the pivot row and each column whose
-      low fell is priced again, and pushed if that beats its cover;
-    * a popped key that is not its column's cover is dropped, and a cover
-      that is not a live unit at its current key has its column scanned
-      and the column's exact least key pushed.
-
-    So the first cover popped that is a live unit at its key is the least
-    key over all units: a full rescan would pick the same entry, ties
-    included.  When the heap grows past twice its size at the last build
-    (plus 64), it is rebuilt from the covers of the live columns.
+    A heap holds keys length * n + col.  After a step, each column whose
+    length changed or that gained a unit is pushed at its new length.  A
+    popped key whose length is not its column's is stale and dropped; a
+    column holding no unit is dropped too, to be pushed again when it
+    gains one.  So every column holding a unit has its current key in the
+    heap, and the first live key popped with a unit in its column is the
+    least.  When the heap grows past twice its size at the last build
+    (plus 64), it is rebuilt from the live keys.
     """
-    low = {}
-
-    def price(j):
-        cj = cols.get(j)
-        lo = low.get(j)
-        if cj is None or lo is None:
-            return None
-        if len(cj) == 1:
-            (r,) = cj
-            w = rows[r][j]
-            return r * n + j if w == 1 or w == -1 else None
-        a, r = divmod(lo, m)
-        return (a * (len(cj) - 1) * m + r) * n + j
-
-    def offer(j):
-        k = price(j)
-        if k is not None and k < cover.get(j, k + 1):
-            cover[j] = k
-            heappush(heap, k)
-
-    def scan(c):
-        best = None
-        for r in cols.get(c, ()):
-            row = rows[r]
-            v = row[c]
-            if v == 1 or v == -1:
-                lo = (len(row) - 1) * m + r
-                if best is None or lo < best:
-                    best = lo
-        del cover[c]
-        if best is None:
-            del low[c]
-        else:
-            low[c] = best
-            offer(c)
-
     def rebuild():
-        heap[:] = [k for c, k in cover.items() if c in cols]
+        heap[:] = {k for k in heap if len(cols.get(k % n, ())) == k // n}
         heapify(heap)
         return 2 * len(heap) + 64
 
-    for r, row in rows.items():
-        lo = (len(row) - 1) * m + r
-        for c, v in row.items():
-            if (v == 1 or v == -1) and lo < low.get(c, lo + 1):
-                low[c] = lo
-    cover = {c: price(c) for c in low}
-    heap = []
+    heap = [len(rc) * n + c for c, rc in cols.items()]
     limit = rebuild()
     while heap:
-        k = heappop(heap)
-        rc, c = divmod(k, n)
-        if cover.get(c) != k:
+        length, c = divmod(heappop(heap), n)
+        rc = cols.get(c)
+        if rc is None or len(rc) != length:
             continue
-        cost, r = divmod(rc, m)
-        row = rows.get(r)
-        v = None if row is None else row.get(c)
-        if (v != 1 and v != -1) or (len(row) - 1) * (len(cols[c]) - 1) != cost:
-            scan(c)
+        best = None
+        for r in rc:
+            row = rows[r]
+            v = row[c]
+            if v == 1 or v == -1:
+                key = len(row) * m + r
+                if best is None or key < best:
+                    best = key
+        if best is None:
             continue
-        del cover[c], low[c]
+        r = best % m
         prow = rows.pop(r)
+        v = prow[c]
+        before = {j: len(cols[j]) for j in prow}
+        gained = set()
         for j in prow:
             cj = cols[j]
             cj.discard(r)
             if not cj:
                 del cols[j]
-        rlen0 = {}  # updated row -> its length at the start of the step
-        fresh = []  # (row, col) of entries that became units
         for r2 in list(cols.get(c, ())):
             row2 = rows[r2]
-            rlen0[r2] = len(row2)
             q = row2[c] * v
             for j, pv in prow.items():
                 old = row2.get(j, 0)
@@ -678,7 +625,7 @@ def _unit_pivots(rows, cols, m, n):
                         cols.setdefault(j, set()).add(r2)
                     row2[j] = nv
                     if (nv == 1 or nv == -1) and old != 1 and old != -1:
-                        fresh.append((r2, j))
+                        gained.add(j)
                 elif old:
                     del row2[j]
                     cj = cols[j]
@@ -687,24 +634,10 @@ def _unit_pivots(rows, cols, m, n):
                         del cols[j]
             if not row2:
                 del rows[r2]
-        fell = set()
-        for r2, n0 in rlen0.items():
-            row2 = rows.get(r2)
-            if row2 is not None and len(row2) < n0:
-                lo = (len(row2) - 1) * m + r2
-                for j, w in row2.items():
-                    if (w == 1 or w == -1) and lo < low.get(j, lo + 1):
-                        low[j] = lo
-                        fell.add(j)
-        for r2, j in fresh:
-            lo = (len(rows[r2]) - 1) * m + r2
-            if lo < low.get(j, lo + 1):
-                low[j] = lo
-                fell.add(j)
-        for j in prow:
-            offer(j)
-        for j in fell:
-            offer(j)
+        for j, length in before.items():
+            cj = cols.get(j)
+            if cj is not None and (len(cj) != length or j in gained):
+                heappush(heap, len(cj) * n + j)
         yield r, c
         if len(heap) > limit:
             limit = rebuild()
@@ -715,11 +648,10 @@ def _nonzero_factors(A, skip=frozenset()):
 
     Unit pivots are eliminated on a copy of the kept rows (no transforms
     tracked), and the residual rows, re-indexed onto the surviving rows
-    and columns, go through _snf_inplace without transforms.  The unit
-    pivots come from a priority queue in Markowitz order, least (row
-    length - 1) * (column length - 1), ties by (row, col); the queue is
-    exact, so every pivot is the one a rescan of all nonzeros would pick
-    (see _unit_pivots).  The factors are the canonical chain, 1s first.
+    and columns, go through _snf_inplace without transforms.  Each unit
+    pivot lies in the shortest column holding a unit, in its shortest
+    row holding one (see _unit_pivots).  The factors are the canonical
+    chain, 1s first.
 
     The pivot columns I returned, with their rows R, form a unimodular
     block A[R, I]: in pivot order each pivot row, reduced by the earlier
@@ -746,7 +678,7 @@ def _nonzero_factors(A, skip=frozenset()):
 def invariant_factors(A):
     """Invariant factors of A, zero-padded to length min(rows, cols).
 
-    Unit pivots in Markowitz order first, then the residual, all without
+    Unit pivots by shortest column first, then the residual, all without
     transforms (see _nonzero_factors).  The output is the canonical chain,
     identical to smith_normal_form(A).
 

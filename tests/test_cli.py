@@ -193,6 +193,13 @@ class TestExitCodes:
             assert text.count("\n") == 1, line
 
 
+# Presentations written to a temporary directory by the test below.
+BAD_PRESENTATIONS = {
+    "repeated-gen.pres": "gens: a a\nrels: aa\n",
+    "two-gens-lines.pres": "gens: a\ngens: b\nrels: aa\n",
+}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("ponzi", "z2", "--radius", "3", "--bound", "0"), 1, "bound must be >= 1"),
     (("shift-chain", fixture_path("s3.pres"), "--n", "0"), 1,
@@ -215,8 +222,16 @@ class TestExitCodes:
     # folner checks the radius itself: a radius below 1 builds no ball.
     *[((cmd, "z2", "--radius", r), 1, "radius must be >= 1")
       for cmd in ("ball", "ponzi", "min-bound", "folner") for r in ("0", "-3")],
+    # Generator names must be unique, so a repeat and a second gens: line
+    # are input errors, found before any coset is defined.
+    (("group-homology", "repeated-gen.pres", "--n", "1"), 1, "repeated generator 'a'"),
+    (("group-homology", "two-gens-lines.pres", "--n", "1"), 1,
+     "line 2: second 'gens:' line"),
 ])
-def test_error_line_is_the_only_output(argv, code, message):
+def test_error_line_is_the_only_output(argv, code, message, tmp_path):
+    for name, text in BAD_PRESENTATIONS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_PRESENTATIONS else a for a in argv]
     assert invoke(*argv) == (code, f"error: {message}\n")
 
 
