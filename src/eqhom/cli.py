@@ -55,7 +55,7 @@ def _load_presentation(path):
 
 def parse_group_spec(spec):
     """Group shorthands: f2, z, z2, z^n, and * products (e.g. z^5*f2)."""
-    alphabet = iter("abcdefghijklmnopqrstuvwxyz")
+    alphabet = "abcdefghijklmnopqrstuvwxyz"
     factors = []
     for token in spec.lower().split("*"):
         token = token.strip()
@@ -73,10 +73,9 @@ def parse_group_spec(spec):
                 raise InputError(f"bad group spec token {token!r}") from None
         if rank < 1:
             raise InputError(f"rank in {token!r} must be >= 1")
-        try:
-            names = tuple(next(alphabet) for _ in range(rank))
-        except StopIteration:
-            raise InputError("group spec needs more than 26 generators") from None
+        if rank > len(alphabet):
+            raise InputError("group spec needs more than 26 generators")
+        names, alphabet = tuple(alphabet[:rank]), alphabet[rank:]
         if kind == "f":
             factors.append(FreeGroup(rank, names))
         elif kind == "z":
@@ -254,8 +253,10 @@ def _cmd_ball(args, out):
     out.append(f"edges = {len(ball.edges)}")
     out.append(f"inner = {ball.inner_count}")
     out.append(f"crossing = {len(ball.crossing_edges())}")
-    shells = " ".join(str(len(ball.shell(d))) for d in range(args.radius + 1))
-    out.append(f"shell sizes = {shells}")
+    sizes = [0] * (args.radius + 1)
+    for d in ball.depth:
+        sizes[d] += 1
+    out.append(f"shell sizes = {' '.join(map(str, sizes))}")
 
 
 def _cmd_ponzi(args, out):

@@ -98,18 +98,15 @@ class CayleyBall:
         return len(self.vertices)
 
     def inner_vertices(self):
-        return [i for i, d in enumerate(self.depth) if d <= self.radius - 1]
+        return list(range(self.inner_count))  # a prefix in BFS order
 
     def shell(self, d):
         return [i for i, dd in enumerate(self.depth) if dd == d]
 
     def crossing_edges(self):
         """Edges from the inner ball to the outermost shell."""
-        r = self.radius
-        depth = self.depth
-        # i < j, so depth[i] <= depth[j]
-        return [(i, j) for (i, j) in self.edges
-                if depth[j] == r and depth[i] == r - 1]
+        m = self.inner_count
+        return [(i, j) for (i, j) in self.edges if i < m <= j]
 
 
 def cayley_ball(model, gens=None, radius=1):
@@ -340,20 +337,29 @@ class InfeasibleCut:
 
 
 def _ponzi_network(ball, t):
-    """Arcs source -> shell, both directions of each ball edge, inner -> sink.
+    """The Ponzi network at bound t, with the outermost shell merged into the source.
 
-    Returns (arcs, first, source, sink): the arcs of ball.edges[k] are
-    first + 2k (i -> j) and first + 2k + 1 (j -> i).
+    Vertices: the inner ball 0..m-1 (a BFS prefix), source m, sink m + 1.
+    Returns (arcs, inner_edges, crossing, source, sink).  inner_edges[k]
+    keeps arcs 2k (i -> j) and 2k + 1 (j -> i); crossing[k] becomes arc
+    2 * len(inner_edges) + k, source -> its inner end; unit arcs inner ->
+    sink come last, and shell-shell edges are dropped.  This is exact: a
+    source -> shell arc alone would carry the whole demand, so every min
+    cut of an infeasible probe has the shell on its source side, and on
+    such cuts the capacities agree.
     """
-    n = len(ball)
-    source, sink = n, n + 1
-    inner = ball.inner_vertices()
-    arcs = [(source, v, len(inner)) for v in ball.shell(ball.radius)]
-    first = len(arcs)
-    for (i, j) in ball.edges:
-        arcs += ((i, j, t), (j, i, t))
-    arcs += [(v, sink, 1) for v in inner]
-    return arcs, first, source, sink
+    m = ball.inner_count
+    source, sink = m, m + 1
+    inner_edges, crossing = [], []
+    for e in ball.edges:
+        if e[1] < m:
+            inner_edges.append(e)
+        elif e[0] < m:
+            crossing.append(e)
+    arcs = [a for (i, j) in inner_edges for a in ((i, j, t), (j, i, t))]
+    arcs += [(source, i, t) for (i, _) in crossing]
+    arcs += [(v, sink, 1) for v in range(m)]
+    return arcs, inner_edges, crossing, source, sink
 
 
 def ponzi_feasible(ball, t):
@@ -370,25 +376,27 @@ def _ponzi_probe(ball, t, start=None):
     """ponzi_feasible's answer at bound t, and the arc flows of its max flow.
 
     start is passed to max_flow: the arc flows of a probe at a smaller
-    bound, which the larger capacities at t still admit.
+    bound, which the larger capacities at t still admit.  Flows map back to
+    ball edges signed from the smaller end, and a cut's source side is the
+    unmerged one: its inner vertices, the shell and the source len(ball).
     """
     if t < 1:
         raise ValueError("bound must be >= 1")
-    arcs, first, source, sink = _ponzi_network(ball, t)
-    result = max_flow(len(ball) + 2, arcs, source, sink, start)
+    arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
+    result = max_flow(sink + 1, arcs, source, sink, start)
     demand = ball.inner_count
+    f, pairs = result.arc_flows, 2 * len(inner_edges)
     if result.value == demand:
-        f = result.arc_flows
         flow = {edge: x - y for edge, x, y in
-                zip(ball.edges, f[first::2], f[first + 1::2]) if x != y}
+                zip(inner_edges, f[0:pairs:2], f[1:pairs:2]) if x != y}
+        flow.update((edge, -x) for edge, x in zip(crossing, f[pairs:]) if x)
         return PonziCertificate(ball, t, flow).check(), f
-    cut_edges = []
-    for a in result.cut_arcs:
-        u, v, _ = arcs[a]
-        if u < len(ball) and v < len(ball):
-            cut_edges.append((min(u, v), max(u, v)))
-    return (InfeasibleCut(ball, t, result.value, demand, sorted(set(cut_edges)),
-                          result.source_side), result.arc_flows)
+    edges = inner_edges + crossing
+    cut_edges = sorted(edges[a // 2 if a < pairs else a - len(inner_edges)]
+                       for a in result.cut_arcs if a < pairs + len(crossing))
+    side = frozenset(range(source, len(ball) + 1)).union(
+        v for v in result.source_side if v < source)
+    return InfeasibleCut(ball, t, result.value, demand, cut_edges, side), f
 
 
 class MinBoundResult:
@@ -400,53 +408,40 @@ class MinBoundResult:
 
 
 def min_ponzi_bound(ball):
-    """Least t with a feasible certificate, by monotone search.
+    """Least t with a feasible certificate, by min-cut slope steps.
 
     Returns the certificate at t_min and the obstructing cut at t_min - 1.
-    All inner demand crosses the outer shell, so t * crossing >= inner and
-    the search starts at the flux bound ceil(inner / crossing).  It doubles
-    t until a flow routes, then bisects.  t = |inner| always routes (every
-    vertex has a strictly deeper neighbor), which caps the doubling.
-
-    Every probe above an infeasible one starts from that probe's maximum
-    flow, which the larger bound still admits; the search probes each
-    infeasible bound above the last, so the latest one is the closest.
-    Every probe still checks its cut, and a feasible one its certificate.
-    The certificate returned is recomputed from zero flow (unless t_min
-    is the flux bound, whose probe started from zero): the arc flows of a
-    maximum flow depend on where it started, and the certificate is the
-    one ponzi_feasible(ball, t_min) gives, whatever path the search took.
-    The cut at t_min - 1 is that probe's, warm or not: its capacity and
-    its source side, hence its edges, are the same for every maximum flow.
+    All inner demand crosses the outer shell, so the first probe is at the
+    flux bound ceil(inner / crossing).  The min cut of an infeasible probe
+    at t has capacity F(t): b = len(cut_edges) arcs of capacity t plus unit
+    sink arcs.  At t' > t it costs F(t) + b (t' - t), so t_min >= step =
+    t + ceil((demand - F(t)) / b).  If step > t + 1, probe step - 1 warm
+    from t's flow: it must not route (CertificateError), and it gives the
+    exact cut below t_min if t_min = step.  Otherwise probe t + 1 from zero
+    flow.  The feasible probe thus always starts from zero flow, and its
+    certificate is ponzi_feasible(ball, t_min)'s.  If the flux bound routes,
+    the cut below it is probed from zero flow.
     """
     demand = ball.inner_count
-    results = {}
-    warm = None  # arc flows of the latest infeasible probe
-
-    def probe(t):
-        nonlocal warm
-        if t not in results:
-            results[t], flows = _ponzi_probe(ball, t, warm)
-            if not results[t].feasible:
-                warm = flows
-        return results[t]
-
-    flux = lo = hi = -(-demand // len(ball.crossing_edges()))
-    while not probe(hi).feasible:
-        if hi >= demand:
-            raise CertificateError(f"no certificate at t = |inner| = {demand}")
-        lo, hi = hi + 1, min(2 * hi, demand)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid).feasible:
-            hi = mid
+    t = -(-demand // len(ball.crossing_edges()))
+    result, flows = _ponzi_probe(ball, t)
+    below = None
+    while not result.feasible:
+        below = result
+        step = t + -(-(demand - below.capacity) // len(below.cut_edges))
+        if step > t + 1:
+            t = step - 1
+            result, flows = _ponzi_probe(ball, t, flows)
+            if result.feasible:
+                raise CertificateError(f"t = {t} routes below the cut bound {step}")
         else:
-            lo = mid + 1
-    below = probe(lo - 1) if lo > 1 else None
-    if below is not None and below.feasible:
-        raise CertificateError(f"t = {lo - 1} routes below the found t_min")
-    certificate = results[lo] if lo == flux else ponzi_feasible(ball, lo)
-    return MinBoundResult(ball, lo, certificate, below)
+            t += 1
+            result, flows = _ponzi_probe(ball, t)
+    if below is None and t > 1:
+        below = ponzi_feasible(ball, t - 1)
+        if below.feasible:
+            raise CertificateError(f"t = {t - 1} routes below the flux bound")
+    return MinBoundResult(ball, t, result, below)
 
 
 def free_group_ponzi(ball):

@@ -227,6 +227,9 @@ BAD_PRESENTATIONS = {
     (("group-homology", "repeated-gen.pres", "--n", "1"), 1, "repeated generator 'a'"),
     (("group-homology", "two-gens-lines.pres", "--n", "1"), 1,
      "line 2: second 'gens:' line"),
+    # Generators are named a..z, so a group spec has at most 26 of them.
+    *[(("ball", spec, "--radius", "1"), 1, "group spec needs more than 26 generators")
+      for spec in ("z27", "z20*f10")],
 ])
 def test_error_line_is_the_only_output(argv, code, message, tmp_path):
     for name, text in BAD_PRESENTATIONS.items():
@@ -270,6 +273,15 @@ def test_ball_budget_exits_3(monkeypatch):
     monkeypatch.setattr(eqhom.coarse, "BUDGET", 1000)
     assert invoke("ball", "f2", "--radius", "20") == (
         3, "error: Cayley ball of radius 20 exceeds 1000 vertices\n")
+
+
+@pytest.mark.parametrize("spec", ["z2", "f2", "z1*f2"])
+def test_ball_shell_sizes_are_the_shells(spec):
+    from eqhom.coarse import cayley_ball
+    ball = cayley_ball(parse_group_spec(spec), radius=4)
+    sizes = " ".join(str(len(ball.shell(d))) for d in range(5))
+    code, text = invoke("ball", spec, "--radius", "4")
+    assert code == 0 and f"\nshell sizes = {sizes}\n" in text
 
 
 def test_failed_verdict_names_values(monkeypatch):

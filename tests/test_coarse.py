@@ -232,25 +232,41 @@ class TestMaxFlow:
                 max_flow(3, arcs, 0, 2, start)
 
     PONZI_NETWORKS = ([(ZZ, r) for r in range(1, 9)]
-                      + [(F2, r) for r in range(1, 5)] + [(ZF2, 2)])
+                      + [(F2, r) for r in range(1, 5)] + [(ZF2, 2)]
+                      + [(ZZ3, r) for r in range(1, 6)])
 
     def test_ponzi_networks_against_networkx(self):
+        """The unmerged network, built here: source -> every shell vertex
+        without limit, both arcs of every ball edge (shell-shell ones too),
+        inner -> sink.  Its max flow value, and its minimal min cut read off
+        the residual graph, match ponzi_feasible's answer."""
         nx = pytest.importorskip("networkx")
         for model, r in self.PONZI_NETWORKS:
             ball = cayley_ball(model, radius=r)
+            source, sink = len(ball), len(ball) + 1
             for bound in (1, 2, 3):
-                arcs, _, source, sink = coarse._ponzi_network(ball, bound)
                 graph = nx.DiGraph()
-                for u, v, c in arcs:
-                    if graph.has_edge(u, v):
-                        graph[u][v]["capacity"] += c
-                    else:
-                        graph.add_edge(u, v, capacity=c)
-                want = nx.maximum_flow_value(graph, source, sink)
-                res = max_flow(len(ball) + 2, arcs, source, sink)
-                assert res.value == want, (model.describe(), r, bound)
-                assert sum(arcs[a][2] for a in res.cut_arcs) == want
-                assert source in res.source_side and sink not in res.source_side
+                graph.add_edges_from((source, v) for v in ball.shell(r))
+                for i, j in ball.edges:
+                    graph.add_edge(i, j, capacity=bound)
+                    graph.add_edge(j, i, capacity=bound)
+                graph.add_edges_from(((v, sink) for v in ball.inner_vertices()),
+                                     capacity=1)
+                residual = nx.algorithms.flow.edmonds_karp(graph, source, sink)
+                want = residual.graph["flow_value"]
+                res = ponzi_feasible(ball, bound)
+                case = (model.describe(), r, bound)
+                if res.feasible:
+                    assert want == ball.inner_count, case
+                    continue
+                assert want == res.capacity < res.demand, case
+                open_arcs = nx.DiGraph((u, v) for u, v, d in residual.edges(data=True)
+                                       if d["flow"] < d["capacity"])
+                open_arcs.add_node(source)
+                side = nx.descendants(open_arcs, source) | {source}
+                assert res.source_side == side, case
+                assert res.cut_edges == [(i, j) for i, j in ball.edges
+                                         if (i in side) != (j in side)], case
 
 
 class TestPonzi:
@@ -345,7 +361,9 @@ class TestMinBound:
     BRUTE_FORCE_BALLS = ([(Z1, r) for r in range(1, 10)]
                          + [(ZZ, r) for r in range(1, 9)]
                          + [(F2, r) for r in range(1, 4)]
-                         + [(ZF2, 2)])
+                         + [(ZF2, 2)]
+                         # radii 6 and 7 step past t + 1 and probe step - 1 warm
+                         + [(ZZ3, r) for r in range(1, 8)])
 
     def test_search_agrees_with_brute_force(self):
         kinds = set()
@@ -368,19 +386,40 @@ class TestMinBound:
         assert kinds == {"one", "flux", "above flux"}
 
     def test_warm_search_runs_fewer_phases(self, monkeypatch):
-        # Every probe above an infeasible bound resumes from that bound's
-        # flow; a search that starts every probe from zero runs 133 phases.
-        phases = []
-        blocking = coarse.FlowNetwork._blocking
+        # The flux bound 7 is infeasible, and its cut's slope steps straight
+        # to t_min = 8: two probes.
+        phases, calls = [], []
+        blocking, flow = coarse.FlowNetwork._blocking, coarse.max_flow
 
         def counted(self, s, t, level):
             phases.append(t)
             return blocking(self, s, t, level)
 
+        def counted_flow(*args):
+            calls.append(args)
+            return flow(*args)
+
         monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        monkeypatch.setattr(coarse, "max_flow", counted_flow)
         res = min_ponzi_bound(cayley_ball(ZZ, radius=25))
         assert (res.t_min, res.cut_below.capacity) == (8, 1176)
-        assert len(phases) <= 90
+        assert len(calls) == 2
+        assert len(phases) <= 60
+
+    @pytest.mark.parametrize("model, r, fake", [(ZZ3, 6, 4), (ZZ, 6, 1)],
+                             ids=["warm-step", "below-flux"])
+    def test_probe_below_t_min_must_not_route(self, monkeypatch, model, r, fake):
+        # ZZ3 r6 probes 3, then 4 warm (step 5), then 5; Z^2 r6 routes at its
+        # flux bound 2 and probes 1 for the cut.  A forged flow at `fake` must
+        # raise CertificateError, not an assert that -O would drop.
+        probe = coarse._ponzi_probe
+
+        def forged(ball, t, start=None):
+            return probe(ball, ball.inner_count) if t == fake else probe(ball, t, start)
+
+        monkeypatch.setattr(coarse, "_ponzi_probe", forged)
+        with pytest.raises(CertificateError, match=f"t = {fake} routes below"):
+            min_ponzi_bound(cayley_ball(model, radius=r))
 
     def test_boundary_monotonicity(self):
         ball = cayley_ball(ZZ, radius=5)
