@@ -13,6 +13,12 @@ v), and the lift of a simplex at sheet g places its smallest vertex v0 on
 (v0, g) and vertex v_i on (v_i, g . h(v0, v_i)).  Computations on the
 cover run on the base with Z[pi] coefficients (Shapiro's lemma); the plain
 cover as a simplicial complex is only a reference for checking them.
+
+LocalSystem.holonomy_matrix(u, v) = rho(h(u, v)) is the one rule that
+carries a coefficient along an edge.  The chain boundary reads face 0 of
+a simplex s through holonomy_matrix(s1, s0) = rho(h(s0, s1))^-1 and the
+coboundary through holonomy_matrix(s0, s1); every other face carries the
+identity.
 """
 
 from itertools import combinations, permutations
@@ -244,7 +250,6 @@ class EquivariantComplex:
                 h = model.gen_element(gen_of_edge[e])
             self._holonomy[e] = h
             self._holonomy[(e[1], e[0])] = model.inv(h)
-        self._terms = {}
         self._cover = None
 
     def holonomy(self, u, v):
@@ -260,13 +265,10 @@ class EquivariantComplex:
         """(face_index, sign, element) per base k-simplex: the base terms, with
         element the holonomy of (s0, s1) on face 0 and the identity elsewhere.
         """
-        if k not in self._terms:
-            one = self.model.identity
-            self._terms[k] = [
-                [(face, sign, self.holonomy(s[0], s[1]) if i == 0 else one)
+        one = self.model.identity
+        return [[(face, sign, self.holonomy(s[0], s[1]) if i == 0 else one)
                  for i, (face, sign) in enumerate(faces)]
                 for s, faces in zip(self.base.simplices(k), self.base.boundary_terms(k))]
-        return self._terms[k]
 
     def ring_boundary_squares_to_zero(self):
         """Exact check of the Z[pi] chain condition in every degree."""
@@ -372,9 +374,18 @@ class LocalSystem:
     def is_trivial(self):
         return self.rep is None
 
+    def holonomy_matrix(self, u, v):
+        """rho(h(u, v)), which carries a coefficient along the edge u -> v;
+        None (the identity) for a trivial system and for u == v."""
+        if self.rep is None or u == v:
+            return None
+        return self.rep.matrix_of(self.cover.holonomy(u, v))
+
     def tensor(self, other):
         if self.complex is not other.complex:
             raise ModelMismatch("local systems over different complexes")
+        if self.cover is not None and other.cover not in (None, self.cover):
+            raise ModelMismatch("local systems twisted through different covers")
         if self.is_trivial and other.is_trivial:
             return LocalSystem.trivial(self.complex, self.rank * other.rank)
         from .groups import tensor_rep
@@ -388,21 +399,17 @@ class LocalSystem:
 def _boundary_blocks(system, k, dual):
     """(face, simplex, sign, block) for every entry of d_k with coefficients.
 
-    The block is rho(h)^-1, or rho(h) with face and simplex swapped when
-    dual; None (the identity) for trivial systems.
+    Face 0 of a simplex s carries holonomy_matrix(s1, s0), or
+    holonomy_matrix(s0, s1) with face and simplex swapped when dual; the
+    other faces carry None (the identity).
     """
-    if system.is_trivial:
-        for j, terms in enumerate(system.complex.boundary_terms(k)):
-            for face, sign in terms:
-                yield (j, face, sign, None) if dual else (face, j, sign, None)
-        return
-    rho, inv = system.rep.matrix_of, system.cover.model.inv
-    for j, terms in enumerate(system.cover.boundary_terms(k)):
-        for face, sign, elt in terms:
+    cx, transport = system.complex, system.holonomy_matrix
+    for j, (s, terms) in enumerate(zip(cx.simplices(k), cx.boundary_terms(k))):
+        for i, (face, sign) in enumerate(terms):
             if dual:
-                yield j, face, sign, rho(elt)
+                yield j, face, sign, transport(s[0], s[1]) if i == 0 else None
             else:
-                yield face, j, sign, rho(inv(elt))
+                yield face, j, sign, transport(s[1], s[0]) if i == 0 else None
 
 
 def chain_boundary_matrix(system, k):

@@ -3,10 +3,14 @@ products, chain-level duality checks, the degree-one lifting obstruction
 cocycle and its powers, and the forget-equivariance map to the cover.
 
 Products use the front-face/back-face formulas over the global vertex
-order.  With local coefficients the back factor is twisted by the deck
-holonomy h(v0, vk) of the splitting vertex, which is exactly what the
-same formulas on the universal cover descend to.  The normative sign
-facts, verified exactly by the test suite on random cochain/chain data:
+order.  With local coefficients the back factor is carried across the
+splitting vertex vk by LocalSystem.holonomy_matrix, which is exactly what
+the same formulas on the universal cover descend to: cup reads the back
+factor through holonomy_matrix(v0, vk), and cap carries the cochain's
+value through holonomy_matrix(vk, v0) = rho(h(v0, vk))^-1 onto the back
+face.  Both caps, f cap z and the matrix Phi_k below, are one assembly.
+The normative sign facts, verified exactly by the test suite on random
+cochain/chain data:
 
     delta(f cup g) = (delta f) cup g + (-1)^k f cup (delta g)
     boundary(f cap z) = (-1)^k ( f cap (boundary z) - (delta f) cap z )
@@ -178,69 +182,49 @@ class Cocycle(Cochain):
             raise PreconditionError("cochain is not a cocycle")
 
 
-def _same_complex(a, b):
-    if a.system.complex is not b.system.complex:
-        raise BaseMismatch("operands live on different complexes")
-    ca, cb = a.system.cover, b.system.cover
-    if ca is not None and cb is not None and ca is not cb:
-        raise BaseMismatch("operands are twisted through different covers")
-
-
 def _tensor_vec(u, v):
     return [a * b for a in u for b in v]
 
 
 def cup(phi, psi):
     """Front-face/back-face product, L1 x L2 -> L1 (x) L2 coefficients."""
-    _same_complex(phi, psi)
+    if phi.system.complex is not psi.system.complex:
+        raise BaseMismatch("operands live on different complexes")
     cx = phi.system.complex
     k, l = phi.degree, psi.degree
     system = phi.system.tensor(psi.system)
-    cover = phi.system.cover or psi.system.cover
+    transport = psi.system.holonomy_matrix
     out = []
     for s in cx.simplices(k + l):
-        front = s[:k + 1]
-        back = s[k:]
-        pv = psi.value(back)
-        if not psi.system.is_trivial and k > 0:
-            h = cover.holonomy(s[0], s[k])
-            pv = psi.system.rep.act(h, pv)
-        out.append(_tensor_vec(phi.value(front), pv))
+        pv = psi.value(s[k:])
+        rho = transport(s[0], s[k])
+        if rho is not None:
+            pv = matvec(rho, pv)
+        out.append(_tensor_vec(phi.value(s[:k + 1]), pv))
     return Cochain(system, k + l, out)
 
 
-def cap_chain(phi, chain, m):
-    """phi cap z for a plain integer m-chain z; an (m-k)-chain with L coeffs.
+def _cap_operator(system, k, m, chain):
+    """f |-> f cap z : C^k(X; L) -> C_{m-k}(X; L) for the integer m-chain z.
 
-    The cochain eats the front k-face; the back face carries the chain,
-    twisted back through the splitting vertex's holonomy.
+    The cochain eats the front k-face; each simplex s with z(s) = c != 0
+    adds c holonomy_matrix(sk, s0) at (back face, front face), carrying
+    the value back across the splitting vertex.
     """
-    cx = phi.system.complex
-    k = phi.degree
-    if k > m:
+    cx, r = system.complex, system.rank
+    blocks = ((cx.index(s[k:]), cx.index(s[:k + 1]), c, system.holonomy_matrix(s[k], s[0]))
+              for s, c in zip(cx.simplices(m), chain) if c)
+    return IntMatrix.from_blocks(len(cx.simplices(m - k)) * r,
+                                 len(cx.simplices(k)) * r, (r, r), blocks)
+
+
+def cap_chain(phi, chain, m):
+    """phi cap z for a plain integer m-chain z; an (m-k)-chain with L coeffs."""
+    if phi.degree > m:
         raise DimensionMismatch("cochain degree exceeds chain degree")
-    simplices = cx.simplices(m)
-    if len(chain) != len(simplices):
+    if len(chain) != len(phi.system.complex.simplices(m)):
         raise ValueError("chain vector has the wrong length")
-    r = phi.system.rank
-    lower = cx.simplices(m - k)
-    out = [0] * (len(lower) * r)
-    cover = phi.system.cover
-    for j, c in enumerate(chain):
-        if not c:
-            continue
-        s = simplices[j]
-        front = s[:k + 1]
-        back = s[k:]
-        val = phi.value(front)
-        if not phi.system.is_trivial and k > 0:
-            h = cover.holonomy(s[0], s[k])
-            val = phi.system.rep.act_inv(h, val)
-        base = cx.index(back) * r
-        for a in range(r):
-            if val[a]:
-                out[base + a] += c * val[a]
-    return out
+    return matvec(_cap_operator(phi.system, phi.degree, m, chain), phi.flat())
 
 
 def cap(phi, manifold):
@@ -318,24 +302,10 @@ def _differentials(system, n):
 
 
 def _cap_matrix(manifold, system, k):
-    """Phi_k : C^k(M; L) -> C_{n-k}(M; L), f |-> eps_k (f cap [M]).
-
-    As in cap_chain, each top simplex s adds the block rho(h(s0, sk))^-1
-    at (back face, front face), times its orientation and eps_k.
-    """
-    cx, n, r = manifold.complex, manifold.dim, system.rank
+    """Phi_k : C^k(M; L) -> C_{n-k}(M; L), f |-> eps_k (f cap [M])."""
     eps = (-1) ** (k * (k + 1) // 2)
-
-    def block(s):
-        if system.is_trivial or k == 0:
-            return None
-        cover = system.cover
-        return system.rep.matrix_of(cover.model.inv(cover.holonomy(s[0], s[k])))
-
-    blocks = ((cx.index(s[k:]), cx.index(s[:k + 1]), eps * c, block(s))
-              for s, c in zip(cx.simplices(n), manifold.fundamental_cycle()))
-    return IntMatrix.from_blocks(len(cx.simplices(n - k)) * r,
-                                 len(cx.simplices(k)) * r, (r, r), blocks)
+    return _cap_operator(system, k, manifold.dim,
+                         [eps * c for c in manifold.fundamental_cycle()])
 
 
 def _cone_differentials(manifold, system, delta, bd):
@@ -380,17 +350,17 @@ def pd_check(manifold, system):
 
 
 def _pd_check_by_degree(manifold, system, delta, bd):
-    """pd_check degree by degree: cap the Smith generators of H^k and test
-    their images in H_{n-k}; delta and bd as from _differentials."""
+    """pd_check degree by degree: map the Smith generators of H^k by Phi_k
+    and test their images in H_{n-k}; delta and bd as from _differentials.
+    The sign eps_k of Phi_k does not change the verdict."""
     n = manifold.dim
     entries = []
     for k in range(n + 1):
         co = PairHomology(delta[k + 1], delta[k])
         ho = PairHomology(bd[n - k], bd[n - k + 1])
-        images = []
-        for i in range(co.num_generators):
-            phi = Cochain.from_flat(system, k, co.generator_cycle(i))
-            images.append(ho.coordinates(cap(phi, manifold)))
+        phi = _cap_matrix(manifold, system, k)
+        images = [ho.coordinates(matvec(phi, co.generator_cycle(i)))
+                  for i in range(co.num_generators)]
         iso = is_isomorphism_onto(co.invariants, ho.invariants, images)
         entries.append(PdEntry(k, co.invariants, ho.invariants, iso))
     return PdReport(entries)

@@ -629,9 +629,6 @@ class IntRepresentation:
         from .intlinalg import matvec
         return matvec(self.matrix_of(element), vector)
 
-    def act_inv(self, element, vector):
-        return self.act(self.model.inv(element), vector)
-
 
 def _checked_rep(model, rank, build):
     """The representation of a finite model built by build, checked.
@@ -655,8 +652,17 @@ def _checked_rep(model, rank, build):
 
 
 def trivial_rep(model, rank=1):
-    eye = IntMatrix.identity(rank)
-    return IntRepresentation(model, rank, lambda g: eye)
+    """Z^rank with every element acting as 1.  The one identity matrix is
+    built on first use: a rank as large as (|pi| - 1)^k costs nothing
+    while no entry is read."""
+    eye = []
+
+    def build(g):
+        if not eye:
+            eye.append(IntMatrix.identity(rank))
+        return eye[0]
+
+    return IntRepresentation(model, rank, build)
 
 
 def regular_rep(model):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from eqhom.complexes import LocalSystem, build_cover, load_complex_file
+from eqhom.complexes import LocalSystem, build_cover, lens_space, load_complex_file
 from eqhom.duality import Cocycle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -59,3 +59,8 @@ def rp2_cover(rp2):
 @pytest.fixture(scope="session")
 def rp3_cover(rp3):
     return build_cover(rp3)
+
+
+@pytest.fixture(scope="session")
+def lens3_cover():
+    return build_cover(lens_space(3))

@@ -257,6 +257,23 @@ class TestLocalCoefficients:
         mixed.rep.matrix_of(1)
         assert len(built) == 2
 
+    def test_holonomy_matrix_is_the_edge_transport(self, lens3_cover):
+        cx = lens3_cover.base
+        trivial = LocalSystem.trivial(cx, 2)
+        system = LocalSystem.from_rep(lens3_cover, augmentation_ideal_rep(lens3_cover.model))
+        eye = IntMatrix.identity(system.rank)
+        reversed_differs = 0
+        for u, v in cx.simplices(1):
+            assert trivial.holonomy_matrix(u, v) is None
+            assert trivial.holonomy_matrix(v, u) is None
+            assert system.holonomy_matrix(u, u) is None
+            forward, back = system.holonomy_matrix(u, v), system.holonomy_matrix(v, u)
+            assert forward == system.rep.matrix_of(lens3_cover.holonomy(u, v))
+            assert matmul(forward, back) == eye and matmul(back, forward) == eye
+            reversed_differs += forward != back
+        # Z/3 acting on I: a nontrivial holonomy is not its own inverse.
+        assert reversed_differs
+
     def test_twisted_system_needs_a_cover(self, rp3_cover):
         rep = augmentation_ideal_rep(rp3_cover.model)
         with pytest.raises(ModelMismatch, match="^twisted local system has no cover$"):

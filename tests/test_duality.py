@@ -14,6 +14,7 @@ from eqhom.duality import (BaseMismatch, Cochain, Cocycle, NonOrientable,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
                            pd_check, pert_finite)
+from eqhom.errors import ModelMismatch
 from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
@@ -32,6 +33,36 @@ def rand_cochain(rng, system, k):
 
 def rand_chain(rng, cx, m):
     return [rng.randint(-3, 3) for _ in cx.simplices(m)]
+
+
+def cap_reference(phi, chain, m):
+    """phi cap z, one m-simplex at a time: s with z(s) = c adds
+    c rho(h(s0, sk)^-1) phi(front face) on the back face, the inverse taken
+    in the group."""
+    system, k, r = phi.system, phi.degree, phi.system.rank
+    cx = system.complex
+    out = [0] * (len(cx.simplices(m - k)) * r)
+    for s, c in zip(cx.simplices(m), chain):
+        if not c:
+            continue
+        val = phi.value(s[:k + 1])
+        if not system.is_trivial and k > 0:
+            h = system.cover.holonomy(s[0], s[k])
+            val = system.rep.act(system.cover.model.inv(h), val)
+        base = cx.index(s[k:]) * r
+        for a in range(r):
+            out[base + a] += c * val[a]
+    return out
+
+
+def cap_systems(name, lens3_cover, rp3_cover):
+    """L(3, 1) with I and I^2, where a nontrivial holonomy is not its own
+    inverse, and RP^3 with Z[pi]."""
+    if name == "RP3 Zpi":
+        return LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+    power = {"L(3,1) I": 1, "L(3,1) I^2": 2}[name]
+    ideal = augmentation_ideal_rep(lens3_cover.model)
+    return LocalSystem.from_rep(lens3_cover, tensor_power(ideal, power))
 
 
 def check_leibniz(rng, system, instances):
@@ -168,6 +199,42 @@ class TestProducts:
         psi = unit_cocycle(s2cx)
         with pytest.raises(BaseMismatch):
             cup(phi, psi)
+
+    def test_cup_refuses_two_covers(self, rp3, rp3_cover):
+        # An equal group model does not make two covers one: their holonomies
+        # come from their own spanning trees.
+        other = build_cover(rp3)
+        assert other.model == rp3_cover.model
+        rng = random.Random(47)
+        phi, psi = (rand_cochain(rng, LocalSystem.from_rep(
+            cover, augmentation_ideal_rep(cover.model)), 1) for cover in (rp3_cover, other))
+        with pytest.raises(ModelMismatch, match="different covers"):
+            cup(phi, psi)
+
+    @pytest.mark.parametrize("name", ["L(3,1) I", "L(3,1) I^2", "RP3 Zpi"])
+    def test_cap_chain_matches_reference(self, name, lens3_cover, rp3_cover):
+        system = cap_systems(name, lens3_cover, rp3_cover)
+        cx = system.complex
+        rng = random.Random(53)
+        for m in range(cx.dim + 1):
+            for k in range(m + 1):
+                phi = rand_cochain(rng, system, k)
+                z = rand_chain(rng, cx, m)
+                assert cap_chain(phi, z, m) == cap_reference(phi, z, m), (m, k)
+
+    @pytest.mark.parametrize("name", ["L(3,1) I", "L(3,1) I^2", "RP3 Zpi"])
+    def test_cap_matrix_matches_reference(self, name, lens3_cover, rp3_cover):
+        # Phi_k is eps_k (f cap [M]), eps_0 = 1 and eps_{k+1} = (-1)^(k+1) eps_k.
+        system = cap_systems(name, lens3_cover, rp3_cover)
+        manifold = orient(system.complex)
+        rng = random.Random(59)
+        eps = 1
+        for k in range(manifold.dim + 1):
+            phi = rand_cochain(rng, system, k)
+            image = matvec(duality._cap_matrix(manifold, system, k), phi.flat())
+            expected = cap_reference(phi, manifold.fundamental_cycle(), manifold.dim)
+            assert image == [eps * x for x in expected], k
+            eps *= (-1) ** (k + 1)
 
 
 class TestToruspairing:
@@ -423,11 +490,6 @@ def s2_cover(s2cx):
     return build_cover(s2cx)
 
 
-@pytest.fixture(scope="module")
-def lens3_cover():
-    return build_cover(lens_space(3))
-
-
 def pert_on_cover_complex(phi, cover):
     """Reference for pert_finite: lift phi cell by cell onto the plain cover.
 
@@ -486,6 +548,24 @@ class TestPert:
         for power in powers:
             with pytest.raises(ValueError, match="vector is not a cycle"):
                 pert_finite(power, lens3_cover)
+
+    def test_power_above_dimension_builds_no_large_identity(self, lens3_cover,
+                                                            monkeypatch):
+        # beta^40 lies above the dimension, so its class is () in 0; the
+        # target's trivial factor has rank 2^40 and must stay unbuilt.
+        sizes = []
+        real = IntMatrix.identity
+
+        def identity(n):
+            sizes.append(n)
+            if n > 64:
+                pytest.fail(f"built a {n} x {n} identity")
+            return real(n)
+
+        monkeypatch.setattr(IntMatrix, "identity", staticmethod(identity))
+        report = pert_finite(bs_power(lens3_cover, 40), lens3_cover)
+        assert report.render() == "pert class = () in 0 [zero]"
+        assert all(n <= 64 for n in sizes)
 
     def test_trivial_group_identity(self, s2cx):
         cover = build_cover(s2cx)
