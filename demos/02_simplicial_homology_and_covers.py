@@ -30,7 +30,7 @@ print("coset enumeration gives a group of order", model.order)
 
 cover = build_cover(rp2)
 plain = cover.cover_complex()
-reg = LocalSystem.from_rep(cover, regular_rep(model), label="Zpi")
+reg = LocalSystem.from_rep(cover, regular_rep(model))
 print()
 print("universal cover cells:", plain.counts())
 print("cover homology (a sphere), beside homology with group-ring coefficients:")
@@ -44,7 +44,7 @@ print("deck action free:", cover.deck_action_is_free())
 
 print()
 ideal = augmentation_ideal_rep(model)
-system = LocalSystem.from_rep(cover, ideal, label="I")
+system = LocalSystem.from_rep(cover, ideal)
 print("homology with coefficients in the augmentation ideal (sign action):")
 print(render_homology(local_homology(system)))
 print("and its cohomology:")

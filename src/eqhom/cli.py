@@ -121,10 +121,9 @@ def _resolve_coeff(cx, path, max_cosets):
         raise InputError(f"bad ideal power in {descriptor!r}")
     cover = build_cover(cx, max_cosets=max_cosets)
     if kind == "regular":
-        return LocalSystem.from_rep(cover, regular_rep(cover.model), label="Zpi")
+        return LocalSystem.from_rep(cover, regular_rep(cover.model))
     rep = tensor_power(augmentation_ideal_rep(cover.model), power)
-    label = "I" if power == 1 else f"I^{power}"
-    return LocalSystem.from_rep(cover, rep, label=label)
+    return LocalSystem.from_rep(cover, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class CayleyBall:
     and their inverses.  Inner vertices are those at depth <= R-1.
     """
 
-    def __init__(self, model, gens, radius):
+    def __init__(self, model, radius):
         if radius < 1:
             raise ValueError("radius must be >= 1")
         if getattr(model, "is_finite", False):
@@ -45,9 +45,8 @@ class CayleyBall:
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
         self.radius = radius
-        self.gen_names = tuple(gens)
-        letters = [model.gen_element(g, +1) for g in self.gen_names]
-        letters += [model.gen_element(g, -1) for g in self.gen_names]
+        letters = [model.gen_element(g, +1) for g in model.generators]
+        letters += [model.gen_element(g, -1) for g in model.generators]
         # symmetric closure, deduplicated (an involutive generator counts once)
         seen = []
         for s in letters:
@@ -109,8 +108,8 @@ class CayleyBall:
         return [(i, j) for (i, j) in self.edges if i < m <= j]
 
 
-def cayley_ball(model, gens=None, radius=1):
-    return CayleyBall(model, gens or model.generators, radius)
+def cayley_ball(model, radius):
+    return CayleyBall(model, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +490,10 @@ def isoperimetric_ratio(ball):
 # the counterexample-mechanism report
 
 class AmenabilityReport:
-    def __init__(self, group, rows=None, verdict=""):
+    def __init__(self, group):
         self.group = group
-        self.rows = [] if rows is None else rows  # (R, ball, inner, crossing, t_min)
-        self.verdict = verdict
+        self.rows = []  # (R, ball, inner, crossing, t_min)
+        self.verdict = ""
 
     def add(self, radius, ball_size, inner, crossing, t_min):
         if t_min is not None and crossing and t_min < -(-inner // crossing):

@@ -241,7 +241,6 @@ class EquivariantComplex:
                 "model was not built from this complex's pi_1 presentation")
         self.base = base
         self.model = model
-        self.basepoint = basepoint
         self._holonomy = {}
         for e in base.simplices(1):
             if e in tree_edges:
@@ -351,24 +350,23 @@ class LocalSystem:
     only the base complex.
     """
 
-    def __init__(self, complex, rank, cover=None, rep=None, label="Z"):
+    def __init__(self, complex, rank, cover=None, rep=None):
         if rep is not None and cover is None:
             raise ModelMismatch("twisted local system has no cover")
         self.complex = complex
         self.rank = rank
         self.cover = cover
         self.rep = rep
-        self.label = label
 
     @classmethod
-    def trivial(cls, cx, rank=1, label=None):
-        return cls(cx, rank, label=label or ("Z" if rank == 1 else f"Z^{rank}"))
+    def trivial(cls, cx, rank=1):
+        return cls(cx, rank)
 
     @classmethod
-    def from_rep(cls, cover, rep, label="L"):
+    def from_rep(cls, cover, rep):
         if rep.model != cover.model:
             raise ModelMismatch("representation is over a different group model")
-        return cls(cover.base, rep.rank, cover=cover, rep=rep, label=label)
+        return cls(cover.base, rep.rank, cover=cover, rep=rep)
 
     @property
     def is_trivial(self):
@@ -392,8 +390,7 @@ class LocalSystem:
         cover = self.cover or other.cover
         left = self.rep or trivial_rep(cover.model, self.rank)
         right = other.rep or trivial_rep(cover.model, other.rank)
-        return LocalSystem.from_rep(cover, tensor_rep(left, right),
-                                    label=f"{self.label}(x){other.label}")
+        return LocalSystem.from_rep(cover, tensor_rep(left, right))
 
 
 def _boundary_blocks(system, k, dual):

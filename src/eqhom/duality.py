@@ -35,7 +35,7 @@ signs.  Only when the cone is not acyclic does pd_check cap the Smith
 generators of each H^k to name the failing degrees.
 """
 
-from .errors import PreconditionError
+from .errors import ModelMismatch, PreconditionError
 from .complexes import (LocalSystem, chain_boundary_matrix,
                         cochain_differential_matrix)
 from .groups import (augmentation_ideal_rep, regular_rep, tensor_rep,
@@ -49,10 +49,6 @@ class NotPseudomanifold(PreconditionError):
 
 
 class NonOrientable(PreconditionError):
-    pass
-
-
-class BaseMismatch(PreconditionError):
     pass
 
 
@@ -72,15 +68,13 @@ class TriangulatedManifold:
         return list(self.orientation)
 
 
-def orient(cx, dim=None):
+def orient(cx):
     """Coherently orient a closed pseudomanifold, or raise NonOrientable.
 
     Signs propagate from the first facet; the induced orientations of a
     shared ridge must cancel.
     """
-    n = cx.dim if dim is None else dim
-    if n != cx.dim:
-        raise DimensionMismatch(f"complex has dimension {cx.dim}, not {n}")
+    n = cx.dim
     if n < 1:
         raise NotPseudomanifold("dimension must be at least 1")
     if not cx.is_connected():
@@ -138,11 +132,6 @@ class Cochain:
         self.values = [list(map(int, v)) for v in values]
 
     @classmethod
-    def zero(cls, system, degree):
-        n = len(system.complex.simplices(degree))
-        return cls(system, degree, [[0] * system.rank for _ in range(n)])
-
-    @classmethod
     def from_flat(cls, system, degree, flat):
         r = system.rank
         n = len(system.complex.simplices(degree))
@@ -163,7 +152,7 @@ class Cochain:
 
     def __add__(self, other):
         if self.system is not other.system or self.degree != other.degree:
-            raise BaseMismatch("cochain mismatch in +")
+            raise ModelMismatch("cochain mismatch in +")
         return Cochain(self.system, self.degree,
                        [[a + b for a, b in zip(va, vb)]
                         for va, vb in zip(self.values, other.values)])
@@ -189,7 +178,7 @@ def _tensor_vec(u, v):
 def cup(phi, psi):
     """Front-face/back-face product, L1 x L2 -> L1 (x) L2 coefficients."""
     if phi.system.complex is not psi.system.complex:
-        raise BaseMismatch("operands live on different complexes")
+        raise ModelMismatch("operands live on different complexes")
     cx = phi.system.complex
     k, l = phi.degree, psi.degree
     system = phi.system.tensor(psi.system)
@@ -230,7 +219,7 @@ def cap_chain(phi, chain, m):
 def cap(phi, manifold):
     """phi cap [M]; sends cocycles to cycles."""
     if phi.system.complex is not manifold.complex:
-        raise BaseMismatch("cochain lives on a different complex")
+        raise ModelMismatch("cochain lives on a different complex")
     return cap_chain(phi, manifold.fundamental_cycle(), manifold.dim)
 
 
@@ -338,7 +327,7 @@ def pd_check(manifold, system):
     otherwise the per-degree route names the failing degrees.
     """
     if system.complex is not manifold.complex:
-        raise BaseMismatch("local system lives on a different complex")
+        raise ModelMismatch("local system lives on a different complex")
     n = manifold.dim
     delta, bd = _differentials(system, n)
     cone = chain_homology(_cone_differentials(manifold, system, delta, bd))
@@ -378,7 +367,7 @@ def berstein_svarc(cover):
     """
     model = cover.model
     ideal = augmentation_ideal_rep(model)
-    system = LocalSystem.from_rep(cover, ideal, label="I")
+    system = LocalSystem.from_rep(cover, ideal)
     values = []
     for (u, v) in cover.base.simplices(1):
         vec = [0] * ideal.rank
@@ -412,7 +401,7 @@ def bs_class_report(cover, k):
 def essentiality_pairing(manifold, cover):
     """(beta^n) cap [M] in H_0(M; I^(x)n); nonzero iff M is essential."""
     if cover.base is not manifold.complex:
-        raise BaseMismatch("cover does not cover this manifold")
+        raise ModelMismatch("cover does not cover this manifold")
     n = manifold.dim
     power = bs_power(cover, n)
     z = cap(power, manifold)
@@ -433,9 +422,9 @@ def pert_finite(phi, cover):
     coordinates refuse a vector that is not a cocycle.
     """
     if phi.system.complex is not cover.base:
-        raise BaseMismatch("cochain lives on a different complex")
+        raise ModelMismatch("cochain lives on a different complex")
     if not phi.system.is_trivial and phi.system.cover is not cover:
-        raise BaseMismatch("cochain is twisted through a different cover")
+        raise ModelMismatch("cochain is twisted through a different cover")
     k = phi.degree
     r = phi.system.rank
     model = cover.model

@@ -116,15 +116,14 @@ def bar_homology(model, n, coefficients=None):
 class CoinvariantsPresentation:
     """Z^rank(L) / span{rho(g) x - x : g generator} presents L (x)_pi Z."""
 
-    def __init__(self, representation, matrix):
-        self.representation = representation
+    def __init__(self, matrix):
         self.matrix = matrix
 
     @classmethod
     def of(cls, rep):
         r, model = rep.rank, rep.model
         gens = [model.gen_element(g) for g in model.generators]
-        return cls(rep, IntMatrix.from_blocks(
+        return cls(IntMatrix.from_blocks(
             r, r * len(gens), (r, r),
             ((0, k, c, img) for k, s in enumerate(gens)
              for c, img in ((1, rep.matrix_of(s)), (-1, None)))))

@@ -171,38 +171,28 @@ class GroupModel:
             out = self.mul(out, self.gen_element(g, e))
         return out
 
-    def word_of(self, element):
-        """Some word evaluating to the element."""
-        raise NotImplementedError
-
     def sort_key(self, element):
         raise NotImplementedError
-
-    def element_name(self, element):
-        return str(element)
 
 
 class FiniteGroup(GroupModel):
     """A finite group given by its full multiplication table.
 
     Element i is named ``c{i}``; element 0 is the identity.  ``gens`` maps
-    generator names to element indices and must generate the group (words
-    for every element are found by breadth-first search and cached).
+    generator names to element indices and must generate the group.
     """
 
     is_finite = True
 
-    def __init__(self, table, gens, presentation=None, _skip_checks=False):
+    def __init__(self, table, gens, presentation=None):
         self.table = [list(map(int, row)) for row in table]
         self.order = len(self.table)
         self.gens = dict(gens)
         self.generators = tuple(self.gens)
         self.presentation = presentation
-        if not _skip_checks:
-            self._check_table()
+        self._check_table()
         self.identity = 0
         self._inverse = [row.index(0) for row in self.table]
-        self.element_words = self._bfs_words()
         if presentation is not None:
             for rel in presentation.relators:
                 if self.normal_form(rel) != 0:
@@ -226,30 +216,20 @@ class FiniteGroup(GroupModel):
                     for c in range(n):
                         if self.table[ab][c] != self.table[a][self.table[b][c]]:
                             raise PreconditionError("table is not associative")
-        for g in self.gens.values():
-            if not 0 <= g < n:
-                raise PreconditionError("generator index out of range")
-
-    def _bfs_words(self):
-        words = {0: ()}
-        frontier = [0]
-        letters = [(name, 1) for name in self.generators]
-        letters += [(name, -1) for name in self.generators]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for name, e in letters:
-                    g = self.gens[name]
-                    if e < 0:
-                        g = self._inverse[g]
-                    d = self.table[c][g]
-                    if d not in words:
-                        words[d] = words[c] + ((name, e),)
-                        nxt.append(d)
-            frontier = nxt
-        if len(words) != self.order:
+        gens = set(self.gens.values())
+        if any(not 0 <= g < n for g in gens):
+            raise PreconditionError("generator index out of range")
+        # In a finite group every element is a positive word in generators.
+        reached = {0}
+        queue = [0]
+        for c in queue:
+            for g in gens:
+                d = self.table[c][g]
+                if d not in reached:
+                    reached.add(d)
+                    queue.append(d)
+        if len(reached) != n:
             raise PreconditionError("generators do not generate the group")
-        return [words[i] for i in range(self.order)]
 
     def gen_element(self, name, exp=1):
         if name not in self.gens:
@@ -265,9 +245,6 @@ class FiniteGroup(GroupModel):
 
     def elements(self):
         return range(self.order)
-
-    def word_of(self, element):
-        return self.element_words[element]
 
     def sort_key(self, element):
         return (element,)
@@ -325,15 +302,8 @@ class FreeGroup(GroupModel):
     def inv(self, x):
         return tuple(-s for s in reversed(x))
 
-    def word_of(self, element):
-        return tuple((self.generators[abs(s) - 1], 1 if s > 0 else -1)
-                     for s in element)
-
     def sort_key(self, element):
         return (len(element), element)
-
-    def element_name(self, element):
-        return render_word(self.word_of(element))
 
     def __eq__(self, other):
         return (isinstance(other, FreeGroup) and self.rank == other.rank
@@ -370,17 +340,8 @@ class FreeAbelianGroup(GroupModel):
     def inv(self, x):
         return tuple(-a for a in x)
 
-    def word_of(self, element):
-        word = []
-        for i, e in enumerate(element):
-            word.extend([(self.generators[i], 1 if e > 0 else -1)] * abs(e))
-        return tuple(word)
-
     def sort_key(self, element):
         return element
-
-    def element_name(self, element):
-        return "(" + ",".join(map(str, element)) + ")"
 
     def __eq__(self, other):
         return (isinstance(other, FreeAbelianGroup) and self.rank == other.rank
@@ -421,15 +382,8 @@ class ProductGroup(GroupModel):
     def inv(self, x):
         return (self.left.inv(x[0]), self.right.inv(x[1]))
 
-    def word_of(self, element):
-        return self.left.word_of(element[0]) + self.right.word_of(element[1])
-
     def sort_key(self, element):
         return (self.left.sort_key(element[0]), self.right.sort_key(element[1]))
-
-    def element_name(self, element):
-        return (self.left.element_name(element[0]) + "*"
-                + self.right.element_name(element[1]))
 
     def __eq__(self, other):
         return (isinstance(other, ProductGroup) and self.left == other.left
@@ -534,7 +488,9 @@ def todd_coxeter(pres, max_cosets):
     """Enumerate the cosets of the trivial subgroup; a FiniteGroup on success.
 
     Cosets are numbered in discovery order after compression, with c0 the
-    identity.  Raises Exceeded when more than max_cosets cosets get
+    identity.  The multiplication table is filled one column per coset
+    along a breadth-first tree of the coset graph: if d = c s, then
+    x d = (x c) s for every x.  Raises Exceeded when more than max_cosets cosets get
     defined (the group may be infinite, or merely larger than the budget).
 
     >>> todd_coxeter(GroupPresentation(("a",), (parse_word("aaa"),)), 10).order
@@ -566,32 +522,18 @@ def todd_coxeter(pres, max_cosets):
     relabel = {c: k for k, c in enumerate(live)}
     graph = [[relabel[ct.find(ct.tab[c][col])] for col in range(ncols)] for c in live]
     n = len(live)
-
-    # Words for each coset, then the full multiplication table.
-    words = {0: ()}
-    frontier = [0]
-    letters = [(g, 1) for g in gens] + [(g, -1) for g in gens]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g, e in letters:
-                d = graph[c][colof[(g, e)]]
-                if d not in words:
-                    words[d] = words[c] + ((g, e),)
-                    nxt.append(d)
-        frontier = nxt
-    table = []
-    for c1 in range(n):
-        row = []
-        for c2 in range(n):
-            c = c1
-            for letter in words[c2]:
-                c = graph[c][colof[letter]]
-            row.append(c)
-        table.append(row)
+    table = [[x] + [0] * (n - 1) for x in range(n)]
+    reached = [True] + [False] * (n - 1)
+    queue = [0]
+    for c in queue:
+        for col, d in enumerate(graph[c]):
+            if not reached[d]:
+                reached[d] = True
+                queue.append(d)
+                for row in table:
+                    row[d] = graph[row[c]][col]
     gen_map = {g: graph[0][colof[(g, 1)]] for g in gens}
-    return FiniteGroup(table, gen_map, presentation=pres,
-                       _skip_checks=(n > 24))
+    return FiniteGroup(table, gen_map, presentation=pres)
 
 
 # ---------------------------------------------------------------------------

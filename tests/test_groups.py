@@ -21,6 +21,60 @@ def Z(n):
 
 S3_PRES = GroupPresentation(("a", "b"), ("aa", "bbb", "abab"))
 V4_PRES = GroupPresentation(("a", "b"), ("aa", "bb", "abab"))
+Q8_PRES = GroupPresentation(("a", "b"), ("aaaa", "aabb", "abab'"))
+A4_PRES = GroupPresentation(("a", "b"), ("aaa", "bbb", "abab"))
+A5_PRES = GroupPresentation(("a", "b"), ("aa", "bbb", "ababababab"))
+
+
+def word_walk_table(pres, max_cosets):
+    """Reference construction of todd_coxeter's (table, gens): the same
+    enumeration, then a breadth-first word for every coset, and entry
+    (c1, c2) by walking the word of c2 from c1 through the coset graph."""
+    gens = pres.generators
+    ncols = 2 * len(gens)
+    colof = {}
+    for i, g in enumerate(gens):
+        colof[(g, 1)] = 2 * i
+        colof[(g, -1)] = 2 * i + 1
+    rels = [tuple(colof[letter] for letter in rel) for rel in pres.relators if rel]
+    ct = groups._CosetTable(ncols, max_cosets)
+    idx = 0
+    while idx < len(ct.tab):
+        if ct.find(idx) == idx:
+            for rel in rels:
+                ct.scan_and_fill(idx, rel)
+                if ct.find(idx) != idx:
+                    break
+            if ct.find(idx) == idx:
+                for col in range(ncols):
+                    if ct.tab[idx][col] is None:
+                        ct.define(idx, col)
+        idx += 1
+    live = [i for i in range(len(ct.tab)) if ct.find(i) == i]
+    relabel = {c: k for k, c in enumerate(live)}
+    graph = [[relabel[ct.find(ct.tab[c][col])] for col in range(ncols)] for c in live]
+    words = {0: ()}
+    frontier = [0]
+    letters = [(g, 1) for g in gens] + [(g, -1) for g in gens]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for letter in letters:
+                d = graph[c][colof[letter]]
+                if d not in words:
+                    words[d] = words[c] + (letter,)
+                    nxt.append(d)
+        frontier = nxt
+    table = []
+    for c1 in range(len(live)):
+        row = []
+        for c2 in range(len(live)):
+            c = c1
+            for letter in words[c2]:
+                c = graph[c][colof[letter]]
+            row.append(c)
+        table.append(row)
+    return table, {g: graph[0][colof[(g, 1)]] for g in gens}
 
 
 class TestWords:
@@ -92,6 +146,29 @@ class TestToddCoxeter:
         with pytest.raises(Exception):
             FiniteGroup([[0, 1], [1, 1]], {"a": 1})
 
+    def test_table_matches_word_walk(self):
+        # A5 (order 60) is above the size at which associativity is scanned;
+        # c is a redundant generator of S3.
+        redundant = GroupPresentation(("a", "b", "c"), ("aa", "bbb", "abab", "c'ab"))
+        cases = [(GroupPresentation(("a",), ("a" * n,)), 4 * n) for n in range(1, 61)]
+        cases += [(pres, 200) for pres in (V4_PRES, S3_PRES, Q8_PRES, A4_PRES,
+                                           redundant)]
+        cases.append((A5_PRES, 1000))
+        for pres, budget in cases:
+            m = todd_coxeter(pres, budget)
+            table, gens = word_walk_table(pres, budget)
+            assert m.table == table
+            assert m.gens == gens
+        assert todd_coxeter(A5_PRES, 1000).order == 60
+        assert todd_coxeter(redundant, 200).order == 6
+
+    def test_generators_must_generate(self):
+        z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        with pytest.raises(PreconditionError,
+                           match="^generators do not generate the group$"):
+            FiniteGroup(z4, {"a": 2})
+        assert FiniteGroup(z4, {"a": 3}).order == 4
+
 
 class TestNormalForms:
     def test_free(self):
@@ -152,8 +229,9 @@ class TestNormalForms:
         for m in models:
             gens = m.generators
             word = [(gens[i % len(gens)], e) for i, e in letters]
-            nf = m.normal_form(word)
-            assert m.normal_form(m.word_of(nf)) == nf
+            inverse = [(g, -e) for g, e in reversed(word)]
+            assert m.normal_form(word + inverse) == m.identity
+            assert m.mul(m.normal_form(word), m.normal_form(inverse)) == m.identity
 
 
 class TestGroupRing:
@@ -162,9 +240,10 @@ class TestGroupRing:
             tensor_rep(trivial_rep(Z(2)), trivial_rep(Z(3)))
 
     def test_model_mismatch_is_one_class(self):
-        from eqhom import coarse, complexes, errors, groups
+        from eqhom import coarse, complexes, duality, errors, groups
         assert (groups.ModelMismatch is complexes.ModelMismatch
-                is coarse.ModelMismatch is errors.ModelMismatch)
+                is coarse.ModelMismatch is duality.ModelMismatch
+                is errors.ModelMismatch)
 
 
 class TestRepresentations:

@@ -53,7 +53,7 @@ def test_cover_is_sphere_with_free_order_three_action(lens_cover):
 def test_twisted_homology(lens_cover):
     ideal = augmentation_ideal_rep(lens_cover.model)
     assert ideal.rank == 2
-    system = LocalSystem.from_rep(lens_cover, ideal, label="I")
+    system = LocalSystem.from_rep(lens_cover, ideal)
     groups = local_homology(system)
     assert groups == [Z3, AbelianGroupInvariants(0), Z3,
                       AbelianGroupInvariants(0)]
@@ -81,7 +81,7 @@ def test_essentiality_pairing_hits_the_torsion_generator(lens, lens_cover):
 
 def test_duality_with_rank_two_coefficients(lens, lens_cover):
     ideal = augmentation_ideal_rep(lens_cover.model)
-    system = LocalSystem.from_rep(lens_cover, ideal, label="I")
+    system = LocalSystem.from_rep(lens_cover, ideal)
     report = pd_check(orient(lens), system)
     assert report.ok
     assert [str(e.cohomology) for e in report.entries] == \
