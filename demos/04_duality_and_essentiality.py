@@ -33,7 +33,7 @@ ideal = augmentation_ideal_rep(cover.model)
 print()
 print("duality: cap with [M] in every degree and coefficient power")
 for power in range(4):
-    system = (LocalSystem.trivial(rp3) if power == 0 else
+    system = (LocalSystem(rp3, 1) if power == 0 else
               LocalSystem.from_rep(cover, tensor_power(ideal, power)))
     report = pd_check(manifold, system)
     label = "Z" if power == 0 else f"I^{power}"
@@ -54,7 +54,7 @@ print("cross-check, H_3 of the order-two group:", bar_homology(cover.model, 3))
 print()
 image = pert_finite(bs_power(cover, 3), cover)
 print("the same power, pushed to the cover:", image.render())
-gen = cohomology_pair(LocalSystem.trivial(rp3), 3)
-top = Cochain.from_flat(LocalSystem.trivial(rp3), 3, gen.generator_cycle(0))
+gen = cohomology_pair(LocalSystem(rp3, 1), 3)
+top = Cochain.from_flat(LocalSystem(rp3, 1), 3, gen.generator_cycle(0))
 print("while the integral top class transfers with degree two:",
       pert_finite(top, cover).render())

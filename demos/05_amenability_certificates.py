@@ -9,7 +9,7 @@ the boundary grows like the perimeter, so the least feasible bound climbs
 and small cuts certify each failure.
 """
 
-from eqhom.coarse import (cayley_ball, free_group_ponzi,
+from eqhom.coarse import (CayleyBall, free_group_ponzi,
                           gromov_counterexample_report, isoperimetric_ratio,
                           min_ponzi_bound)
 from eqhom.groups import FreeAbelianGroup, FreeGroup
@@ -19,7 +19,7 @@ zz = FreeAbelianGroup(2)
 
 print("free group of rank two: the tree scheme at several radii")
 for r in (1, 2, 4, 6):
-    ball = cayley_ball(f2, radius=r)
+    ball = CayleyBall(f2, r)
     cert = free_group_ponzi(ball)
     print(f"  R={r}: ball {len(ball):>5}, inner {ball.inner_count:>4}, "
           f"t = 1 certificate verified: {cert.verify()}")
@@ -27,7 +27,7 @@ for r in (1, 2, 4, 6):
 print()
 print("the plane Z^2: least feasible bound per radius, with obstructing cuts")
 for r in range(1, 7):
-    ball = cayley_ball(zz, radius=r)
+    ball = CayleyBall(zz, r)
     res = min_ponzi_bound(ball)
     inner, crossing, ratio = isoperimetric_ratio(ball)
     cut = ("" if res.cut_below is None else
@@ -38,8 +38,8 @@ for r in range(1, 7):
 print()
 print("Folner-style ratios diverge for Z^2 and stay below one for F_2:")
 for r in (2, 4, 6):
-    _, _, rz = isoperimetric_ratio(cayley_ball(zz, radius=r))
-    _, _, rf = isoperimetric_ratio(cayley_ball(f2, radius=r))
+    _, _, rz = isoperimetric_ratio(CayleyBall(zz, r))
+    _, _, rf = isoperimetric_ratio(CayleyBall(f2, r))
     print(f"  R={r}: Z^2 ratio {str(rz):>6} ~ {float(rz):.2f},   "
           f"F_2 ratio {str(rf):>9} ~ {float(rf):.2f}")
 

@@ -13,14 +13,14 @@ import sys
 from .errors import BudgetError, InputError, PreconditionError
 from .groups import (FreeAbelianGroup, FreeGroup, ProductGroup,
                      augmentation_ideal_rep, parse_presentation, regular_rep,
-                     tensor_power, todd_coxeter, Exceeded)
-from .complexes import (LocalSystem, build_cover, fundamental_group, homology,
+                     tensor_power, todd_coxeter)
+from .complexes import (LocalSystem, build_cover, fundamental_group,
                         load_complex, local_cohomology, local_homology,
                         render_homology)
 from .duality import (bs_class_report, bs_power, essentiality_pairing,
                       orient, pd_check, pert_finite)
 from .group_homology import bar_homology, shift_chain_check, shift_homology
-from .coarse import (cayley_ball, gromov_counterexample_report,
+from .coarse import (CayleyBall, gromov_counterexample_report,
                      isoperimetric_ratio, min_ponzi_bound, ponzi_feasible)
 
 
@@ -89,7 +89,10 @@ def parse_group_spec(spec):
 
 
 def _resolve_coeff(cx, path, max_cosets):
-    """Read a coefficient descriptor file: module: I^k | trivial k | regular."""
+    """Read a coefficient descriptor file (module: I^k | trivial k | regular);
+    no path, None or empty, means the trivial module Z."""
+    if not path:
+        return LocalSystem(cx, 1)
     descriptor = None
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,7 +113,7 @@ def _resolve_coeff(cx, path, max_cosets):
             raise InputError(f"bad trivial rank in {descriptor!r}") from None
         if rank < 0:
             raise InputError(f"bad trivial rank in {descriptor!r}")
-        return LocalSystem.trivial(cx, rank)
+        return LocalSystem(cx, rank)
     if rest or kind not in ("regular", "I") and not kind.startswith("I^"):
         raise InputError(f"unknown coefficient module {descriptor!r}")
     try:
@@ -131,19 +134,13 @@ def _resolve_coeff(cx, path, max_cosets):
 
 def _cmd_homology(args, out):
     cx = _load_complex(args.file)
-    if args.coeff:
-        groups = local_homology(_resolve_coeff(cx, args.coeff, args.max_cosets))
-    else:
-        groups = homology(cx)
-    out.append(render_homology(groups))
+    system = _resolve_coeff(cx, args.coeff, args.max_cosets)
+    out.append(render_homology(local_homology(system)))
 
 
 def _cmd_cohomology(args, out):
     cx = _load_complex(args.file)
-    if args.coeff:
-        system = _resolve_coeff(cx, args.coeff, args.max_cosets)
-    else:
-        system = LocalSystem.trivial(cx)
+    system = _resolve_coeff(cx, args.coeff, args.max_cosets)
     out.append(render_homology(local_cohomology(system), prefix="H^"))
 
 
@@ -154,7 +151,7 @@ def _cmd_pi1(args, out):
     try:
         model = todd_coxeter(pres, args.max_cosets)
         out.append(f"order = {model.order}")
-    except Exceeded:
+    except BudgetError:
         out.append(f"order = unknown (coset budget {args.max_cosets} exceeded)")
 
 
@@ -204,10 +201,7 @@ def _cmd_shift_chain(args, out):
 def _cmd_pd_check(args, out):
     cx = _load_complex(args.file)
     manifold = orient(cx)
-    if args.coeff:
-        system = _resolve_coeff(cx, args.coeff, args.max_cosets)
-    else:
-        system = LocalSystem.trivial(cx)
+    system = _resolve_coeff(cx, args.coeff, args.max_cosets)
     report = pd_check(manifold, system)
     if not report.ok:
         raise PreconditionError(
@@ -245,7 +239,7 @@ def _cmd_pert(args, out):
 
 def _cmd_ball(args, out):
     model = parse_group_spec(args.group)
-    ball = cayley_ball(model, radius=args.radius)
+    ball = CayleyBall(model, args.radius)
     out.append(f"group = {model.describe()}")
     out.append(f"radius = {args.radius}")
     out.append(f"vertices = {len(ball)}")
@@ -260,7 +254,7 @@ def _cmd_ball(args, out):
 
 def _cmd_ponzi(args, out):
     model = parse_group_spec(args.group)
-    ball = cayley_ball(model, radius=args.radius)
+    ball = CayleyBall(model, args.radius)
     out.append(f"group = {model.describe()}")
     out.append(f"radius = {args.radius}  bound = {args.bound}")
     out.append(f"ball = {len(ball)}  inner = {ball.inner_count}")
@@ -279,7 +273,7 @@ def _cmd_ponzi(args, out):
 
 def _cmd_min_bound(args, out):
     model = parse_group_spec(args.group)
-    ball = cayley_ball(model, radius=args.radius)
+    ball = CayleyBall(model, args.radius)
     res = min_ponzi_bound(ball)
     out.append(f"group = {model.describe()}")
     out.append(f"radius = {args.radius}")
@@ -298,7 +292,7 @@ def _cmd_folner(args, out):
         raise ValueError("radius must be >= 1")
     out.append(f"group = {model.describe()}")
     for r in range(1, args.radius + 1):
-        ball = cayley_ball(model, radius=r)
+        ball = CayleyBall(model, r)
         inner, crossing, ratio = isoperimetric_ratio(ball)
         out.append(f"R={r} inner={inner} crossing={crossing} ratio={ratio}")
 

@@ -22,10 +22,6 @@ class UnsupportedModel(PreconditionError):
     """Cayley-ball probes need an infinite model (free / free abelian / product)."""
 
 
-class BallTooLarge(BudgetError):
-    """The Cayley ball would have more than BUDGET vertices."""
-
-
 # ---------------------------------------------------------------------------
 # Cayley balls
 
@@ -40,7 +36,7 @@ class CayleyBall:
     def __init__(self, model, radius):
         if radius < 1:
             raise ValueError("radius must be >= 1")
-        if getattr(model, "is_finite", False):
+        if model.is_finite:
             raise UnsupportedModel(
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
@@ -71,7 +67,7 @@ class CayleyBall:
                     if w not in index:
                         found[w] = None
                 if len(index) + len(found) > BUDGET:
-                    raise BallTooLarge(
+                    raise BudgetError(
                         f"Cayley ball of radius {radius} exceeds {BUDGET} vertices")
             new = sorted(found, key=model.sort_key)
             for w in new:
@@ -106,10 +102,6 @@ class CayleyBall:
         """Edges from the inner ball to the outermost shell."""
         m = self.inner_count
         return [(i, j) for (i, j) in self.edges if i < m <= j]
-
-
-def cayley_ball(model, radius):
-    return CayleyBall(model, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +504,7 @@ class AmenabilityReport:
 
 
 class GromovReport:
-    def __init__(self, rank, radius, factor, torus_lines, ponzi_lines, tensor_lines,
-                 certified, kv):
-        self.rank = rank
-        self.radius = radius
-        self.factor = factor
+    def __init__(self, torus_lines, ponzi_lines, tensor_lines, certified, kv):
         self.torus_lines = torus_lines
         self.ponzi_lines = ponzi_lines
         self.tensor_lines = tensor_lines
@@ -553,7 +541,7 @@ def _torus_section(n):
     for m in range(1, min(n, 3) + 1):
         cx = torus_complex(m)
         manifold = orient(cx)
-        pair = homology_pair(LocalSystem.trivial(cx), m)
+        pair = homology_pair(LocalSystem(cx, 1), m)
         coords = pair.coordinates(manifold.fundamental_cycle())
         if (pair.invariants.free_rank != 1 or pair.invariants.torsion
                 or len(coords) != 1 or abs(coords[0]) != 1):
@@ -593,7 +581,7 @@ def gromov_counterexample_report(n, radius, factor=None):
 
     ponzi_lines = [f"group = {factor.describe()}", f"radius = {radius}"]
     if isinstance(factor, FreeGroup) and factor.rank >= 2:
-        ball = cayley_ball(factor, radius=radius)
+        ball = CayleyBall(factor, radius)
         free_group_ponzi(ball)  # raises CertificateError unless it verifies
         cross = ponzi_feasible(ball, 1)
         ponzi_lines.append(f"ball = {len(ball)} inner = {ball.inner_count}")
@@ -610,7 +598,7 @@ def gromov_counterexample_report(n, radius, factor=None):
         ponzi_lines = [f"radius probes 1..{max(radius, 6)}"]
         report = AmenabilityReport(factor.describe())
         for r in range(1, max(radius, 6) + 1):
-            ball = cayley_ball(factor, radius=r)
+            ball = CayleyBall(factor, r)
             res = min_ponzi_bound(ball)
             report.add(r, len(ball), ball.inner_count,
                        len(ball.crossing_edges()), res.t_min)
@@ -641,5 +629,4 @@ def gromov_counterexample_report(n, radius, factor=None):
         tensor_lines.append("verdict: DECLINED (no bound-one certificate; "
                             "factor behaves amenably in the probed range)")
     kv["verdict"] = "certified" if certified else "declined"
-    return GromovReport(n, radius, factor, torus_lines, ponzi_lines,
-                        tensor_lines, certified, kv)
+    return GromovReport(torus_lines, ponzi_lines, tensor_lines, certified, kv)

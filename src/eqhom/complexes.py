@@ -23,9 +23,8 @@ identity.
 
 from itertools import combinations, permutations
 
-from .errors import InputError, ModelMismatch, PreconditionError
-from .groups import (FiniteGroup, GroupPresentation, Exceeded, todd_coxeter,
-                     trivial_rep)
+from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
+from .groups import FiniteGroup, GroupPresentation, todd_coxeter, trivial_rep
 from .intlinalg import IntMatrix, chain_homology
 
 
@@ -236,7 +235,7 @@ class EquivariantComplex:
         if not isinstance(model, FiniteGroup):
             raise InfiniteGroup("universal covers are built for finite models only")
         pres, tree_edges, gen_of_edge = _edge_path_data(base, basepoint)
-        if getattr(model, "presentation", None) != pres:
+        if model.presentation != pres:
             raise PresentationMismatch(
                 "model was not built from this complex's pi_1 presentation")
         self.base = base
@@ -330,7 +329,7 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
     pres = fundamental_group(cx, basepoint)
     try:
         model = todd_coxeter(pres, max_cosets)
-    except Exceeded as exc:
+    except BudgetError as exc:
         # H_1 is the abelianized pi_1 (Hurewicz); a free summand proves
         # pi_1 infinite, otherwise only the budget ran out.
         h1 = chain_homology([cx.boundary_matrix(1), cx.boundary_matrix(2)])[0]
@@ -359,10 +358,6 @@ class LocalSystem:
         self.rep = rep
 
     @classmethod
-    def trivial(cls, cx, rank=1):
-        return cls(cx, rank)
-
-    @classmethod
     def from_rep(cls, cover, rep):
         if rep.model != cover.model:
             raise ModelMismatch("representation is over a different group model")
@@ -385,7 +380,7 @@ class LocalSystem:
         if self.cover is not None and other.cover not in (None, self.cover):
             raise ModelMismatch("local systems twisted through different covers")
         if self.is_trivial and other.is_trivial:
-            return LocalSystem.trivial(self.complex, self.rank * other.rank)
+            return LocalSystem(self.complex, self.rank * other.rank)
         from .groups import tensor_rep
         cover = self.cover or other.cover
         left = self.rep or trivial_rep(cover.model, self.rank)
@@ -431,12 +426,12 @@ def homology(cx):
     >>> [str(h) for h in homology(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))]
     ['Z^1', 'Z^1']
     """
-    return local_homology(LocalSystem.trivial(cx))
+    return local_homology(LocalSystem(cx, 1))
 
 
 def cohomology(cx):
     """H^k(X; Z) via the transposed boundaries."""
-    return local_cohomology(LocalSystem.trivial(cx))
+    return local_cohomology(LocalSystem(cx, 1))
 
 
 def local_homology(system):

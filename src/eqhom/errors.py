@@ -2,7 +2,9 @@
 
 Three broad families matter to callers (and to the CLI's exit codes):
 input/parse problems, violated mathematical preconditions, and blown
-search budgets.
+search budgets.  BudgetError is the one budget exception: coset
+enumeration, the bar-resolution rank and the Cayley-ball size all raise
+it directly, with a message naming the cap.
 """
 
 

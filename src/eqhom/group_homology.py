@@ -26,10 +26,6 @@ from .intlinalg import IntMatrix, chain_homology, cokernel_invariants
 BUDGET = 20000
 
 
-class BudgetExceeded(BudgetError):
-    pass
-
-
 def _require_finite(model):
     if not isinstance(model, FiniteGroup):
         raise NotFinite("group homology routines need a finite model")
@@ -40,7 +36,7 @@ def _check_budget(model, n, rank=1):
     size = (model.order - 1) ** n * rank
     if size > BUDGET:
         what = f"(|pi|-1)^{n}" if rank == 1 else f"(|pi|-1)^{n} * rank {rank}"
-        raise BudgetExceeded(f"{what} = {size} exceeds budget {BUDGET}")
+        raise BudgetError(f"{what} = {size} exceeds budget {BUDGET}")
 
 
 class BarComplex:
@@ -51,8 +47,6 @@ class BarComplex:
         self.coefficients = coefficients or trivial_rep(model, 1)
         _check_budget(model, max_degree, self.coefficients.rank)
         self.model = model
-        self.max_degree = max_degree
-        self._matrices = {}
 
     def module_rank(self, k):
         if k < 0:
@@ -85,16 +79,11 @@ class BarComplex:
 
     def boundary_matrix(self, k):
         """d_k : B_k (x)_pi L -> B_{k-1} (x)_pi L."""
-        if k in self._matrices:
-            return self._matrices[k]
         if k < 1:
-            mat = IntMatrix.zeros(0, self.module_rank(0) if k == 0 else 0)
-        else:
-            r = self.coefficients.rank
-            mat = IntMatrix.from_blocks(self.module_rank(k - 1), self.module_rank(k),
-                                        (r, r), self._boundary_blocks(k))
-        self._matrices[k] = mat
-        return mat
+            return IntMatrix.zeros(0, self.module_rank(0) if k == 0 else 0)
+        r = self.coefficients.rank
+        return IntMatrix.from_blocks(self.module_rank(k - 1), self.module_rank(k),
+                                     (r, r), self._boundary_blocks(k))
 
 
 def bar_homology(model, n, coefficients=None):

@@ -27,14 +27,6 @@ class NotFinite(PreconditionError):
     """A finite group model is required."""
 
 
-class Exceeded(BudgetError):
-    """Coset enumeration hit its coset budget (group may be infinite)."""
-
-    def __init__(self, max_cosets):
-        super().__init__(f"coset budget {max_cosets} exceeded")
-        self.max_cosets = max_cosets
-
-
 # ---------------------------------------------------------------------------
 # words and presentations
 
@@ -409,7 +401,7 @@ class _CosetTable:
 
     def _new(self):
         if len(self.tab) >= self.budget:
-            raise Exceeded(self.budget)
+            raise BudgetError(f"coset budget {self.budget} exceeded")
         c = len(self.tab)
         self.tab.append([None] * self.ncols)
         self.parent.append(c)
@@ -490,8 +482,9 @@ def todd_coxeter(pres, max_cosets):
     Cosets are numbered in discovery order after compression, with c0 the
     identity.  The multiplication table is filled one column per coset
     along a breadth-first tree of the coset graph: if d = c s, then
-    x d = (x c) s for every x.  Raises Exceeded when more than max_cosets cosets get
-    defined (the group may be infinite, or merely larger than the budget).
+    x d = (x c) s for every x.  Raises BudgetError when more than max_cosets
+    cosets get defined (the group may be infinite, or merely larger than the
+    budget).
 
     >>> todd_coxeter(GroupPresentation(("a",), (parse_word("aaa"),)), 10).order
     3

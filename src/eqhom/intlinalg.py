@@ -246,15 +246,6 @@ class AbelianGroupInvariants:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def order(self):
-        """Group order, or 0 when infinite."""
-        if self.free_rank:
-            return 0
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def __str__(self):
         parts = []
         if self.free_rank:

@@ -9,7 +9,7 @@ import time
 from itertools import combinations
 
 from eqhom.cli import run as cli_run
-from eqhom.coarse import (cayley_ball, free_group_ponzi, isoperimetric_ratio,
+from eqhom.coarse import (CayleyBall, free_group_ponzi, isoperimetric_ratio,
                           max_flow, min_ponzi_bound)
 from eqhom.complexes import LocalSystem
 from eqhom.duality import (Cochain, bs_power, cap_chain, cup,
@@ -79,10 +79,10 @@ def test_criterion_3_projective_vanishing():
 
 def test_criterion_4_poincare_duality(t2, s2cx, s3cx, t3, rp3, rp3_cover):
     for cx in (t2, s2cx, s3cx, t3):
-        assert pd_check(orient(cx), LocalSystem.trivial(cx)).ok
+        assert pd_check(orient(cx), LocalSystem(cx, 1)).ok
     ideal = augmentation_ideal_rep(rp3_cover.model)
     manifold = orient(rp3)
-    assert pd_check(manifold, LocalSystem.trivial(rp3)).ok
+    assert pd_check(manifold, LocalSystem(rp3, 1)).ok
     for power in (1, 2, 3):
         system = LocalSystem.from_rep(rp3_cover, tensor_power(ideal, power))
         assert pd_check(manifold, system).ok
@@ -103,9 +103,9 @@ def test_criterion_5_essentiality_and_pert(rp3, rp3_cover):
 def test_criterion_6_product_identities(t2, s2cx, s3cx, t3, rp3, rp3_cover):
     rng = random.Random(2026)
     ideal = augmentation_ideal_rep(rp3_cover.model)
-    fixtures = [LocalSystem.trivial(t2), LocalSystem.trivial(s2cx),
-                LocalSystem.trivial(s3cx), LocalSystem.trivial(t3),
-                LocalSystem.trivial(rp3),
+    fixtures = [LocalSystem(t2, 1), LocalSystem(s2cx, 1),
+                LocalSystem(s3cx, 1), LocalSystem(t3, 1),
+                LocalSystem(rp3, 1),
                 LocalSystem.from_rep(rp3_cover, ideal),
                 LocalSystem.from_rep(rp3_cover, tensor_power(ideal, 2))]
 
@@ -121,7 +121,7 @@ def test_criterion_6_product_identities(t2, s2cx, s3cx, t3, rp3, rp3_cover):
             k = rng.randint(0, n - 1)
             l = rng.randint(0, n - 1 - k)
             phi = rand_cochain(system, k)
-            psi = rand_cochain(LocalSystem.trivial(cx), l)
+            psi = rand_cochain(LocalSystem(cx, 1), l)
             lhs = cup(phi, psi).delta().flat()
             a = cup(phi.delta(), psi).flat()
             b = cup(phi, psi.delta()).flat()
@@ -150,7 +150,7 @@ def test_criterion_7_block_weinberger_probe():
     start = time.monotonic()
     f2 = FreeGroup(2)
     for r in range(1, 7):
-        ball = cayley_ball(f2, radius=r)
+        ball = CayleyBall(f2, r)
         scheme = free_group_ponzi(ball)
         assert scheme.verify()
         res = min_ponzi_bound(ball)
@@ -159,17 +159,17 @@ def test_criterion_7_block_weinberger_probe():
     zz = FreeAbelianGroup(2)
     previous = 0
     for r in range(1, 7):
-        ball = cayley_ball(zz, radius=r)
+        ball = CayleyBall(zz, r)
         res = min_ponzi_bound(ball)
         assert res.t_min >= previous
         previous = res.t_min
-    ball6 = cayley_ball(zz, radius=6)
+    ball6 = CayleyBall(zz, 6)
     inner, crossing, _ = isoperimetric_ratio(ball6)
     assert (inner, crossing) == (61, 44) and crossing < inner
     assert previous > 1  # t_min(Z^2, 6) exceeds 1
     z1 = FreeAbelianGroup(1)
     for r in range(2, 9):
-        res = min_ponzi_bound(cayley_ball(z1, radius=r))
+        res = min_ponzi_bound(CayleyBall(z1, r))
         assert res.t_min >= -(-(2 * r - 1) // 2)
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"criterion 7 took {elapsed:.1f}s"

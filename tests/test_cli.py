@@ -193,10 +193,11 @@ class TestExitCodes:
             assert text.count("\n") == 1, line
 
 
-# Presentations written to a temporary directory by the test below.
-BAD_PRESENTATIONS = {
+# Input files written to a temporary directory by the test below.
+BAD_INPUTS = {
     "repeated-gen.pres": "gens: a a\nrels: aa\n",
     "two-gens-lines.pres": "gens: a\ngens: b\nrels: aa\n",
+    "two-triangles.cplx": "f 0 1 2\nf 3 4 5\n",
 }
 
 
@@ -230,11 +231,19 @@ BAD_PRESENTATIONS = {
     # Generators are named a..z, so a group spec has at most 26 of them.
     *[(("ball", spec, "--radius", "1"), 1, "group spec needs more than 26 generators")
       for spec in ("z27", "z20*f10")],
+    # Every bar-rank overflow is the same budget error: at degree n itself,
+    # inside BarComplex at degree n + 1, and on the shift route.
+    *[(("group-homology", fixture_path("s3.pres"), "--n", n, "--method", method), 3,
+       "(|pi|-1)^7 = 78125 exceeds budget 20000")
+      for n, method in (("7", "bar"), ("6", "bar"), ("7", "shift"))],
+    # orient checks connectivity before pd-check and essential use pi_1.
+    *[((cmd, "two-triangles.cplx"), 2, "complex is not connected")
+      for cmd in ("pd-check", "essential")],
 ])
 def test_error_line_is_the_only_output(argv, code, message, tmp_path):
-    for name, text in BAD_PRESENTATIONS.items():
+    for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in BAD_PRESENTATIONS else a for a in argv]
+    argv = [str(tmp_path / a) if a in BAD_INPUTS else a for a in argv]
     assert invoke(*argv) == (code, f"error: {message}\n")
 
 
@@ -277,8 +286,8 @@ def test_ball_budget_exits_3(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["z2", "f2", "z1*f2"])
 def test_ball_shell_sizes_are_the_shells(spec):
-    from eqhom.coarse import cayley_ball
-    ball = cayley_ball(parse_group_spec(spec), radius=4)
+    from eqhom.coarse import CayleyBall
+    ball = CayleyBall(parse_group_spec(spec), 4)
     sizes = " ".join(str(len(ball.shell(d))) for d in range(5))
     code, text = invoke("ball", spec, "--radius", "4")
     assert code == 0 and f"\nshell sizes = {sizes}\n" in text

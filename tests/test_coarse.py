@@ -10,12 +10,12 @@ import pytest
 
 import eqhom
 from eqhom import coarse
-from eqhom.coarse import (AmenabilityReport, BallTooLarge, InfeasibleCut,
+from eqhom.coarse import (AmenabilityReport, CayleyBall, InfeasibleCut,
                           ModelMismatch, PonziCertificate, UnsupportedModel,
-                          cayley_ball, free_group_ponzi,
+                          free_group_ponzi,
                           gromov_counterexample_report, isoperimetric_ratio,
                           max_flow, min_ponzi_bound, ponzi_feasible)
-from eqhom.errors import CertificateError
+from eqhom.errors import BudgetError, CertificateError
 from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
                           ProductGroup, todd_coxeter)
 
@@ -69,53 +69,54 @@ def brute_force_min_bound(ball):
 
 class TestBalls:
     def test_z2_radius_2(self):
-        ball = cayley_ball(ZZ, radius=2)
+        ball = CayleyBall(ZZ, 2)
         assert len(ball) == 13
         assert ball.inner_count == 5
 
     def test_f2_radius_2(self):
-        assert len(cayley_ball(F2, radius=2)) == 17
+        assert len(CayleyBall(F2, 2)) == 17
 
     def test_radius_one_is_star(self):
         for model, size in ((ZZ, 5), (F2, 5), (Z1, 3)):
-            ball = cayley_ball(model, radius=1)
+            ball = CayleyBall(model, 1)
             assert len(ball) == size
             assert ball.inner_count == 1
 
     def test_closed_forms(self):
         for r in range(1, 7):
-            assert len(cayley_ball(ZZ, radius=r)) == 2 * r * r + 2 * r + 1
-            assert len(cayley_ball(F2, radius=r)) == 2 * 3 ** r - 1
+            assert len(CayleyBall(ZZ, r)) == 2 * r * r + 2 * r + 1
+            assert len(CayleyBall(F2, r)) == 2 * 3 ** r - 1
 
     def test_product_ball(self):
         pg = ProductGroup(FreeAbelianGroup(1, ("a",)), FreeGroup(2, ("s", "t")))
-        ball = cayley_ball(pg, radius=2)
+        ball = CayleyBall(pg, 2)
         # |B_1| = 7 (two abelian moves, four tree moves, identity)
         assert len(ball.shell(0)) == 1 and len(ball.shell(1)) == 6
 
     def test_vertex_budget(self, monkeypatch):
         monkeypatch.setattr(coarse, "BUDGET", 161)
-        assert len(cayley_ball(F2, radius=4)) == 161
-        with pytest.raises(BallTooLarge):
-            cayley_ball(F2, radius=5)  # 485 vertices
-        with pytest.raises(BallTooLarge):
-            cayley_ball(ZZ, radius=9)  # 181 vertices
+        assert len(CayleyBall(F2, 4)) == 161
+        for model, radius in ((F2, 5), (ZZ, 9)):  # 485 and 181 vertices
+            with pytest.raises(BudgetError) as exc:
+                CayleyBall(model, radius)
+            assert type(exc.value) is BudgetError
+            assert str(exc.value) == f"Cayley ball of radius {radius} exceeds 161 vertices"
 
     def test_finite_model_rejected(self):
         z2 = todd_coxeter(GroupPresentation(("a",), ("aa",)), 5)
         with pytest.raises(UnsupportedModel):
-            cayley_ball(z2, radius=2)
+            CayleyBall(z2, 2)
 
     def test_crossing_count_z2(self):
         for r in range(2, 7):
-            ball = cayley_ball(ZZ, radius=r)
+            ball = CayleyBall(ZZ, r)
             assert len(ball.crossing_edges()) == 4 * (2 * r - 1)
 
     @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2, ZZ3],
                              ids=["z2", "f2", "f3", "z_x_f2", "z_x_z3"])
     def test_bfs_order_matches_reference(self, model):
         for r in range(1, 5):
-            ball = cayley_ball(model, radius=r)
+            ball = CayleyBall(model, r)
             vertices, depth, index, edges = reference_ball(model, r)
             assert ball.vertices == vertices
             assert ball.depth == depth
@@ -242,7 +243,7 @@ class TestMaxFlow:
         the residual graph, match ponzi_feasible's answer."""
         nx = pytest.importorskip("networkx")
         for model, r in self.PONZI_NETWORKS:
-            ball = cayley_ball(model, radius=r)
+            ball = CayleyBall(model, r)
             source, sink = len(ball), len(ball) + 1
             for bound in (1, 2, 3):
                 graph = nx.DiGraph()
@@ -271,12 +272,12 @@ class TestMaxFlow:
 
 class TestPonzi:
     def test_f2_bound_one_feasible(self):
-        ball = cayley_ball(F2, radius=4)
+        ball = CayleyBall(F2, 4)
         cert = ponzi_feasible(ball, 1)
         assert cert.feasible and cert.verify()
 
     def test_z2_radius_6_infeasible_with_counting_cut(self):
-        ball = cayley_ball(ZZ, radius=6)
+        ball = CayleyBall(ZZ, 6)
         inner, crossing, _ = isoperimetric_ratio(ball)
         assert (inner, crossing) == (61, 44)
         assert crossing < inner  # the counting obstruction
@@ -286,12 +287,12 @@ class TestPonzi:
 
     def test_full_bound_always_feasible(self):
         for model, r in ((ZZ, 3), (F2, 2), (Z1, 4)):
-            ball = cayley_ball(model, radius=r)
+            ball = CayleyBall(model, r)
             cert = ponzi_feasible(ball, ball.inner_count)
             assert cert.feasible and cert.verify()
 
     def test_certificate_verifier_catches_tampering(self):
-        ball = cayley_ball(F2, radius=3)
+        ball = CayleyBall(F2, 3)
         cert = free_group_ponzi(ball)
         assert cert.verify()
         bad = PonziCertificate(ball, cert.bound, dict(cert.flow))
@@ -302,7 +303,7 @@ class TestPonzi:
             bad.check()
 
     def test_verifier_rejects_reversed_key(self):
-        cert = free_group_ponzi(cayley_ball(F2, radius=3))
+        cert = free_group_ponzi(CayleyBall(F2, 3))
         (i, j), f = next(iter(cert.flow.items()))
         flow = dict(cert.flow)
         del flow[(i, j)]
@@ -310,7 +311,7 @@ class TestPonzi:
         assert not PonziCertificate(cert.ball, cert.bound, flow).verify()
 
     def test_verifier_rejects_non_adjacent_key(self):
-        ball = cayley_ball(ZZ, radius=3)
+        ball = CayleyBall(ZZ, 3)
         cert = ponzi_feasible(ball, 1)
         far = (0, len(ball) - 1)
         assert far not in ball.edges
@@ -319,13 +320,13 @@ class TestPonzi:
         assert not PonziCertificate(ball, cert.bound, flow).verify()
 
     def test_verifier_rejects_flow_over_bound(self):
-        ball = cayley_ball(ZZ, radius=6)
+        ball = CayleyBall(ZZ, 6)
         cert = ponzi_feasible(ball, 2)
         assert cert.verify() and max(map(abs, cert.flow.values())) == 2
         assert not PonziCertificate(ball, 1, cert.flow).verify()
 
     def test_bound_bounds_flow(self):
-        ball = cayley_ball(ZZ, radius=3)
+        ball = CayleyBall(ZZ, 3)
         res = min_ponzi_bound(ball)
         assert all(abs(f) <= res.t_min for f in res.certificate.flow.values())
 
@@ -333,12 +334,12 @@ class TestPonzi:
 class TestMinBound:
     def test_f2_all_radii(self):
         for r in range(1, 7):
-            res = min_ponzi_bound(cayley_ball(F2, radius=r))
+            res = min_ponzi_bound(CayleyBall(F2, r))
             assert res.t_min == 1
             assert res.certificate.verify()
 
     def test_z2_radius_6(self):
-        res = min_ponzi_bound(cayley_ball(ZZ, radius=6))
+        res = min_ponzi_bound(CayleyBall(ZZ, 6))
         assert res.t_min == 2
         assert res.cut_below is not None
         assert res.cut_below.capacity < 61
@@ -346,7 +347,7 @@ class TestMinBound:
     def test_z2_nondecreasing_and_flux_bound(self):
         last = 0
         for r in range(1, 7):
-            ball = cayley_ball(ZZ, radius=r)
+            ball = CayleyBall(ZZ, r)
             res = min_ponzi_bound(ball)
             assert res.t_min >= last
             last = res.t_min
@@ -355,7 +356,7 @@ class TestMinBound:
 
     def test_z1_linear_growth(self):
         for r in range(2, 9):
-            res = min_ponzi_bound(cayley_ball(Z1, radius=r))
+            res = min_ponzi_bound(CayleyBall(Z1, r))
             assert res.t_min >= -(-(2 * r - 1) // 2)
 
     BRUTE_FORCE_BALLS = ([(Z1, r) for r in range(1, 10)]
@@ -368,7 +369,7 @@ class TestMinBound:
     def test_search_agrees_with_brute_force(self):
         kinds = set()
         for model, r in self.BRUTE_FORCE_BALLS:
-            ball = cayley_ball(model, radius=r)
+            ball = CayleyBall(model, r)
             res = min_ponzi_bound(ball)
             t_min = brute_force_min_bound(ball)
             assert res.t_min == t_min, (model.describe(), r)
@@ -401,7 +402,7 @@ class TestMinBound:
 
         monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
         monkeypatch.setattr(coarse, "max_flow", counted_flow)
-        res = min_ponzi_bound(cayley_ball(ZZ, radius=25))
+        res = min_ponzi_bound(CayleyBall(ZZ, 25))
         assert (res.t_min, res.cut_below.capacity) == (8, 1176)
         assert len(calls) == 2
         assert len(phases) <= 60
@@ -419,10 +420,10 @@ class TestMinBound:
 
         monkeypatch.setattr(coarse, "_ponzi_probe", forged)
         with pytest.raises(CertificateError, match=f"t = {fake} routes below"):
-            min_ponzi_bound(cayley_ball(model, radius=r))
+            min_ponzi_bound(CayleyBall(model, r))
 
     def test_boundary_monotonicity(self):
-        ball = cayley_ball(ZZ, radius=5)
+        ball = CayleyBall(ZZ, 5)
         res = min_ponzi_bound(ball)
         assert ponzi_feasible(ball, res.t_min).feasible
         if res.t_min > 1:
@@ -432,40 +433,40 @@ class TestMinBound:
 
 class TestFreeGroupScheme:
     def test_radius_one(self):
-        cert = free_group_ponzi(cayley_ball(F2, radius=1))
+        cert = free_group_ponzi(CayleyBall(F2, 1))
         assert cert.verify()
         assert sum(1 for v in cert.flow.values() if v) == 1
 
     def test_f2_radius_3(self):
-        assert free_group_ponzi(cayley_ball(F2, radius=3)).verify()
+        assert free_group_ponzi(CayleyBall(F2, 3)).verify()
 
     def test_f3_radius_2(self):
-        cert = free_group_ponzi(cayley_ball(FreeGroup(3), radius=2))
+        cert = free_group_ponzi(CayleyBall(FreeGroup(3), 2))
         assert cert.verify()
 
     def test_flows_within_unit(self):
-        cert = free_group_ponzi(cayley_ball(F2, radius=4))
+        cert = free_group_ponzi(CayleyBall(F2, 4))
         assert set(cert.flow.values()) <= {1, -1}
 
     def test_wrong_model(self):
         with pytest.raises(ModelMismatch):
-            free_group_ponzi(cayley_ball(ZZ, radius=2))
+            free_group_ponzi(CayleyBall(ZZ, 2))
         with pytest.raises(ModelMismatch):
-            free_group_ponzi(cayley_ball(FreeGroup(1), radius=2))
+            free_group_ponzi(CayleyBall(FreeGroup(1), 2))
 
 
 class TestIsoperimetric:
     def test_z2_radius_6(self):
-        ratio = isoperimetric_ratio(cayley_ball(ZZ, radius=6))[2]
+        ratio = isoperimetric_ratio(CayleyBall(ZZ, 6))[2]
         assert isinstance(ratio, Fraction) and ratio == Fraction(61, 44)
 
     def test_f2_ratio_bounded(self):
         for r in range(1, 5):
-            _, _, ratio = isoperimetric_ratio(cayley_ball(F2, radius=r))
+            _, _, ratio = isoperimetric_ratio(CayleyBall(F2, r))
             assert ratio <= 1
 
     def test_radius_one(self):
-        assert isoperimetric_ratio(cayley_ball(ZZ, radius=1))[0] == 1
+        assert isoperimetric_ratio(CayleyBall(ZZ, 1))[0] == 1
 
 
 class TestReports:
@@ -525,11 +526,11 @@ class TestOptimizedMode:
 
     def test_tampered_certificate_raises(self):
         script = textwrap.dedent("""
-            from eqhom.coarse import PonziCertificate, cayley_ball, free_group_ponzi
+            from eqhom.coarse import CayleyBall, PonziCertificate, free_group_ponzi
             from eqhom.errors import CertificateError
             from eqhom.groups import FreeGroup
             assert False, "this line only runs with asserts on"
-            cert = free_group_ponzi(cayley_ball(FreeGroup(2), radius=3))
+            cert = free_group_ponzi(CayleyBall(FreeGroup(2), 3))
             flow = dict(cert.flow)
             flow[next(iter(flow))] += 1
             try:

@@ -80,7 +80,7 @@ class TestConstruction:
     def test_boundary_matrix_is_the_trivial_chain_differential(self):
         for name in FIXTURE_NAMES:
             cx = load_fixture(f"{name}.cplx")
-            system = LocalSystem.trivial(cx)
+            system = LocalSystem(cx, 1)
             for k in range(-1, cx.dim + 2):
                 mat = cx.boundary_matrix(k)
                 assert chain_boundary_matrix(system, k) == mat
@@ -197,7 +197,7 @@ class TestUniversalCover:
 
 class TestLocalCoefficients:
     def test_trivial_system_matches_base(self, rp2):
-        sys0 = LocalSystem.trivial(rp2)
+        sys0 = LocalSystem(rp2, 1)
         assert local_homology(sys0) == homology(rp2)
         assert local_cohomology(sys0) == cohomology(rp2)
 
@@ -226,7 +226,7 @@ class TestLocalCoefficients:
         assert ho[0] == AbelianGroupInvariants(0, (2,))
 
     def test_rank_zero_system_shapes(self, rp2):
-        system = LocalSystem.trivial(rp2, 0)
+        system = LocalSystem(rp2, 0)
         for k in range(-1, rp2.dim + 2):
             for mat in (chain_boundary_matrix(system, k),
                         cochain_differential_matrix(system, k)):
@@ -237,7 +237,7 @@ class TestLocalCoefficients:
         from eqhom.groups import tensor_power
         ideal = augmentation_ideal_rep(rp2_cover.model)
         n0 = len(rp2.simplices(0))
-        for system in (LocalSystem.trivial(rp2), LocalSystem.trivial(rp2, 3),
+        for system in (LocalSystem(rp2, 1), LocalSystem(rp2, 3),
                        LocalSystem.from_rep(rp2_cover, regular_rep(rp2_cover.model)),
                        LocalSystem.from_rep(rp2_cover, tensor_power(ideal, 2))):
             mat = cochain_differential_matrix(system, -1)
@@ -251,7 +251,7 @@ class TestLocalCoefficients:
         monkeypatch.setattr(IntMatrix, "kronecker",
                             lambda a, b: built.append((a, b)) or real(a, b))
         both = ideal.tensor(ideal)
-        mixed = ideal.tensor(LocalSystem.trivial(rp3_cover.base, 2))
+        mixed = ideal.tensor(LocalSystem(rp3_cover.base, 2))
         assert built == []
         both.rep.matrix_of(1)
         mixed.rep.matrix_of(1)
@@ -259,7 +259,7 @@ class TestLocalCoefficients:
 
     def test_holonomy_matrix_is_the_edge_transport(self, lens3_cover):
         cx = lens3_cover.base
-        trivial = LocalSystem.trivial(cx, 2)
+        trivial = LocalSystem(cx, 2)
         system = LocalSystem.from_rep(lens3_cover, augmentation_ideal_rep(lens3_cover.model))
         eye = IntMatrix.identity(system.rank)
         reversed_differs = 0

@@ -73,7 +73,7 @@ def check_leibniz(rng, system, instances):
         k = rng.randint(0, n - 1)
         l = rng.randint(0, n - 1 - k) if n - 1 - k >= 0 else 0
         phi = rand_cochain(rng, system, k)
-        psi = rand_cochain(rng, LocalSystem.trivial(cx), l)
+        psi = rand_cochain(rng, LocalSystem(cx, 1), l)
         lhs = cup(phi, psi).delta().flat()
         a = cup(phi.delta(), psi).flat()
         b = cup(phi, psi.delta()).flat()
@@ -117,7 +117,7 @@ class TestOrientation:
     def test_fundamental_class_coordinates(self, name, request):
         cx = request.getfixturevalue(name)
         manifold = orient(cx)
-        pair = homology_pair(LocalSystem.trivial(cx), manifold.dim)
+        pair = homology_pair(LocalSystem(cx, 1), manifold.dim)
         coords = pair.coordinates(manifold.fundamental_cycle())
         assert pair.invariants == AbelianGroupInvariants(1)
         assert coords in ((1,), (-1,))
@@ -130,7 +130,7 @@ class TestOrientation:
         assert homology(cx) == [AbelianGroupInvariants(comb(4, k))
                                 for k in range(5)]
         manifold = orient(cx)
-        pair = homology_pair(LocalSystem.trivial(cx), 4)
+        pair = homology_pair(LocalSystem(cx, 1), 4)
         assert pair.invariants == AbelianGroupInvariants(1)
         assert pair.coordinates(manifold.fundamental_cycle()) in ((1,), (-1,))
 
@@ -141,7 +141,7 @@ class TestProducts:
         for cx in (t2, rp3):
             u = unit_cocycle(cx)
             for k in range(cx.dim + 1):
-                phi = rand_cochain(rng, LocalSystem.trivial(cx), k)
+                phi = rand_cochain(rng, LocalSystem(cx, 1), k)
                 assert cup(u, phi).values == phi.values
                 assert cup(phi, u).values == phi.values
 
@@ -154,7 +154,7 @@ class TestProducts:
 
     def test_cup_associative_trivial(self, t3):
         rng = random.Random(5)
-        sys0 = LocalSystem.trivial(t3)
+        sys0 = LocalSystem(t3, 1)
         for (j, k, l) in [(0, 1, 1), (1, 1, 1), (0, 0, 2)]:
             a = rand_cochain(rng, sys0, j)
             b = rand_cochain(rng, sys0, k)
@@ -172,8 +172,8 @@ class TestProducts:
 
     def test_leibniz_trivial_coefficients(self, t2, s3cx):
         rng = random.Random(31)
-        check_leibniz(rng, LocalSystem.trivial(t2), 40)
-        check_leibniz(rng, LocalSystem.trivial(s3cx), 40)
+        check_leibniz(rng, LocalSystem(t2, 1), 40)
+        check_leibniz(rng, LocalSystem(s3cx, 1), 40)
 
     def test_leibniz_twisted(self, rp3, rp3_cover):
         rng = random.Random(37)
@@ -239,7 +239,7 @@ class TestProducts:
 class TestToruspairing:
     def test_intersection_form(self, t2):
         manifold = orient(t2)
-        sys0 = LocalSystem.trivial(t2)
+        sys0 = LocalSystem(t2, 1)
         co1 = cohomology_pair(sys0, 1)
         assert co1.invariants == AbelianGroupInvariants(2)
         h0 = homology_pair(sys0, 0)
@@ -255,7 +255,7 @@ class TestToruspairing:
 
     def test_cap_sends_degree_one_generators_to_dual_curves(self, t2):
         manifold = orient(t2)
-        sys0 = LocalSystem.trivial(t2)
+        sys0 = LocalSystem(t2, 1)
         co1 = cohomology_pair(sys0, 1)
         h1 = homology_pair(sys0, 1)
         images = []
@@ -289,16 +289,16 @@ class TestPdCheck:
     @pytest.mark.parametrize("name", ["t2", "s2cx", "s3cx"])
     def test_trivial_coefficients(self, name, request):
         cx = request.getfixturevalue(name)
-        report = pd_check(orient(cx), LocalSystem.trivial(cx))
+        report = pd_check(orient(cx), LocalSystem(cx, 1))
         assert report.ok
 
     def test_t3(self, t3):
-        assert pd_check(orient(t3), LocalSystem.trivial(t3)).ok
+        assert pd_check(orient(t3), LocalSystem(t3, 1)).ok
 
     @pytest.mark.parametrize("power", [0, 1, 2, 3])
     def test_rp3_twisted(self, rp3, rp3_cover, power):
         if power == 0:
-            system = LocalSystem.trivial(rp3)
+            system = LocalSystem(rp3, 1)
         else:
             ideal = augmentation_ideal_rep(rp3_cover.model)
             system = LocalSystem.from_rep(rp3_cover, tensor_power(ideal, power))
@@ -316,7 +316,7 @@ class TestPdCheck:
 
     def test_doubled_class_fails_with_z(self, rp3):
         manifold = doubled(orient(rp3))
-        report = pd_check(manifold, LocalSystem.trivial(rp3))
+        report = pd_check(manifold, LocalSystem(rp3, 1))
         assert report.render() == (
             "k=0: H^0 = Z^1 ~ H_3 = Z^1 [NOT ISO]\n"
             "k=1: H^1 = 0 ~ H_2 = 0 [iso]\n"
@@ -353,7 +353,7 @@ class TestPdCheck:
 
         monkeypatch.setattr(duality, "_cap_matrix", flipped)
         with pytest.raises(intlinalg.ChainConditionViolated):
-            pd_check(orient(t2), LocalSystem.trivial(t2))
+            pd_check(orient(t2), LocalSystem(t2, 1))
 
 
 class TestPdRoutesAgree:
@@ -362,7 +362,7 @@ class TestPdRoutesAgree:
     @pytest.mark.parametrize("name", ["circle", "t2", "t3", "s2", "s3", "rp3"])
     def test_closed_fixtures_with_z(self, name):
         cx = load_fixture(name + ".cplx")
-        manifold, system = orient(cx), LocalSystem.trivial(cx)
+        manifold, system = orient(cx), LocalSystem(cx, 1)
         report = pd_check(manifold, system)
         assert report.ok
         assert report.render() == by_degree(manifold, system).render()
@@ -506,13 +506,13 @@ def pert_on_cover_complex(phi, cover):
             idx = cc.index(cell) * r
             flat[idx:idx + r] = base_val if phi.system.is_trivial \
                 else phi.system.rep.act(g, base_val)
-    pair = cohomology_pair(LocalSystem.trivial(cc, r), k)
+    pair = cohomology_pair(LocalSystem(cc, r), k)
     return pair.invariants, pair.coordinates(flat)
 
 
 def pert_inputs(cover):
     """Every integral generator of H^k(base), then beta^1..beta^3."""
-    sys0 = LocalSystem.trivial(cover.base)
+    sys0 = LocalSystem(cover.base, 1)
     for k in range(cover.base.dim + 1):
         co = cohomology_pair(sys0, k)
         for i in range(co.num_generators):
@@ -568,7 +568,7 @@ class TestPert:
 
     def test_trivial_group_identity(self, s2cx):
         cover = build_cover(s2cx)
-        sys0 = LocalSystem.trivial(s2cx)
+        sys0 = LocalSystem(s2cx, 1)
         co2 = cohomology_pair(sys0, 2)
         gen = Cochain.from_flat(sys0, 2, co2.generator_cycle(0))
         report = pert_finite(gen, cover)
@@ -582,7 +582,7 @@ class TestPert:
         assert report.coordinates == (0,)
 
     def test_degree_two_transfer(self, rp3, rp3_cover):
-        sys0 = LocalSystem.trivial(rp3)
+        sys0 = LocalSystem(rp3, 1)
         co3 = cohomology_pair(sys0, 3)
         assert co3.invariants == AbelianGroupInvariants(1)
         gen = Cochain.from_flat(sys0, 3, co3.generator_cycle(0))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqhom import groups, intlinalg
-from eqhom.errors import PreconditionError
-from eqhom.groups import (Exceeded, FiniteGroup, FreeAbelianGroup, FreeGroup,
+from eqhom.errors import BudgetError, PreconditionError
+from eqhom.groups import (FiniteGroup, FreeAbelianGroup, FreeGroup,
                           GroupPresentation, ModelMismatch, NotFinite,
                           ProductGroup, UnknownGenerator,
                           augmentation_ideal_rep, free_reduce,
@@ -117,9 +117,10 @@ class TestToddCoxeter:
         assert todd_coxeter(S3_PRES, 20).order == 6
 
     def test_free_exceeds(self):
-        with pytest.raises(Exceeded) as exc:
+        with pytest.raises(BudgetError) as exc:
             todd_coxeter(GroupPresentation(("a", "b"), ()), 100)
-        assert exc.value.max_cosets == 100
+        assert type(exc.value) is BudgetError
+        assert str(exc.value) == "coset budget 100 exceeded"
 
     def test_klein_four(self):
         assert todd_coxeter(V4_PRES, 20).order == 4
