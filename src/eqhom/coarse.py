@@ -10,6 +10,7 @@ small cut) is the amenable one.  Nothing here decides amenability: all
 outputs are certificates or obstructions at a stated finite radius.
 """
 
+from itertools import repeat
 from math import comb
 
 from .errors import BudgetError, CertificateError, ModelMismatch, PreconditionError
@@ -30,7 +31,11 @@ class CayleyBall:
 
     Vertices are normal forms, ordered by BFS depth with shells sorted by
     the model's canonical sort key; edges join v to v.s for generators s
-    and their inverses.  Inner vertices are those at depth <= R-1.
+    and their inverses.  Inner vertices are those at depth <= R-1.  The
+    letters are taken in sort-key order, so a free group's shells come out
+    of the BFS already sorted.  A bipartite model has no edge inside a
+    shell, so the outermost shell's products, which could only find such
+    edges, are skipped.
     """
 
     def __init__(self, model, radius):
@@ -41,14 +46,9 @@ class CayleyBall:
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
         self.radius = radius
-        letters = [model.gen_element(g, +1) for g in model.generators]
-        letters += [model.gen_element(g, -1) for g in model.generators]
         # symmetric closure, deduplicated (an involutive generator counts once)
-        seen = []
-        for s in letters:
-            if s not in seen:
-                seen.append(s)
-        self._letters = seen
+        self._letters = sorted({model.gen_element(g, e) for g in model.generators
+                                for e in (+1, -1)}, key=model.sort_key)
         self.vertices = [model.identity]
         self.depth = [0]
         index = {model.identity: 0}
@@ -80,11 +80,13 @@ class CayleyBall:
             start += len(frontier)
             frontier = new
         self.index = index
-        # Only the outermost shell still needs its products.
-        for i in range(start, len(self.vertices)):
-            v = self.vertices[i]
-            edges += [(i, j) for s in self._letters
-                      if (j := index.get(model.mul(v, s), -1)) > i]
+        # Only the outermost shell still needs its products, to find the
+        # edges inside it.
+        if not model.bipartite:
+            for i in range(start, len(self.vertices)):
+                v = self.vertices[i]
+                edges += [(i, j) for s in self._letters
+                          if (j := index.get(model.mul(v, s), -1)) > i]
         edges.sort()
         self.edges = edges
         self.inner_count = sum(1 for d in self.depth if d <= radius - 1)
@@ -118,9 +120,14 @@ class MaxFlowResult:
 class FlowNetwork:
     """Directed network with integer capacities and a starting flow.
 
-    arcs[i] = (u, v, capacity) becomes arc 2i, and 2i + 1 is its reverse.
-    cap holds residual capacities: arc e and its reverse e ^ 1 together
-    carry the arc's capacity, so the flow on arcs[i] is cap[2i + 1].
+    arcs[i] = (u, v, c) or (u, v, c, rc) carries a net flow f from u to v
+    with -rc <= f <= c: up to c forwards and, on a two-way arc, up to rc
+    back (rc defaults to 0).  It becomes one residual pair, arc 2i (u -> v)
+    and its reverse 2i + 1, with cap[2i] = c - f and cap[2i + 1] = rc + f,
+    so both directions of an undirected edge share one pair.  flows (the
+    f, one per arc) defaults to zero; a flow outside [-rc, c] raises
+    ValueError.
+
     max_flow augments by Dinic's blocking flows.  Each phase levels the
     vertices by residual distance to t, by a BFS from t that stops at the
     layer reaching s, and the blocking DFS from s follows arcs one level
@@ -130,19 +137,21 @@ class FlowNetwork:
     both find the shortest augmenting paths.
     """
 
-    def __init__(self, n, arcs, flows):
+    def __init__(self, n, arcs, flows=None):
         self.n = n
         self.adj = adj = [[] for _ in range(n)]
         self.to = to = []
         self.cap = cap = []
         e = 0
-        for (u, v, c), f in zip(arcs, flows):
-            if not 0 <= f <= c:
-                raise ValueError("need 0 <= flow <= capacity on every arc")
+        for a, f in zip(arcs, repeat(0) if flows is None else flows):
+            u, v, c = a[0], a[1], a[2]
+            rc = a[3] if len(a) > 3 else 0
+            if not -rc <= f <= c:
+                raise ValueError("need -reverse capacity <= flow <= capacity on every arc")
             adj[u].append(e)
             adj[v].append(e + 1)
             to += (v, u)
-            cap += (c - f, f)
+            cap += (c - f, rc + f)
             e += 2
 
     def _levels(self, s, t):
@@ -238,9 +247,13 @@ class FlowNetwork:
 def max_flow(num_vertices, arcs, source, sink, start=None):
     """Exact integral max flow plus an optimality-certifying min cut.
 
-    arcs is a list of (u, v, capacity).  The returned cut_arcs are indices
-    into arcs, saturated and separating source from sink; their total
-    capacity equals the flow value (checked; CertificateError otherwise).
+    arcs is a list of (u, v, capacity) or (u, v, capacity, reverse
+    capacity), as in FlowNetwork; arc_flows are the net flows from u to v,
+    negative only on two-way arcs.  The returned cut_arcs are indices into
+    arcs: every arc crossing the residual cut with a positive capacity in
+    the crossing direction, capacity forwards from the source side and
+    reverse capacity into it.  Those capacities are saturated, and their
+    total equals the flow value (checked; CertificateError otherwise).
 
     start, if given, is a flow to augment from, one integer per arc: it
     must lie within the capacities and be conserved at every vertex but
@@ -249,22 +262,32 @@ def max_flow(num_vertices, arcs, source, sink, start=None):
     same for every maximum flow, so they do not depend on start; the arc
     flows may.
     """
-    start = start or [0] * len(arcs)
-    excess = [0] * num_vertices
-    for (u, v, _), f in zip(arcs, start):
-        excess[u] -= f
-        excess[v] += f
-    if len(start) != len(arcs) or any(
-            x for i, x in enumerate(excess) if i != source and i != sink):
-        raise ValueError("start is not a flow on these arcs")
-    net = FlowNetwork(num_vertices, arcs, start)
-    value = net.max_flow(source, sink) - excess[source]
+    if start is None:
+        net = FlowNetwork(num_vertices, arcs)
+        value = net.max_flow(source, sink)
+    else:
+        excess = [0] * num_vertices
+        for a, f in zip(arcs, start):
+            excess[a[0]] -= f
+            excess[a[1]] += f
+        if len(start) != len(arcs) or any(
+                x for i, x in enumerate(excess) if i != source and i != sink):
+            raise ValueError("start is not a flow on these arcs")
+        net = FlowNetwork(num_vertices, arcs, start)
+        value = net.max_flow(source, sink) - excess[source]
     side = net.residual_reachable(source)
-    cut = [i for i, (u, v, c) in enumerate(arcs)
-           if u in side and v not in side]
-    if sum(arcs[i][2] for i in cut) != value:
+    cut, capacity = [], 0
+    for i, a in enumerate(arcs):
+        u_in = a[0] in side
+        if u_in != (a[1] in side):
+            c = a[2] if u_in else (a[3] if len(a) > 3 else 0)
+            if c > 0:
+                cut.append(i)
+                capacity += c
+    if capacity != value:
         raise CertificateError("cut does not certify the flow")
-    return MaxFlowResult(value, net.cap[1::2], cut, side)
+    flows = [a[2] - r for a, r in zip(arcs, net.cap[::2])]
+    return MaxFlowResult(value, flows, cut, side)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +355,17 @@ def _ponzi_network(ball, t):
 
     Vertices: the inner ball 0..m-1 (a BFS prefix), source m, sink m + 1.
     Returns (arcs, inner_edges, crossing, source, sink).  inner_edges[k]
-    keeps arcs 2k (i -> j) and 2k + 1 (j -> i); crossing[k] becomes arc
-    2 * len(inner_edges) + k, source -> its inner end; unit arcs inner ->
-    sink come last, and shell-shell edges are dropped.  This is exact: a
-    source -> shell arc alone would carry the whole demand, so every min
-    cut of an infeasible probe has the shell on its source side, and on
-    such cuts the capacities agree.
+    becomes arc k, the two-way arc (i, j, t, t) whose net flow is the
+    edge's; crossing[k] becomes arc len(inner_edges) + k, source -> its
+    inner end; unit arcs inner -> sink come last, and shell-shell edges are
+    dropped.  This is exact: a source -> shell arc alone would carry the
+    whole demand, so every min cut of an infeasible probe has the shell on
+    its source side, and on such cuts the capacities agree.
+
+    One two-way arc augments as the arcs (i, j, t) and (j, i, t) would:
+    every augmenting path ends in a unit sink arc, so it moves one unit,
+    and each vertex meets its neighbours in the same order.  The one-way
+    arcs stay 3-tuples, which are smaller than 4-tuples.
     """
     m = ball.inner_count
     source, sink = m, m + 1
@@ -347,7 +375,7 @@ def _ponzi_network(ball, t):
             inner_edges.append(e)
         elif e[0] < m:
             crossing.append(e)
-    arcs = [a for (i, j) in inner_edges for a in ((i, j, t), (j, i, t))]
+    arcs = [(i, j, t, t) for (i, j) in inner_edges]
     arcs += [(source, i, t) for (i, _) in crossing]
     arcs += [(v, sink, 1) for v in range(m)]
     return arcs, inner_edges, crossing, source, sink
@@ -376,15 +404,13 @@ def _ponzi_probe(ball, t, start=None):
     arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
     result = max_flow(sink + 1, arcs, source, sink, start)
     demand = ball.inner_count
-    f, pairs = result.arc_flows, 2 * len(inner_edges)
+    f, k = result.arc_flows, len(inner_edges)
     if result.value == demand:
-        flow = {edge: x - y for edge, x, y in
-                zip(inner_edges, f[0:pairs:2], f[1:pairs:2]) if x != y}
-        flow.update((edge, -x) for edge, x in zip(crossing, f[pairs:]) if x)
+        flow = {edge: x for edge, x in zip(inner_edges, f) if x}
+        flow.update((edge, -x) for edge, x in zip(crossing, f[k:]) if x)
         return PonziCertificate(ball, t, flow).check(), f
     edges = inner_edges + crossing
-    cut_edges = sorted(edges[a // 2 if a < pairs else a - len(inner_edges)]
-                       for a in result.cut_arcs if a < pairs + len(crossing))
+    cut_edges = sorted(edges[a] for a in result.cut_arcs if a < len(edges))
     side = frozenset(range(source, len(ball) + 1)).union(
         v for v in result.source_side if v < source)
     return InfeasibleCut(ball, t, result.value, demand, cut_edges, side), f

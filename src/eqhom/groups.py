@@ -15,6 +15,8 @@ trailing apostrophe.  In text form a word is either a string of
 single-character names (``aba'``) or dot-separated names (``x0.x1'``).
 """
 
+from operator import add, neg
+
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
 from .intlinalg import IntMatrix, matmul
 
@@ -146,6 +148,10 @@ class GroupModel:
 
     generators = ()
     is_finite = False
+    # True when a homomorphism onto Z/2 sends every generator to 1: depth
+    # parity is then that map's value, so no Cayley-graph edge joins two
+    # vertices at the same distance from the identity.
+    bipartite = False
 
     def gen_element(self, name, exp=1):
         raise NotImplementedError
@@ -267,6 +273,8 @@ class FreeGroup(GroupModel):
     The letter +-(i+1) stands for the i-th generator or its inverse.
     """
 
+    bipartite = True  # word-length parity
+
     def __init__(self, rank, names=None):
         self.rank = rank
         self.generators = tuple(names) if names else _default_names(rank)
@@ -311,6 +319,8 @@ class FreeGroup(GroupModel):
 class FreeAbelianGroup(GroupModel):
     """Z^rank; elements are exponent vectors."""
 
+    bipartite = True  # coordinate-sum parity
+
     def __init__(self, rank, names=None):
         self.rank = rank
         self.generators = tuple(names) if names else _default_names(rank)
@@ -327,10 +337,10 @@ class FreeAbelianGroup(GroupModel):
         return tuple(v)
 
     def mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def inv(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(neg, x))
 
     def sort_key(self, element):
         return element
@@ -360,6 +370,10 @@ class ProductGroup(GroupModel):
     @property
     def is_finite(self):
         return self.left.is_finite and self.right.is_finite
+
+    @property
+    def bipartite(self):
+        return self.left.bipartite and self.right.bipartite
 
     def gen_element(self, name, exp=1):
         if name in self.left.generators:

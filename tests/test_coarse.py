@@ -59,6 +59,11 @@ def reference_ball(model, radius):
     return vertices, depth, index, edges
 
 
+def two_way(arc):
+    """(u, v, capacity, reverse capacity) of a 3- or 4-tuple arc."""
+    return (*arc, 0)[:4]
+
+
 def brute_force_min_bound(ball):
     """Scan t = 1, 2, ... up to the first feasible bound."""
     t = 1
@@ -112,6 +117,23 @@ class TestBalls:
             ball = CayleyBall(ZZ, r)
             assert len(ball.crossing_edges()) == 4 * (2 * r - 1)
 
+    @pytest.mark.parametrize("model", [
+        ZZ, F2, FreeGroup(3), ZF2, FreeAbelianGroup(3),
+        ProductGroup(FreeAbelianGroup(2, ("a", "b")), FreeGroup(2, ("s", "t")))],
+        ids=["z2", "f2", "f3", "z_x_f2", "z3", "z2_x_f2"])
+    def test_bipartite_models_have_no_edge_inside_a_shell(self, model):
+        # Balls of bipartite models skip the outermost shell's products.
+        # The radius-5 ball holds every smaller one as its depth prefix.
+        assert model.bipartite
+        _, depth, _, edges = reference_ball(model, 5)
+        assert all(depth[i] != depth[j] for i, j in edges)
+        assert CayleyBall(model, 5).edges == edges
+
+    def test_odd_relator_scans_the_outer_shell(self):
+        assert not ZZ3.bipartite
+        ball = CayleyBall(ZZ3, 3)
+        assert any(ball.depth[i] == ball.depth[j] == 3 for i, j in ball.edges)
+
     @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2, ZZ3],
                              ids=["z2", "f2", "f3", "z_x_f2", "z_x_z3"])
     def test_bfs_order_matches_reference(self, model):
@@ -138,14 +160,18 @@ class TestMaxFlow:
         assert res.value == 5
         assert sum(arcs[i][2] for i in res.cut_arcs) == res.value
 
+    @staticmethod
+    def cut_capacity(arcs, side):
+        """Capacity forwards out of side plus reverse capacity into it."""
+        return sum(c if u in side else rc for u, v, c, rc in map(two_way, arcs)
+                   if (u in side) != (v in side))
+
     def brute_force_min_cut(self, n, arcs, s, t):
         best = None
         others = [v for v in range(n) if v not in (s, t)]
         for k in range(len(others) + 1):
             for sub in combinations(others, k):
-                side = {s} | set(sub)
-                cap = sum(c for (u, v, c) in arcs
-                          if u in side and v not in side)
+                cap = self.cut_capacity(arcs, {s} | set(sub))
                 best = cap if best is None else min(best, cap)
         return best
 
@@ -171,13 +197,14 @@ class TestMaxFlow:
     @staticmethod
     def random_flow(n, arcs, s, t, rng):
         """A feasible flow: random pushes along residual s-t paths and cycles."""
+        arcs = [two_way(a) for a in arcs]
         flows = [0] * len(arcs)
         for _ in range(rng.randint(1, 8)):
             moves = [[] for _ in range(n)]
-            for a, (u, v, c) in enumerate(arcs):
+            for a, (u, v, c, rc) in enumerate(arcs):
                 if flows[a] < c:
                     moves[u].append((v, a, 1))
-                if flows[a] > 0:
+                if flows[a] > -rc:
                     moves[v].append((u, a, -1))
             x = rng.choice([s] + list(range(n)))
             goal = t if x == s else x
@@ -197,8 +224,8 @@ class TestMaxFlow:
 
             path = walk(x)
             if path:
-                room = min(arcs[a][2] - flows[a] if sign > 0 else flows[a]
-                           for a, sign in path)
+                room = min(arcs[a][2] - flows[a] if sign > 0
+                           else flows[a] + arcs[a][3] for a, sign in path)
                 amount = rng.randint(1, room)
                 for a, sign in path:
                     flows[a] += sign * amount
@@ -230,6 +257,54 @@ class TestMaxFlow:
         assert max_flow(3, arcs, 0, 2, [1, 1]).value == 2
         for start in ([3, 0], [-1, -1], [1, 0], [1]):
             with pytest.raises(ValueError):
+                max_flow(3, arcs, 0, 2, start)
+
+    @staticmethod
+    def random_two_way_networks():
+        """80 seeded networks of 2-7 vertices, source 0, sink n - 1, whose
+        arcs are two-way (u, v, c, rc) or, one in three, (u, v, c)."""
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(2, 7)
+            arcs = []
+            for _ in range(rng.randint(1, 12)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    arc = (u, v, rng.randint(0, 6), rng.randint(0, 6))
+                    arcs.append(arc[:3] if rng.randrange(3) == 0 else arc)
+            yield n, arcs
+
+    def test_two_way_arcs_against_brute_force(self):
+        rng = random.Random(9)
+        negative_starts = 0
+        for n, arcs in self.random_two_way_networks():
+            s, t = 0, n - 1
+            cold = max_flow(n, arcs, s, t)
+            assert cold.value == self.brute_force_min_cut(n, arcs, s, t)
+            side = cold.source_side
+            assert self.cut_capacity(arcs, side) == cold.value
+            assert cold.cut_arcs == [
+                i for i, (u, v, c, rc) in enumerate(map(two_way, arcs))
+                if (u in side) != (v in side) and (c if u in side else rc) > 0]
+            start = self.random_flow(n, arcs, s, t, rng)
+            negative_starts += any(f < 0 for f in start)
+            warm = max_flow(n, arcs, s, t, start)
+            assert warm.value == cold.value
+            assert warm.source_side == cold.source_side
+            assert warm.cut_arcs == cold.cut_arcs
+            for res in (cold, warm):
+                net = [0] * n
+                for (u, v, c, rc), f in zip(map(two_way, arcs), res.arc_flows):
+                    assert -rc <= f <= c
+                    net[u] -= f
+                    net[v] += f
+                assert net[t] == res.value
+                assert not any(net[v] for v in range(1, n - 1))
+        assert negative_starts >= 25  # 29 of the 80; 47 networks carry flow
+        arcs = [(0, 1, 2, 1), (1, 2, 2, 1)]
+        assert max_flow(3, arcs, 0, 2, [-1, -1]).value == 2
+        for start in ([-2, -2], [3, 3]):  # conserved, but out of [-rc, c]
+            with pytest.raises(ValueError, match="flow <= capacity"):
                 max_flow(3, arcs, 0, 2, start)
 
     PONZI_NETWORKS = ([(ZZ, r) for r in range(1, 9)]
@@ -268,6 +343,50 @@ class TestMaxFlow:
                 assert res.source_side == side, case
                 assert res.cut_edges == [(i, j) for i, j in ball.edges
                                          if (i in side) != (j in side)], case
+
+    def test_two_way_pairs_match_two_arcs(self, monkeypatch):
+        """The network with the two arcs (i, j, t) and (j, i, t) of every
+        inner edge, built here, runs the same Dinic phases as
+        _ponzi_network's one two-way arc per edge, to the same certificate
+        flows and the same cuts."""
+        phases = []
+        blocking = coarse.FlowNetwork._blocking
+
+        def counted(self, s, t, level):
+            phases.append(t)
+            return blocking(self, s, t, level)
+
+        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        for model, r in self.PONZI_NETWORKS:
+            ball = CayleyBall(model, r)
+            m = ball.inner_count
+            source, sink = m, m + 1
+            inner = [(i, j) for i, j in ball.edges if j < m]
+            crossing = [(i, j) for i, j in ball.edges if i < m <= j]
+            pairs = 2 * len(inner)
+            for bound in (1, 2, 3):
+                arcs = [a for i, j in inner for a in ((i, j, bound), (j, i, bound))]
+                arcs += [(source, i, bound) for i, _ in crossing]
+                arcs += [(v, sink, 1) for v in range(m)]
+                del phases[:]
+                res = max_flow(m + 2, arcs, source, sink)
+                two_arc_phases = len(phases)
+                del phases[:]
+                probe = ponzi_feasible(ball, bound)
+                case = (model.describe(), r, bound)
+                assert len(phases) == two_arc_phases, case
+                assert probe.feasible == (res.value == m), case
+                f = res.arc_flows
+                if probe.feasible:
+                    flow = {e: x - y for e, x, y in
+                            zip(inner, f[0:pairs:2], f[1:pairs:2]) if x != y}
+                    flow.update((e, -x) for e, x in zip(crossing, f[pairs:]) if x)
+                    assert probe.flow == flow, case
+                else:
+                    edges = inner + crossing
+                    cut = sorted(edges[a // 2 if a < pairs else a - len(inner)]
+                                 for a in res.cut_arcs if a < pairs + len(crossing))
+                    assert (probe.capacity, probe.cut_edges) == (res.value, cut), case
 
 
 class TestPonzi:
