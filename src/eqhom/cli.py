@@ -8,6 +8,7 @@ output; a failed verdict names the failing values in it.
 """
 
 import argparse
+import gc
 import sys
 
 from .errors import BudgetError, InputError, PreconditionError
@@ -402,8 +403,15 @@ def run(argv):
 
 
 def main():
+    """Run the command line in sys.argv and write its output.
+
+    The heap is then frozen: finalization runs full collections over
+    every tracked object, and frozen ones are skipped, so exit does not
+    sweep the heap the command built.
+    """
     code, text = run(sys.argv[1:])
     sys.stdout.write(text)
+    gc.freeze()
     return code
 
 

@@ -323,36 +323,36 @@ def _cone_differentials(manifold, system, delta, bd):
 def pd_check(manifold, system):
     """Verify cap with [M] maps H^k(M; L) isomorphically onto H_{n-k}(M; L).
 
-    Passes when Cone(Phi) is acyclic, with H_* from the same boundaries;
-    otherwise the per-degree route names the failing degrees.
+    By the long exact sequence of Cone(Phi), Phi_k is an isomorphism
+    whenever H_j(Cone) and H_{j+1}(Cone) vanish, j = n - k; such a degree
+    takes its groups from H_*(M; L) on the same boundaries.  Only the
+    other degrees, none when the cone is acyclic, go through _pd_entry.
     """
     if system.complex is not manifold.complex:
         raise ModelMismatch("local system lives on a different complex")
     n = manifold.dim
     delta, bd = _differentials(system, n)
     cone = chain_homology(_cone_differentials(manifold, system, delta, bd))
-    if not all(g.is_trivial() for g in cone):
-        return _pd_check_by_degree(manifold, system, delta, bd)
     groups = chain_homology(bd)
-    return PdReport([PdEntry(k, groups[n - k], groups[n - k], True)
-                     for k in range(n + 1)])
+    return PdReport([
+        PdEntry(k, groups[n - k], groups[n - k], True)
+        if cone[n - k].is_trivial() and cone[n - k + 1].is_trivial()
+        else _pd_entry(manifold, system, delta, bd, k)
+        for k in range(n + 1)])
 
 
-def _pd_check_by_degree(manifold, system, delta, bd):
-    """pd_check degree by degree: map the Smith generators of H^k by Phi_k
-    and test their images in H_{n-k}; delta and bd as from _differentials.
-    The sign eps_k of Phi_k does not change the verdict."""
+def _pd_entry(manifold, system, delta, bd, k):
+    """The PdEntry of degree k, found directly: map the Smith generators of
+    H^k by Phi_k and test their images in H_{n-k}; delta and bd as from
+    _differentials.  The sign eps_k of Phi_k does not change the verdict."""
     n = manifold.dim
-    entries = []
-    for k in range(n + 1):
-        co = PairHomology(delta[k + 1], delta[k])
-        ho = PairHomology(bd[n - k], bd[n - k + 1])
-        phi = _cap_matrix(manifold, system, k)
-        images = [ho.coordinates(matvec(phi, co.generator_cycle(i)))
-                  for i in range(co.num_generators)]
-        iso = is_isomorphism_onto(co.invariants, ho.invariants, images)
-        entries.append(PdEntry(k, co.invariants, ho.invariants, iso))
-    return PdReport(entries)
+    co = PairHomology(delta[k + 1], delta[k])
+    ho = PairHomology(bd[n - k], bd[n - k + 1])
+    phi = _cap_matrix(manifold, system, k)
+    images = [ho.coordinates(matvec(phi, co.generator_cycle(i)))
+              for i in range(co.num_generators)]
+    iso = is_isomorphism_onto(co.invariants, ho.invariants, images)
+    return PdEntry(k, co.invariants, ho.invariants, iso)
 
 
 # ---------------------------------------------------------------------------

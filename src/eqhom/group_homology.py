@@ -53,29 +53,34 @@ class BarComplex:
             return 0
         return (self.model.order - 1) ** k * self.coefficients.rank
 
-    def _tuple_index(self, tup):
-        n1 = self.model.order - 1
-        idx = 0
-        for g in tup:
-            idx = idx * n1 + (g - 1)
-        return idx
-
     def _boundary_blocks(self, k):
-        """(row tuple index, column, sign, block) for every term of d_k."""
-        model = self.model
-        L = self.coefficients
-        index = self._tuple_index
-        for col_idx, tup in enumerate(product(range(1, model.order), repeat=k)):
+        """(row, column, sign, block) for every term of d_k.
+
+        A tuple [g1|...|gk] is the column whose base n1 = |pi| - 1 digits
+        are g1 - 1, ..., gk - 1, so each face's row is read off the column
+        index: dropping g1 leaves col % n1^(k-1), dropping gk leaves
+        col // n1, and merging g_i, g_(i+1) into h puts the one digit h - 1
+        in place of their two.
+        """
+        model, L = self.model, self.coefficients
+        n1, table = model.order - 1, model.table
+        eye = IntMatrix.identity(L.rank)
+        # rho(g^-1) for g = 1..n1, None where it is the identity
+        act = [None] + [m if m != eye else None for m in
+                        (L.matrix_of(model.inv(g)) for g in range(1, n1 + 1))]
+        merges = [(i, n1 ** (k - i), n1 ** (k - 2 - i), -1 if i % 2 == 0 else 1)
+                  for i in range(k - 1)]
+        top, last = n1 ** (k - 1), -1 if k % 2 else 1
+        for col, tup in enumerate(product(range(1, n1 + 1), repeat=k)):
             # g1 . [g2|...|gk]  --  (g c) (x) x ~ c (x) rho(g)^-1 x
-            yield index(tup[1:]), col_idx, 1, L.matrix_of(model.inv(tup[0]))
+            yield col % top, col, 1, act[tup[0]]
             # middle merges, zero when a product hits the identity
-            for i in range(k - 1):
-                merged = model.mul(tup[i], tup[i + 1])
+            for i, high, low, sign in merges:
+                merged = table[tup[i]][tup[i + 1]]
                 if merged != 0:
-                    yield (index(tup[:i] + (merged,) + tup[i + 2:]), col_idx,
-                           -1 if i % 2 == 0 else 1, None)
+                    yield (col // high * n1 + merged - 1) * low + col % low, col, sign, None
             # drop the last letter
-            yield index(tup[:-1]), col_idx, -1 if k % 2 else 1, None
+            yield col // n1, col, last, None
 
     def boundary_matrix(self, k):
         """d_k : B_k (x)_pi L -> B_{k-1} (x)_pi L."""

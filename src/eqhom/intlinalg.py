@@ -25,8 +25,9 @@ eliminate on copies of them:
 * ``invariant_factors`` skips the transforms and eliminates unit pivots
   first: the unit-holding column of least (length, index), and in it the
   unit whose row has least (length, index).  A heap of column keys
-  supplies them (``_unit_pivots``); it re-keys only the columns a step
-  changes and drops stale keys when they surface.  The sparse residual
+  supplies them (``_unit_pivots``): every live column of the pivot row is
+  pushed; stale keys are dropped when they surface, and the heap is
+  rebuilt from the live columns when they pile up.  The sparse residual
   then goes through the same elimination without transforms.  Invariant
   factors are canonical, so both paths agree by construction.
 
@@ -124,11 +125,21 @@ class IntMatrix:
                 continue
             if block is None:
                 for a in range(p):
-                    _add_entry(nz[r0 + a], c0 + a, coeff)
-            else:
-                for row, brow in zip(nz[r0:r0 + h], block._nz):
-                    for b, v in brow.items():
-                        _add_entry(row, c0 + b, coeff * v)
+                    row, j = nz[r0 + a], c0 + a
+                    s = row.get(j, 0) + coeff
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                continue
+            for row, brow in zip(nz[r0:r0 + h], block._nz):
+                for j, v in brow.items():
+                    j += c0
+                    s = row.get(j, 0) + coeff * v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
         return cls._adopt(rows, cols, nz)
 
     @property
@@ -172,21 +183,13 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def _add_entry(row, j, v):
-    """row[j] += v for a {col: value} dict and v != 0; a sum of 0 is dropped."""
-    s = row.get(j, 0) + v
-    if s:
-        row[j] = s
-    else:
-        del row[j]
-
-
 def _row_product(arow, bnz):
     """The {col: value} dict of arow . b, given b's row dicts; it may hold zeros."""
     acc = {}
+    get = acc.get
     for k, v in arow.items():
         for j, w in bnz[k].items():
-            acc[j] = acc.get(j, 0) + v * w
+            acc[j] = get(j, 0) + v * w
     return acc
 
 
@@ -564,21 +567,22 @@ def _unit_pivots(rows, cols, m, n):
     row, clears the column with row operations, and yields (row, col)
     once the step is done.
 
-    A heap holds keys length * n + col.  After a step, each column whose
-    length changed or that gained a unit is pushed at its new length.  A
-    popped key whose length is not its column's is stale and dropped; a
-    column holding no unit is dropped too, to be pushed again when it
-    gains one.  So every column holding a unit has its current key in the
-    heap, and the first live key popped with a unit in its column is the
-    least.  When the heap grows past twice its size at the last build
-    (plus 64), it is rebuilt from the live keys.
+    A heap holds keys length * n + col.  A step changes only the columns
+    of the pivot row (removing the row takes an entry out of each), so
+    after a step every live column of the pivot row is pushed at its new
+    length.  A popped key whose length is not its column's is stale and
+    dropped; a column holding no unit is dropped too, to be pushed again
+    when a step changes it.  So every column holding a unit has its
+    current key in the heap, and the first live key popped with a unit in
+    its column is the least.  When the heap grows past twice its size at
+    the last build (plus 64), it is rebuilt from the live columns.
     """
     def rebuild():
-        heap[:] = {k for k in heap if len(cols.get(k % n, ())) == k // n}
+        heap[:] = [len(rc) * n + c for c, rc in cols.items()]
         heapify(heap)
         return 2 * len(heap) + 64
 
-    heap = [len(rc) * n + c for c, rc in cols.items()]
+    heap = []
     limit = rebuild()
     while heap:
         length, c = divmod(heappop(heap), n)
@@ -597,38 +601,34 @@ def _unit_pivots(rows, cols, m, n):
             continue
         r = best % m
         prow = rows.pop(r)
-        v = prow[c]
-        before = {j: len(cols[j]) for j in prow}
-        gained = set()
+        pv = prow.pop(c)
+        del cols[c]
+        rc.discard(r)
+        terms = [(j, v * pv) for j, v in prow.items()]
         for j in prow:
-            cj = cols[j]
-            cj.discard(r)
-            if not cj:
-                del cols[j]
-        for r2 in list(cols.get(c, ())):
+            cols[j].discard(r)
+        for r2 in rc:
             row2 = rows[r2]
-            q = row2[c] * v
-            for j, pv in prow.items():
-                old = row2.get(j, 0)
-                nv = old - q * pv
+            q = row2.pop(c)
+            get = row2.get
+            for j, t in terms:
+                old = get(j, 0)
+                nv = old - q * t
                 if nv:
                     if not old:
-                        cols.setdefault(j, set()).add(r2)
+                        cols[j].add(r2)
                     row2[j] = nv
-                    if (nv == 1 or nv == -1) and old != 1 and old != -1:
-                        gained.add(j)
-                elif old:
+                else:
                     del row2[j]
-                    cj = cols[j]
-                    cj.discard(r2)
-                    if not cj:
-                        del cols[j]
+                    cols[j].discard(r2)
             if not row2:
                 del rows[r2]
-        for j, length in before.items():
-            cj = cols.get(j)
-            if cj is not None and (len(cj) != length or j in gained):
+        for j in prow:
+            cj = cols[j]
+            if cj:
                 heappush(heap, len(cj) * n + j)
+            else:
+                del cols[j]
         yield r, c
         if len(heap) > limit:
             limit = rebuild()

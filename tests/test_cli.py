@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import textwrap
 import pytest
 
 import eqhom
+from eqhom import cli
 from eqhom.cli import parse_group_spec, run
 from eqhom.groups import FreeAbelianGroup, FreeGroup, ProductGroup
 
@@ -264,6 +266,23 @@ def test_import_loads_every_layer_and_nothing_slow():
     layers = ("cli", "intlinalg", "groups", "complexes", "duality", "group_homology", "coarse")
     assert {f"eqhom.{m}" for m in layers} <= added
     assert not added & {"dataclasses", "fractions", "decimal"}
+
+
+def test_run_leaves_the_collector_alone():
+    state = (gc.isenabled(), gc.get_freeze_count())
+    assert invoke("homology", fixture_path("t2.cplx"))[0] == 0
+    assert invoke("ball", "q3", "--radius", "2")[0] == 1
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def test_main_freezes_once_after_the_output(monkeypatch, capsys):
+    # Frozen objects are skipped by the collections that run at exit.
+    written = []
+    monkeypatch.setattr(sys, "argv", ["eqhom", "homology", fixture_path("t2.cplx")])
+    monkeypatch.setattr(gc, "freeze", lambda: written.append(capsys.readouterr().out))
+    assert cli.main() == 0
+    assert written == ["H0 = Z^1\nH1 = Z^2\nH2 = Z^1\n"]
+    assert capsys.readouterr().out == ""
 
 
 def test_shift_degree_checked_before_bar_route(monkeypatch):

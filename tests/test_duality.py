@@ -268,9 +268,11 @@ class TestToruspairing:
 
 
 def by_degree(manifold, system):
-    """The per-degree route pd_check falls back to when the cone is not acyclic."""
-    return duality._pd_check_by_degree(
-        manifold, system, *duality._differentials(system, manifold.dim))
+    """The report with every degree found directly, by duality._pd_entry."""
+    n = manifold.dim
+    delta, bd = duality._differentials(system, n)
+    return duality.PdReport([duality._pd_entry(manifold, system, delta, bd, k)
+                             for k in range(n + 1)])
 
 
 def suspension(cx):
@@ -386,6 +388,28 @@ class TestPdRoutesAgree:
         report = pd_check(manifold, system)
         assert report.ok
         assert report.render() == by_degree(manifold, system).render()
+
+    @pytest.mark.parametrize("case, direct", [
+        ("doubled-z", [0, 1, 2, 3]), ("doubled-zpi", [0, 1, 3]), ("suspended-t2", [1, 2])])
+    def test_failing_reports_match(self, case, direct, rp3, rp3_cover, t2, monkeypatch):
+        # Only the degrees next to a nonzero H_*(Cone) are found directly;
+        # the report is the one every degree found directly gives.
+        if case == "suspended-t2":
+            cx = suspension(t2)
+            manifold, system = orient(cx), LocalSystem(cx, 1)
+        else:
+            manifold = doubled(orient(rp3))
+            system = LocalSystem(rp3, 1) if case == "doubled-z" else \
+                LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+        want = by_degree(manifold, system).render()
+        degrees = []
+        real = duality._pd_entry
+        monkeypatch.setattr(duality, "_pd_entry",
+                            lambda *args: degrees.append(args[-1]) or real(*args))
+        report = pd_check(manifold, system)
+        assert not report.ok
+        assert report.render() == want
+        assert degrees == direct
 
 
 class TestReadersReplayTapes:

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 
@@ -51,6 +52,39 @@ def kunneth_z2_squared(n):
     return AbelianGroupInvariants(0, (2,) * (tensor + tor))
 
 
+def bar_boundary_by_tuples(model, k, rep):
+    """{(row, col): value} of d_k on B_k (x)_pi L, term by term from tuples.
+
+    d[g1|...|gk] (x) x = [g2|...|gk] (x) rho(g1^-1) x
+                       + sum_i (-1)^i [...|g_i g_(i+1)|...] (x) x
+                       + (-1)^k [g1|...|g(k-1)] (x) x,
+    where a tuple holding the identity is zero (normalized bar complex).
+    Tuples are ordered lexicographically; entries are summed one at a time.
+    """
+    r = rep.rank
+    index = {t: i for i, t in enumerate(product(range(1, model.order), repeat=k - 1))}
+    out = {}
+
+    def add(tup, col, b, coeff, matrix=None):
+        if 0 in tup:
+            return
+        for a in range(r):
+            v = coeff * (matrix[a][b] if matrix else int(a == b))
+            if v:
+                key = (index[tup] * r + a, col)
+                out[key] = out.get(key, 0) + v
+
+    for ci, t in enumerate(product(range(1, model.order), repeat=k)):
+        act = rep.matrix_of(model.inv(t[0])).data
+        for b in range(r):
+            col = ci * r + b
+            add(t[1:], col, b, 1, act)
+            for i in range(k - 1):
+                add(t[:i] + (model.mul(t[i], t[i + 1]),) + t[i + 2:], col, b, (-1) ** (i + 1))
+            add(t[:-1], col, b, (-1) ** k)
+    return {key: v for key, v in out.items() if v}
+
+
 class TestBarResolution:
     def test_z2_low_degrees(self):
         m = MODELS["Z/2"]
@@ -95,6 +129,22 @@ class TestBarResolution:
             for n in (1, 2, 3):
                 for d in bar_homology(m, n).torsion:
                     assert m.order % d == 0
+
+    def test_boundary_matches_tuple_formula(self):
+        cases = [(MODELS[name], 3) for name in ("Z/2", "Z/3", "S3")]
+        cases += [(todd_coxeter(Q8, 100), 3), (MODELS["Z/2xZ/2"], 4)]
+        for m, top in cases:
+            ideal = augmentation_ideal_rep(m)
+            for rep in (trivial_rep(m, 1), trivial_rep(m, 2), ideal,
+                        tensor_power(ideal, 2), regular_rep(m)):
+                for k in range(top + 1):
+                    d = BarComplex(m, k, rep).boundary_matrix(k)
+                    assert (d.rows, d.cols) == (
+                        (m.order - 1) ** (k - 1) * rep.rank if k else 0,
+                        (m.order - 1) ** k * rep.rank)
+                    got = {(i, j): v for i, row in enumerate(d._nz) for j, v in row.items()}
+                    want = bar_boundary_by_tuples(m, k, rep) if k else {}
+                    assert got == want
 
 
 class TestCoinvariants:

@@ -57,6 +57,16 @@ sparse_matrices = st.integers(1, 30).flatmap(
             max_size=m * n // 4).map(
                 lambda entries: sparse_matrix(m, n, entries))))
 
+# Boundary-like: each column holds 0..4 nonzeros in distinct rows, +-1 or +-2.
+boundary_like_matrices = st.integers(1, 25).flatmap(
+    lambda m: st.integers(1, 40).flatmap(
+        lambda n: st.lists(
+            st.dictionaries(st.integers(0, m - 1), st.sampled_from([-2, -1, 1, 2]),
+                            max_size=4),
+            min_size=n, max_size=n).map(
+                lambda cols: sparse_matrix(m, n, [(i, j, v) for j, col in enumerate(cols)
+                                                  for i, v in col.items()]))))
+
 
 def sparse_view(a):
     rows, cols = {}, {}
@@ -147,6 +157,18 @@ class TestSmithForm:
             assert abs(determinant(sf.V)) == 1
             assert matmul(sf.U, sf.uinv) == IntMatrix.identity(a.rows)
             assert matmul(sf.V, sf.vinv) == IntMatrix.identity(a.cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_like_matrices)
+    def test_boundary_like_transforms(self, a):
+        sf = smith_normal_form(a)
+        facs = list(sf.invariant_factors)
+        assert matmul(matmul(sf.U, a), sf.V) == sf.S == IntMatrix(
+            a.rows, a.cols, [[facs[i] if i == j else 0 for j in range(a.cols)]
+                             for i in range(a.rows)])
+        assert abs(determinant(sf.U)) == 1
+        assert abs(determinant(sf.V)) == 1
+        assert invariant_factors(a) == facs
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
