@@ -333,11 +333,12 @@ def pd_check(manifold, system):
     n = manifold.dim
     delta, bd = _differentials(system, n)
     cone = chain_homology(_cone_differentials(manifold, system, delta, bd))
-    groups = chain_homology(bd)
+    direct = [not (cone[n - k].is_trivial() and cone[n - k + 1].is_trivial())
+              for k in range(n + 1)]
+    groups = None if all(direct) else chain_homology(bd)
     return PdReport([
-        PdEntry(k, groups[n - k], groups[n - k], True)
-        if cone[n - k].is_trivial() and cone[n - k + 1].is_trivial()
-        else _pd_entry(manifold, system, delta, bd, k)
+        _pd_entry(manifold, system, delta, bd, k) if direct[k]
+        else PdEntry(k, groups[n - k], groups[n - k], True)
         for k in range(n + 1)])
 
 

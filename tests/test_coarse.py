@@ -347,8 +347,9 @@ class TestMaxFlow:
     def test_two_way_pairs_match_two_arcs(self, monkeypatch):
         """The network with the two arcs (i, j, t) and (j, i, t) of every
         inner edge, built here, runs the same Dinic phases as
-        _ponzi_network's one two-way arc per edge, to the same certificate
-        flows and the same cuts."""
+        _ponzi_network's one two-way arc per edge, to the same flows and the
+        same cuts: from zero flow, and from _greedy_start's flow split into
+        (max(f, 0), max(-f, 0)) per pair, the start ponzi_feasible takes."""
         phases = []
         blocking = coarse.FlowNetwork._blocking
 
@@ -363,20 +364,34 @@ class TestMaxFlow:
             source, sink = m, m + 1
             inner = [(i, j) for i, j in ball.edges if j < m]
             crossing = [(i, j) for i, j in ball.edges if i < m <= j]
-            pairs = 2 * len(inner)
+            k = len(inner)
+            pairs = 2 * k
             for bound in (1, 2, 3):
-                arcs = [a for i, j in inner for a in ((i, j, bound), (j, i, bound))]
-                arcs += [(source, i, bound) for i, _ in crossing]
-                arcs += [(v, sink, 1) for v in range(m)]
-                del phases[:]
-                res = max_flow(m + 2, arcs, source, sink)
-                two_arc_phases = len(phases)
+                two = [a for i, j in inner for a in ((i, j, bound), (j, i, bound))]
+                two += [(source, i, bound) for i, _ in crossing]
+                two += [(v, sink, 1) for v in range(m)]
+                arcs = coarse._ponzi_network(ball, bound)[0]
+                greedy = coarse._greedy_start(ball, bound, inner, crossing)
+                split = [x for f in greedy[:k] for x in (max(f, 0), max(-f, 0))]
+                split += greedy[k:]
+                case = (model.describe(), r, bound)
+                for start, two_start in ((None, None), (greedy, split)):
+                    del phases[:]
+                    res = max_flow(sink + 1, two, source, sink, two_start)
+                    two_arc_phases = len(phases)
+                    del phases[:]
+                    one = max_flow(sink + 1, arcs, source, sink, start)
+                    assert len(phases) == two_arc_phases, (case, start is None)
+                    f = res.arc_flows
+                    assert ([x - y for x, y in zip(f[0:pairs:2], f[1:pairs:2])]
+                            + f[pairs:]) == one.arc_flows, (case, start is None)
+                    assert sorted(a // 2 if a < pairs else a - k
+                                  for a in res.cut_arcs) == one.cut_arcs, case
+                    assert (res.value, res.source_side) == (one.value, one.source_side)
                 del phases[:]
                 probe = ponzi_feasible(ball, bound)
-                case = (model.describe(), r, bound)
                 assert len(phases) == two_arc_phases, case
                 assert probe.feasible == (res.value == m), case
-                f = res.arc_flows
                 if probe.feasible:
                     flow = {e: x - y for e, x, y in
                             zip(inner, f[0:pairs:2], f[1:pairs:2]) if x != y}
@@ -384,9 +399,61 @@ class TestMaxFlow:
                     assert probe.flow == flow, case
                 else:
                     edges = inner + crossing
-                    cut = sorted(edges[a // 2 if a < pairs else a - len(inner)]
+                    cut = sorted(edges[a // 2 if a < pairs else a - k]
                                  for a in res.cut_arcs if a < pairs + len(crossing))
                     assert (probe.capacity, probe.cut_edges) == (res.value, cut), case
+
+
+class TestGreedyStart:
+    """_greedy_start, the flow a Ponzi max flow starts from unless it is
+    given one."""
+
+    def test_is_a_flow_below_the_max_flow(self):
+        for model, r in TestMaxFlow.PONZI_NETWORKS:
+            ball = CayleyBall(model, r)
+            for bound in (1, 2, 3):
+                arcs, inner, crossing, source, sink = coarse._ponzi_network(ball, bound)
+                start = coarse._greedy_start(ball, bound, inner, crossing)
+                case = (model.describe(), r, bound)
+                assert len(start) == len(arcs), case
+                net = [0] * (sink + 1)
+                for a, f in zip(arcs, start):
+                    u, v, c, rc = two_way(a)
+                    assert -rc <= f <= c, case
+                    net[u] -= f
+                    net[v] += f
+                assert not any(net[:source]), case  # conserved at every inner vertex
+                value = net[sink]
+                assert value <= max_flow(sink + 1, arcs, source, sink).value, case
+                if model is F2 and bound == 1:
+                    assert value == ball.inner_count, case
+
+    def test_tree_needs_no_phase(self, monkeypatch):
+        phases = []
+        blocking = coarse.FlowNetwork._blocking
+
+        def counted(self, s, t, level):
+            phases.append(t)
+            return blocking(self, s, t, level)
+
+        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        cert = ponzi_feasible(CayleyBall(F2, 8), 1)
+        assert cert.feasible
+        assert phases == []
+
+    def test_a_faulty_start_is_refused(self, monkeypatch):
+        # max_flow checks the start: a fault in it raises ValueError, not an
+        # assert that -O would drop.
+        greedy = coarse._greedy_start
+
+        def leaky(*args):
+            flows = greedy(*args)
+            flows[0] += 1  # the first inner edge, one more unit: not conserved
+            return flows
+
+        monkeypatch.setattr(coarse, "_greedy_start", leaky)
+        with pytest.raises(ValueError, match="start is not a flow"):
+            ponzi_feasible(CayleyBall(ZZ, 4), 2)
 
 
 class TestPonzi:
@@ -524,7 +591,7 @@ class TestMinBound:
         res = min_ponzi_bound(CayleyBall(ZZ, 25))
         assert (res.t_min, res.cut_below.capacity) == (8, 1176)
         assert len(calls) == 2
-        assert len(phases) <= 60
+        assert len(phases) <= 40  # 36 from the greedy starts
 
     @pytest.mark.parametrize("model, r, fake", [(ZZ3, 6, 4), (ZZ, 6, 1)],
                              ids=["warm-step", "below-flux"])
