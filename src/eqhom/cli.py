@@ -309,84 +309,59 @@ def _cmd_gromov_report(args, out):
             out.append("note: certification declined; see the trace above")
 
 
-def build_parser():
+_FILE = (("file",), {})
+_GROUP = (("group",), {})
+_RADIUS = (("--radius",), {"type": int, "required": True})
+_DEGREE = (("--n",), {"type": int, "required": True})
+_POWER = (("--power",), {"type": int, "default": 1})
+
+# name -> (function, help, arguments as (args, kwargs) pairs, coset budget);
+# the coarse commands enumerate no cosets.
+_COMMANDS = {
+    "homology": (_cmd_homology, "homology of a complex file",
+                 (_FILE, (("--coeff",), {"help": "coefficient descriptor file"})), True),
+    "cohomology": (_cmd_cohomology, "cohomology of a complex file",
+                   (_FILE, (("--coeff",), {})), True),
+    "pi1": (_cmd_pi1, "edge-path presentation of pi_1",
+            (_FILE, (("--basepoint",), {"type": int, "default": 0})), True),
+    "cover": (_cmd_cover, "universal cover cells and homology", (_FILE,), True),
+    "group-homology": (_cmd_group_homology, "H_n of a presented finite group", (
+        (("presentation",), {}), _DEGREE,
+        (("--method",), {"choices": ("bar", "shift", "both"), "default": "both"})), True),
+    "shift-chain": (_cmd_shift_chain, "H_n = H_{n-1}(pi; I) = ... chain check",
+                    ((("presentation",), {}), _DEGREE), True),
+    "pd-check": (_cmd_pd_check, "cap-with-[M] duality check",
+                 (_FILE, (("--coeff",), {})), True),
+    "essential": (_cmd_essential, "degree-n pairing test", (_FILE,), True),
+    "bs-class": (_cmd_bs_class, "obstruction class power", (_FILE, _POWER), True),
+    "pert": (_cmd_pert, "forget-equivariance image of beta^k", (_FILE, _POWER), True),
+    "ball": (_cmd_ball, "Cayley ball summary", (_GROUP, _RADIUS), False),
+    "ponzi": (_cmd_ponzi, "bounded-divergence flow probe",
+              (_GROUP, _RADIUS, (("--bound",), {"type": int, "default": 1})), False),
+    "min-bound": (_cmd_min_bound, "least feasible flow bound", (_GROUP, _RADIUS), False),
+    "folner": (_cmd_folner, "isoperimetric ratios per radius", (_GROUP, _RADIUS), False),
+    "gromov-report": (_cmd_gromov_report, "three-section counterexample-mechanism report", (
+        (("--rank",), {"type": int, "required": True}), _RADIUS,
+        (("--factor",), {"help": "replace F_2 (e.g. z2) to probe the amenable direction"}),
+        (("--format",), {"choices": ("text", "kv"), "default": "text"})), False),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with only the named command's subparser when
+    command names one, and with every subparser otherwise (for --help, a
+    missing command or an unknown one)."""
     parser = _Parser(prog="eqhom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, cosets=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        fn, help_text, arguments, cosets = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if cosets:  # the coarse commands enumerate no cosets
+        if cosets:
             p.add_argument("--max-cosets", type=int, default=20000,
                            help="coset enumeration budget")
-        return p
-
-    p = add("homology", _cmd_homology, help="homology of a complex file")
-    p.add_argument("file")
-    p.add_argument("--coeff", help="coefficient descriptor file")
-
-    p = add("cohomology", _cmd_cohomology, help="cohomology of a complex file")
-    p.add_argument("file")
-    p.add_argument("--coeff")
-
-    p = add("pi1", _cmd_pi1, help="edge-path presentation of pi_1")
-    p.add_argument("file")
-    p.add_argument("--basepoint", type=int, default=0)
-
-    p = add("cover", _cmd_cover, help="universal cover cells and homology")
-    p.add_argument("file")
-
-    p = add("group-homology", _cmd_group_homology,
-            help="H_n of a presented finite group")
-    p.add_argument("presentation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("bar", "shift", "both"), default="both")
-
-    p = add("shift-chain", _cmd_shift_chain,
-            help="H_n = H_{n-1}(pi; I) = ... chain check")
-    p.add_argument("presentation")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("pd-check", _cmd_pd_check, help="cap-with-[M] duality check")
-    p.add_argument("file")
-    p.add_argument("--coeff")
-
-    p = add("essential", _cmd_essential, help="degree-n pairing test")
-    p.add_argument("file")
-
-    p = add("bs-class", _cmd_bs_class, help="obstruction class power")
-    p.add_argument("file")
-    p.add_argument("--power", type=int, default=1)
-
-    p = add("pert", _cmd_pert, help="forget-equivariance image of beta^k")
-    p.add_argument("file")
-    p.add_argument("--power", type=int, default=1)
-
-    p = add("ball", _cmd_ball, cosets=False, help="Cayley ball summary")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-
-    p = add("ponzi", _cmd_ponzi, cosets=False, help="bounded-divergence flow probe")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--bound", type=int, default=1)
-
-    p = add("min-bound", _cmd_min_bound, cosets=False, help="least feasible flow bound")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-
-    p = add("folner", _cmd_folner, cosets=False, help="isoperimetric ratios per radius")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-
-    p = add("gromov-report", _cmd_gromov_report, cosets=False,
-            help="three-section counterexample-mechanism report")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--factor", help="replace F_2 (e.g. z2) to probe the "
-                                    "amenable direction")
-    p.add_argument("--format", choices=("text", "kv"), default="text")
-
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
     return parser
 
 
@@ -394,7 +369,7 @@ def run(argv):
     """Execute a command line; returns (exit_code, output_text)."""
     out = []
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         args.fn(args, out)
     except tuple(_EXIT_CODES) as exc:
         code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))

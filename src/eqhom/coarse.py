@@ -10,7 +10,8 @@ small cut) is the amenable one.  Nothing here decides amenability: all
 outputs are certificates or obstructions at a stated finite radius.
 """
 
-from itertools import repeat
+from functools import cached_property
+from itertools import chain
 from math import comb
 
 from .errors import BudgetError, CertificateError, ModelMismatch, PreconditionError
@@ -29,13 +30,13 @@ class UnsupportedModel(PreconditionError):
 class CayleyBall:
     """BFS ball of a given radius in a Cayley graph.
 
-    Vertices are normal forms, ordered by BFS depth with shells sorted by
-    the model's canonical sort key; edges join v to v.s for generators s
-    and their inverses.  Inner vertices are those at depth <= R-1.  The
-    letters are taken in sort-key order, so a free group's shells come out
-    of the BFS already sorted.  A bipartite model has no edge inside a
-    shell, so the outermost shell's products, which could only find such
-    edges, are skipped.
+    The BFS runs over the model's integer codes (GroupModel.codes), whose
+    order is the canonical sort key's.  Vertices are indices in BFS order:
+    by depth, each shell sorted by code; vertices and index decode them to
+    normal forms on first use.  Edges join v to v.s for generators s and
+    their inverses.  Inner vertices are those at depth <= R-1.  A bipartite
+    model has no edge inside a shell, so the outermost shell's products,
+    which could only find such edges, are skipped.
     """
 
     def __init__(self, model, radius):
@@ -46,53 +47,64 @@ class CayleyBall:
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
         self.radius = radius
-        # symmetric closure, deduplicated (an involutive generator counts once)
-        self._letters = sorted({model.gen_element(g, e) for g in model.generators
-                                for e in (+1, -1)}, key=model.sort_key)
-        self.vertices = [model.identity]
-        self.depth = [0]
-        index = {model.identity: 0}
-        frontier = [model.identity]
+        encode, self._decode, step, _ = model.codes(radius)
+        one = encode(model.identity)
+        # symmetric closure, deduplicated (an involutive generator counts
+        # once); a trivial generator adds only loops, which are no edges
+        letters = sorted({encode(model.gen_element(g, e)) for g in model.generators
+                          for e in (+1, -1)} - {one})
+        self._codes = codes = [one]
+        self.depth = depth = [0]
+        index = {one: 0}
+        frontier = [one]
         # Letters are distinct and closed under inverses, so each edge
         # {i, j} shows up once as a product of each end: keep it at i < j.
         edges = []
         start = 0  # index of the frontier's first vertex
         for d in range(1, radius + 1):
-            found = {}  # insertion-ordered set of the next shell
-            products = []  # [v.s for each letter s], for v in frontier
-            for v in frontier:
-                ws = [model.mul(v, s) for s in self._letters]
+            found = set()  # the next shell
+            products = []  # [v.s for v in frontier], for each letter s
+            for s in letters:
+                ws = step(frontier, s)
                 products.append(ws)
-                for w in ws:
-                    if w not in index:
-                        found[w] = None
+                found.update([w for w in ws if w not in index])
                 if len(index) + len(found) > BUDGET:
                     raise BudgetError(
                         f"Cayley ball of radius {radius} exceeds {BUDGET} vertices")
-            new = sorted(found, key=model.sort_key)
-            for w in new:
-                index[w] = len(self.vertices)
-                self.vertices.append(w)
-                self.depth.append(d)
+            new = sorted(found)
+            index.update(zip(new, range(len(codes), len(codes) + len(new))))
+            codes += new
+            depth += [d] * len(new)
             # Every product of a vertex at depth d - 1 lies in the ball.
-            for i, ws in enumerate(products, start):
-                edges += [(i, j) for w in ws if (j := index[w]) > i]
-            start += len(frontier)
+            stop = start + len(frontier)
+            for ws in products:
+                edges += [(i, j) for i, j in zip(range(start, stop), map(index.__getitem__, ws))
+                          if j > i]
+            start = stop
             frontier = new
-        self.index = index
         # Only the outermost shell still needs its products, to find the
-        # edges inside it.
+        # edges inside it.  Its codes one step past the ball are codes of
+        # no ball vertex.
         if not model.bipartite:
-            for i in range(start, len(self.vertices)):
-                v = self.vertices[i]
-                edges += [(i, j) for s in self._letters
-                          if (j := index.get(model.mul(v, s), -1)) > i]
+            for s in letters:
+                edges += [(i, j) for i, w in enumerate(step(frontier, s), start)
+                          if (j := index.get(w, -1)) > i]
         edges.sort()
         self.edges = edges
-        self.inner_count = sum(1 for d in self.depth if d <= radius - 1)
+        self.inner_count = start
+
+    @cached_property
+    def vertices(self):
+        """The normal form of each vertex."""
+        return [self._decode(c) for c in self._codes]
+
+    @cached_property
+    def index(self):
+        """Each vertex's normal form -> its index."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.depth)
 
     def inner_vertices(self):
         return list(range(self.inner_count))  # a prefix in BFS order
@@ -124,9 +136,8 @@ class FlowNetwork:
     with -rc <= f <= c: up to c forwards and, on a two-way arc, up to rc
     back (rc defaults to 0).  It becomes one residual pair, arc 2i (u -> v)
     and its reverse 2i + 1, with cap[2i] = c - f and cap[2i + 1] = rc + f,
-    so both directions of an undirected edge share one pair.  flows (the
-    f, one per arc) defaults to zero; a flow outside [-rc, c] raises
-    ValueError.
+    so both directions of an undirected edge share one pair.  flows holds
+    the f, one per arc, which max_flow has checked (_check_start).
 
     max_flow augments by Dinic's blocking flows.  Each phase levels the
     vertices by residual distance to t, by a BFS from t that stops at the
@@ -137,21 +148,18 @@ class FlowNetwork:
     both find the shortest augmenting paths.
     """
 
-    def __init__(self, n, arcs, flows=None):
+    def __init__(self, n, arcs, flows):
         self.n = n
         self.adj = adj = [[] for _ in range(n)]
         self.to = to = []
         self.cap = cap = []
         e = 0
-        for a, f in zip(arcs, repeat(0) if flows is None else flows):
-            u, v, c = a[0], a[1], a[2]
-            rc = a[3] if len(a) > 3 else 0
-            if not -rc <= f <= c:
-                raise ValueError("need -reverse capacity <= flow <= capacity on every arc")
+        for a, f in zip(arcs, flows):
+            u, v = a[0], a[1]
             adj[u].append(e)
             adj[v].append(e + 1)
             to += (v, u)
-            cap += (c - f, rc + f)
+            cap += (a[2] - f, (a[3] if len(a) > 3 else 0) + f)
             e += 2
 
     def _levels(self, s, t):
@@ -244,6 +252,33 @@ class FlowNetwork:
         return frozenset(seen)
 
 
+def _check_start(num_vertices, arcs, start, source, sink):
+    """The excess of start at every vertex, once it is checked to be a flow.
+
+    arcs are as in max_flow, but any iterable, read once; start holds one
+    integer per arc.  A flow is conserved at every vertex but source and
+    sink (ValueError "start is not a flow" otherwise) and lies within the
+    capacities, -reverse capacity <= f <= capacity (ValueError otherwise).
+    """
+    excess = [0] * num_vertices
+    arcs = iter(arcs)
+    within = True
+    count = 0
+    # zip draws from start first: when start runs out, no arc is drawn
+    # and dropped, so next(arcs) sees any arc left over
+    for count, (f, a) in enumerate(zip(start, arcs), 1):
+        excess[a[0]] -= f
+        excess[a[1]] += f
+        if not -(a[3] if len(a) > 3 else 0) <= f <= a[2]:
+            within = False
+    if count != len(start) or next(arcs, None) is not None or any(
+            x for i, x in enumerate(excess) if i != source and i != sink):
+        raise ValueError("start is not a flow on these arcs")
+    if not within:
+        raise ValueError("need -reverse capacity <= flow <= capacity on every arc")
+    return excess
+
+
 def max_flow(num_vertices, arcs, source, sink, start=None):
     """Exact integral max flow plus an optimality-certifying min cut.
 
@@ -255,26 +290,18 @@ def max_flow(num_vertices, arcs, source, sink, start=None):
     reverse capacity into it.  Those capacities are saturated, and their
     total equals the flow value (checked; CertificateError otherwise).
 
-    start, if given, is a flow to augment from, one integer per arc: it
-    must lie within the capacities and be conserved at every vertex but
-    source and sink (ValueError otherwise).  The value, and the source side
-    (the vertices reachable from source in the residual graph), are the
-    same for every maximum flow, so they do not depend on start; the arc
-    flows may.
+    start is a flow to augment from, one integer per arc, zero if not
+    given: it must lie within the capacities and be conserved at every
+    vertex but source and sink (ValueError otherwise, _check_start).  The
+    value, and the source side (the vertices reachable from source in the
+    residual graph), are the same for every maximum flow, so they do not
+    depend on start; the arc flows may.
     """
     if start is None:
-        net = FlowNetwork(num_vertices, arcs)
-        value = net.max_flow(source, sink)
-    else:
-        excess = [0] * num_vertices
-        for a, f in zip(arcs, start):
-            excess[a[0]] -= f
-            excess[a[1]] += f
-        if len(start) != len(arcs) or any(
-                x for i, x in enumerate(excess) if i != source and i != sink):
-            raise ValueError("start is not a flow on these arcs")
-        net = FlowNetwork(num_vertices, arcs, start)
-        value = net.max_flow(source, sink) - excess[source]
+        start = [0] * len(arcs)
+    excess = _check_start(num_vertices, arcs, start, source, sink)
+    net = FlowNetwork(num_vertices, arcs, start)
+    value = net.max_flow(source, sink) - excess[source]
     side = net.residual_reachable(source)
     cut, capacity = [], 0
     for i, a in enumerate(arcs):
@@ -354,7 +381,8 @@ def _ponzi_network(ball, t):
     """The Ponzi network at bound t, with the outermost shell merged into the source.
 
     Vertices: the inner ball 0..m-1 (a BFS prefix), source m, sink m + 1.
-    Returns (arcs, inner_edges, crossing, source, sink).  inner_edges[k]
+    Returns (arcs, inner_edges, crossing, source, sink), arcs an iterator
+    over the edge lists, read once.  inner_edges[k]
     becomes arc k, the two-way arc (i, j, t, t) whose net flow is the
     edge's; crossing[k] becomes arc len(inner_edges) + k, source -> its
     inner end; unit arcs inner -> sink come last, and shell-shell edges are
@@ -375,9 +403,9 @@ def _ponzi_network(ball, t):
             inner_edges.append(e)
         elif e[0] < m:
             crossing.append(e)
-    arcs = [(i, j, t, t) for (i, j) in inner_edges]
-    arcs += [(source, i, t) for (i, _) in crossing]
-    arcs += [(v, sink, 1) for v in range(m)]
+    arcs = chain(((i, j, t, t) for (i, j) in inner_edges),
+                 ((source, i, t) for (i, _) in crossing),
+                 ((v, sink, 1) for v in range(m)))
     return arcs, inner_edges, crossing, source, sink
 
 
@@ -444,28 +472,37 @@ def _ponzi_probe(ball, t, start=None):
 
     start is passed to max_flow: the arc flows of a probe at a smaller
     bound, which the larger capacities at t still admit.  Without one the
-    max flow starts from _greedy_start's flow, which max_flow checks like
-    any other start.  Flows map back to ball edges signed from the smaller
-    end, and a cut's source side is the unmerged one: its inner vertices,
-    the shell and the source len(ball).
+    max flow starts from _greedy_start's flow, which is checked like any
+    start (_check_start).  If that flow fills every unit sink arc, its
+    value is the sink arcs' whole capacity, so it is already a maximum
+    flow, the one max_flow would return after no phase, and max_flow does
+    not run.  Flows map back to ball edges signed from the smaller end,
+    and a cut's source side is the unmerged one: its inner vertices, the
+    shell and the source len(ball).
     """
     if t < 1:
         raise ValueError("bound must be >= 1")
     arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
+    demand, k = ball.inner_count, len(inner_edges)
+    routed = False
     if start is None:
         start = _greedy_start(ball, t, inner_edges, crossing)
-    result = max_flow(sink + 1, arcs, source, sink, start)
-    demand = ball.inner_count
-    f, k = result.arc_flows, len(inner_edges)
-    if result.value == demand:
-        flow = {edge: x for edge, x in zip(inner_edges, f) if x}
-        flow.update((edge, -x) for edge, x in zip(crossing, f[k:]) if x)
-        return PonziCertificate(ball, t, flow).check(), f
-    edges = inner_edges + crossing
-    cut_edges = sorted(edges[a] for a in result.cut_arcs if a < len(edges))
-    side = frozenset(range(source, len(ball) + 1)).union(
-        v for v in result.source_side if v < source)
-    return InfeasibleCut(ball, t, result.value, demand, cut_edges, side), f
+        routed = start[k + len(crossing):] == [1] * demand
+    if routed:
+        _check_start(sink + 1, arcs, start, source, sink)
+        f = start
+    else:
+        result = max_flow(sink + 1, list(arcs), source, sink, start)
+        f = result.arc_flows
+        if result.value != demand:
+            edges = inner_edges + crossing
+            cut_edges = sorted(edges[a] for a in result.cut_arcs if a < len(edges))
+            side = frozenset(range(source, len(ball) + 1)).union(
+                v for v in result.source_side if v < source)
+            return InfeasibleCut(ball, t, result.value, demand, cut_edges, side), f
+    flow = {edge: x for edge, x in zip(inner_edges, f) if x}
+    flow.update((edge, -x) for edge, x in zip(crossing, f[k:]) if x)
+    return PonziCertificate(ball, t, flow).check(), f
 
 
 class MinBoundResult:

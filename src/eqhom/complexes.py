@@ -231,10 +231,11 @@ class EquivariantComplex:
     on the cover through LocalSystem.from_rep with Z[pi] coefficients.
     """
 
-    def __init__(self, base, model, basepoint=0):
+    def __init__(self, base, model, basepoint=0, edge_path=None):
+        """edge_path is _edge_path_data(base, basepoint), if already known."""
         if not isinstance(model, FiniteGroup):
             raise InfiniteGroup("universal covers are built for finite models only")
-        pres, tree_edges, gen_of_edge = _edge_path_data(base, basepoint)
+        pres, tree_edges, gen_of_edge = edge_path or _edge_path_data(base, basepoint)
         if model.presentation != pres:
             raise PresentationMismatch(
                 "model was not built from this complex's pi_1 presentation")
@@ -325,10 +326,11 @@ class EquivariantComplex:
 
 
 def build_cover(cx, basepoint=0, max_cosets=20000):
-    """fundamental_group + todd_coxeter + EquivariantComplex in one step."""
-    pres = fundamental_group(cx, basepoint)
+    """fundamental_group + todd_coxeter + EquivariantComplex in one step,
+    with one edge-path presentation."""
+    edge_path = _edge_path_data(cx, basepoint)
     try:
-        model = todd_coxeter(pres, max_cosets)
+        model = todd_coxeter(edge_path[0], max_cosets)
     except BudgetError as exc:
         # H_1 is the abelianized pi_1 (Hurewicz); a free summand proves
         # pi_1 infinite, otherwise only the budget ran out.
@@ -336,7 +338,7 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
         if h1.free_rank:
             raise InfiniteGroup(f"pi_1 is infinite: H_1 = {h1}") from exc
         raise
-    return EquivariantComplex(cx, model, basepoint=basepoint)
+    return EquivariantComplex(cx, model, basepoint, edge_path)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,17 @@ class GroupModel:
     def sort_key(self, element):
         raise NotImplementedError
 
+    def codes(self, radius):
+        """Integer codes for the radius-R Cayley ball and one step past it.
+
+        Returns (encode, decode, step, bound).  encode maps such an element
+        to an int in [0, bound) and decode inverts it; integer order on the
+        codes is sort_key order.  step(codes, s) is [c.s for c in codes]
+        for the code s of a generator or its inverse, other than the
+        identity.
+        """
+        raise NotImplementedError
+
 
 class FiniteGroup(GroupModel):
     """A finite group given by its full multiplication table.
@@ -247,6 +258,16 @@ class FiniteGroup(GroupModel):
     def sort_key(self, element):
         return (element,)
 
+    def codes(self, radius):
+        """Elements are their own codes; s steps through the table's column s."""
+        table = self.table
+
+        def step(codes, s):
+            col = [row[s] for row in table]
+            return [col[c] for c in codes]
+
+        return int, int, step, self.order
+
     def element_name(self, element):
         return f"c{element}"
 
@@ -305,6 +326,37 @@ class FreeGroup(GroupModel):
     def sort_key(self, element):
         return (len(element), element)
 
+    def codes(self, radius):
+        """A word as base-2k digits under a leading 1, in shortlex order.
+
+        The letters -k..-1, 1..k are the digits 0..2k-1, so a letter's
+        inverse is the digit 2k-1-d: a letter appends its digit, or
+        cancels the last one when that is its inverse.
+        """
+        k = self.rank
+        base = 2 * k
+
+        def encode(word):
+            c = 1
+            for s in word:
+                c = c * base + s + k - (s > 0)
+            return c
+
+        def decode(c):
+            word = []
+            while c > 1:
+                c, d = divmod(c, base)
+                word.append(d - k + (d >= k))
+            return tuple(reversed(word))
+
+        def step(codes, s):
+            d = s - base  # s codes the one-letter word: 1, then digit d
+            inverse = base - 1 - d
+            return [c // base if c % base == inverse and c >= base else c * base + d
+                    for c in codes]
+
+        return encode, decode, step, base ** (radius + 2)
+
     def __eq__(self, other):
         return (isinstance(other, FreeGroup) and self.rank == other.rank
                 and self.generators == other.generators)
@@ -344,6 +396,35 @@ class FreeAbelianGroup(GroupModel):
 
     def sort_key(self, element):
         return element
+
+    def codes(self, radius):
+        """Exponents offset by R+1 as base-(2R+3) digits, in lexicographic order.
+
+        Every exponent one step past the ball lies in [-R-1, R+1], so it
+        fits one digit, and a letter adds a constant.
+        """
+        n, base, offset = self.rank, 2 * radius + 3, radius + 1
+
+        def encode(x):
+            c = 0
+            for e in x:
+                c = c * base + e + offset
+            return c
+
+        def decode(c):
+            x = [0] * n
+            for i in range(n - 1, -1, -1):
+                c, d = divmod(c, base)
+                x[i] = d - offset
+            return tuple(x)
+
+        one = encode(self.identity)
+
+        def step(codes, s):
+            d = s - one
+            return [c + d for c in codes]
+
+        return encode, decode, step, base ** n
 
     def __eq__(self, other):
         return (isinstance(other, FreeAbelianGroup) and self.rank == other.rank
@@ -390,6 +471,30 @@ class ProductGroup(GroupModel):
 
     def sort_key(self, element):
         return (self.left.sort_key(element[0]), self.right.sort_key(element[1]))
+
+    def codes(self, radius):
+        """left * M + right, with M the right factor's code bound: the
+        lexicographic order of the pairs.  A letter steps one factor."""
+        encode_l, decode_l, step_l, bound_l = self.left.codes(radius)
+        encode_r, decode_r, step_r, m = self.right.codes(radius)
+        one_l = encode_l(self.left.identity)
+
+        def encode(x):
+            return encode_l(x[0]) * m + encode_r(x[1])
+
+        def decode(c):
+            a, b = divmod(c, m)
+            return (decode_l(a), decode_r(b))
+
+        def step(codes, s):
+            a, b = divmod(s, m)
+            if a != one_l:  # a letter of the left factor
+                lefts = step_l([c // m for c in codes], a)
+                return [x * m + c % m for x, c in zip(lefts, codes)]
+            rights = [c % m for c in codes]
+            return [c + y - r for c, r, y in zip(codes, rights, step_r(rights, b))]
+
+        return encode, decode, step, bound_l * m
 
     def __eq__(self, other):
         return (isinstance(other, ProductGroup) and self.left == other.left

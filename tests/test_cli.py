@@ -149,6 +149,47 @@ class TestDeterminism:
             assert first == second
 
 
+class TestParser:
+    """build_parser builds only the named command's subparser, with the
+    same messages and help as the full parser."""
+
+    NAMES = ("homology", "cohomology", "pi1", "cover", "group-homology", "shift-chain",
+             "pd-check", "essential", "bs-class", "pert", "ball", "ponzi", "min-bound",
+             "folner", "gromov-report")
+
+    @staticmethod
+    def subcommands(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+
+    def test_one_subparser_per_named_command(self):
+        assert self.subcommands(cli.build_parser()) == list(self.NAMES)
+        for name in self.NAMES:
+            assert self.subcommands(cli.build_parser(name)) == [name]
+        for argv0 in (None, "--help", "nope"):
+            assert self.subcommands(cli.build_parser(argv0)) == list(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_help_matches_the_full_parser(self, name, capsys):
+        texts = []
+        for parser in (cli.build_parser(), cli.build_parser(name)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and f"usage: eqhom {name} " in texts[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["ball", "f2", "--radius", "1", "--max-cosets", "5"], ["ball", "f2"],
+        ["ponzi", "f2", "--radius", "x"], ["pi1", "--method", "bar"], ["nope"], []])
+    def test_error_lines_match_the_full_parser(self, argv):
+        with pytest.raises(cli._UsageError) as full:
+            cli.build_parser().parse_args(argv)
+        assert invoke(*argv) == (1, f"error: {full.value}\n")
+
+    def test_unrecognized_argument(self):
+        assert invoke("ball", "f2", "--radius", "1", "--max-cosets", "5") == (
+            1, "error: unrecognized arguments: --max-cosets 5\n")
+
+
 class TestExitCodes:
     def test_missing_file(self):
         code, text = invoke("homology", "nope.cplx")

@@ -28,6 +28,11 @@ ZF2 = ProductGroup(FreeAbelianGroup(1, ("a",)), FreeGroup(2, ("s", "t")))
 # an odd relator: edges join vertices of the same shell
 ZZ3 = ProductGroup(FreeAbelianGroup(1, ("a",)),
                    todd_coxeter(GroupPresentation(("c",), ("ccc",)), 10))
+# odd relator and a Z factor of two coordinates: outer-shell products one
+# step past the ball must not alias ball vertices
+Z2Z3 = ProductGroup(FreeAbelianGroup(2, ("a", "b")),
+                    todd_coxeter(GroupPresentation(("c",), ("ccc",)), 10))
+Z2F2 = ProductGroup(FreeAbelianGroup(2, ("a", "b")), FreeGroup(2, ("s", "t")))
 
 
 def reference_ball(model, radius):
@@ -117,10 +122,8 @@ class TestBalls:
             ball = CayleyBall(ZZ, r)
             assert len(ball.crossing_edges()) == 4 * (2 * r - 1)
 
-    @pytest.mark.parametrize("model", [
-        ZZ, F2, FreeGroup(3), ZF2, FreeAbelianGroup(3),
-        ProductGroup(FreeAbelianGroup(2, ("a", "b")), FreeGroup(2, ("s", "t")))],
-        ids=["z2", "f2", "f3", "z_x_f2", "z3", "z2_x_f2"])
+    @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2, FreeAbelianGroup(3), Z2F2],
+                             ids=["z2", "f2", "f3", "z_x_f2", "z3", "z2_x_f2"])
     def test_bipartite_models_have_no_edge_inside_a_shell(self, model):
         # Balls of bipartite models skip the outermost shell's products.
         # The radius-5 ball holds every smaller one as its depth prefix.
@@ -134,16 +137,41 @@ class TestBalls:
         ball = CayleyBall(ZZ3, 3)
         assert any(ball.depth[i] == ball.depth[j] == 3 for i, j in ball.edges)
 
-    @pytest.mark.parametrize("model", [ZZ, F2, FreeGroup(3), ZF2, ZZ3],
-                             ids=["z2", "f2", "f3", "z_x_f2", "z_x_z3"])
+    MODELS = [ZZ, F2, FreeGroup(3), ZF2, ZZ3, FreeAbelianGroup(3), Z2F2, Z2Z3]
+    MODEL_IDS = ["z2", "f2", "f3", "z_x_f2", "z_x_z3", "z3", "z2_x_f2", "z2_x_z3"]
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_bfs_order_matches_reference(self, model):
-        for r in range(1, 5):
+        for r in range(1, 6):
             ball = CayleyBall(model, r)
             vertices, depth, index, edges = reference_ball(model, r)
             assert ball.vertices == vertices
             assert ball.depth == depth
             assert ball.index == index
             assert ball.edges == edges
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_codes_order_like_the_sort_key_one_step_past_the_ball(self, model):
+        for r in range(1, 4):
+            encode, decode, _, bound = model.codes(r)
+            elements = reference_ball(model, r + 1)[0]
+            codes = [encode(x) for x in elements]
+            assert all(0 <= c < bound for c in codes)
+            assert [decode(c) for c in codes] == elements
+            assert sorted(elements, key=model.sort_key) == [
+                decode(c) for c in sorted(codes)]
+            assert len(set(codes)) == len(codes)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_steps_are_products(self, model):
+        r = 3
+        encode, _, step, _ = model.codes(r)
+        elements = reference_ball(model, r)[0]
+        codes = [encode(x) for x in elements]
+        for g in model.generators:
+            for e in (1, -1):
+                s = model.gen_element(g, e)
+                assert step(codes, encode(s)) == [encode(model.mul(x, s)) for x in elements]
 
 
 class TestMaxFlow:
@@ -370,7 +398,7 @@ class TestMaxFlow:
                 two = [a for i, j in inner for a in ((i, j, bound), (j, i, bound))]
                 two += [(source, i, bound) for i, _ in crossing]
                 two += [(v, sink, 1) for v in range(m)]
-                arcs = coarse._ponzi_network(ball, bound)[0]
+                arcs = list(coarse._ponzi_network(ball, bound)[0])
                 greedy = coarse._greedy_start(ball, bound, inner, crossing)
                 split = [x for f in greedy[:k] for x in (max(f, 0), max(-f, 0))]
                 split += greedy[k:]
@@ -413,6 +441,7 @@ class TestGreedyStart:
             ball = CayleyBall(model, r)
             for bound in (1, 2, 3):
                 arcs, inner, crossing, source, sink = coarse._ponzi_network(ball, bound)
+                arcs = list(arcs)
                 start = coarse._greedy_start(ball, bound, inner, crossing)
                 case = (model.describe(), r, bound)
                 assert len(start) == len(arcs), case
@@ -454,6 +483,77 @@ class TestGreedyStart:
         monkeypatch.setattr(coarse, "_greedy_start", leaky)
         with pytest.raises(ValueError, match="start is not a flow"):
             ponzi_feasible(CayleyBall(ZZ, 4), 2)
+
+
+class TestGreedyRoutes:
+    """A greedy start that fills every unit sink arc is a maximum flow:
+    the probe checks it and returns it without running max_flow."""
+
+    BALLS = [(F2, r) for r in range(1, 9)] + [(ProductGroup(
+        FreeAbelianGroup(3, ("a", "b", "c")), FreeGroup(2, ("s", "t"))), 3)]
+
+    @staticmethod
+    def count_max_flows(monkeypatch):
+        calls = []
+        flow = coarse.max_flow
+
+        def counted(*args):
+            calls.append(args)
+            return flow(*args)
+
+        monkeypatch.setattr(coarse, "max_flow", counted)
+        return calls
+
+    def test_flow_is_the_max_flow_from_the_greedy_start(self, monkeypatch):
+        calls = self.count_max_flows(monkeypatch)  # not the max_flow called below
+        for model, r in self.BALLS:
+            ball = CayleyBall(model, r)
+            for bound in (1, 2, 3):
+                arcs, inner, crossing, source, sink = coarse._ponzi_network(ball, bound)
+                greedy = coarse._greedy_start(ball, bound, inner, crossing)
+                res = max_flow(sink + 1, list(arcs), source, sink, greedy)
+                assert res.value == ball.inner_count
+                flow = {e: x for e, x in zip(inner, res.arc_flows) if x}
+                flow.update((e, -x) for e, x in zip(crossing, res.arc_flows[len(inner):]) if x)
+                cert = ponzi_feasible(ball, bound)
+                assert cert.feasible and cert.flow == flow, (model.describe(), r, bound)
+        assert calls == []  # the greedy start routes every one of these probes
+
+    def test_no_max_flow_behind_a_routing_greedy_start(self, monkeypatch):
+        calls = self.count_max_flows(monkeypatch)
+        assert ponzi_feasible(CayleyBall(F2, 8), 1).feasible
+        assert free_group_ponzi(CayleyBall(F2, 8)).verify()
+        assert calls == []
+        res = min_ponzi_bound(CayleyBall(ZZ, 25))
+        assert res.t_min == 8
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("fault, message", [("leak", "start is not a flow"),
+                                                ("over", "flow <= capacity")])
+    def test_a_faulty_start_is_refused_on_a_tree(self, monkeypatch, fault, message):
+        # Both faults leave every unit sink arc full, so the start check
+        # alone stands between them and a certificate.
+        greedy = coarse._greedy_start
+
+        def faulty(ball, t, inner, crossing):
+            flows = greedy(ball, t, inner, crossing)
+            if fault == "leak":
+                flows[0] += 1  # the first inner edge, one more unit: not conserved
+            else:
+                # two source arcs into one vertex: conserved, but one is
+                # out of its capacities [0, 1]
+                assert crossing[0][0] == crossing[1][0]
+                flows[len(inner)] += 1
+                flows[len(inner) + 1] -= 1
+            return flows
+
+        def no_max_flow(*args):
+            raise AssertionError("max_flow ran")
+
+        monkeypatch.setattr(coarse, "_greedy_start", faulty)
+        monkeypatch.setattr(coarse, "max_flow", no_max_flow)
+        with pytest.raises(ValueError, match=message):
+            ponzi_feasible(CayleyBall(F2, 4), 1)
 
 
 class TestPonzi:

@@ -194,6 +194,22 @@ class TestUniversalCover:
         with pytest.raises(PresentationMismatch):
             EquivariantComplex(rp2, wrong)
 
+    def test_one_edge_path_presentation_per_cover(self, rp2, monkeypatch):
+        import eqhom.complexes
+        calls = []
+        edge_path = eqhom.complexes._edge_path_data
+
+        def counted(cx, basepoint):
+            calls.append(basepoint)
+            return edge_path(cx, basepoint)
+
+        monkeypatch.setattr(eqhom.complexes, "_edge_path_data", counted)
+        cover = build_cover(rp2)
+        assert calls == [0]
+        assert cover.counts() == [12, 30, 20]
+        assert EquivariantComplex(rp2, cover.model).counts() == cover.counts()
+        assert calls == [0, 0]  # a direct caller's model is checked
+
 
 class TestLocalCoefficients:
     def test_trivial_system_matches_base(self, rp2):
