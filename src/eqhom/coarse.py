@@ -10,7 +10,6 @@ small cut) is the amenable one.  Nothing here decides amenability: all
 outputs are certificates or obstructions at a stated finite radius.
 """
 
-from functools import cached_property
 from itertools import chain
 from math import comb
 
@@ -32,11 +31,11 @@ class CayleyBall:
 
     The BFS runs over the model's integer codes (GroupModel.codes), whose
     order is the canonical sort key's.  Vertices are indices in BFS order:
-    by depth, each shell sorted by code; vertices and index decode them to
-    normal forms on first use.  Edges join v to v.s for generators s and
-    their inverses.  Inner vertices are those at depth <= R-1.  A bipartite
-    model has no edge inside a shell, so the outermost shell's products,
-    which could only find such edges, are skipped.
+    by depth, each shell sorted by code, and depth[v] is v's.  Edges join v
+    to v.s for generators s and their inverses.  The inner vertices, those
+    at depth <= R-1, are the first inner_count.  A bipartite model has no
+    edge inside a shell, so the outermost shell's products, which could
+    only find such edges, are skipped.
     """
 
     def __init__(self, model, radius):
@@ -47,13 +46,13 @@ class CayleyBall:
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
         self.radius = radius
-        encode, self._decode, step, _ = model.codes(radius)
+        encode, step, _ = model.codes(radius)
         one = encode(model.identity)
         # symmetric closure, deduplicated (an involutive generator counts
         # once); a trivial generator adds only loops, which are no edges
         letters = sorted({encode(model.gen_element(g, e)) for g in model.generators
                           for e in (+1, -1)} - {one})
-        self._codes = codes = [one]
+        codes = [one]
         self.depth = depth = [0]
         index = {one: 0}
         frontier = [one]
@@ -93,24 +92,8 @@ class CayleyBall:
         self.edges = edges
         self.inner_count = start
 
-    @cached_property
-    def vertices(self):
-        """The normal form of each vertex."""
-        return [self._decode(c) for c in self._codes]
-
-    @cached_property
-    def index(self):
-        """Each vertex's normal form -> its index."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
     def __len__(self):
         return len(self.depth)
-
-    def inner_vertices(self):
-        return list(range(self.inner_count))  # a prefix in BFS order
-
-    def shell(self, d):
-        return [i for i, dd in enumerate(self.depth) if dd == d]
 
     def crossing_edges(self):
         """Edges from the inner ball to the outermost shell."""
@@ -353,7 +336,7 @@ class PonziCertificate:
             div[i] -= f
         if found != len(flow):
             return False
-        return all(div[v] == 1 for v in self.ball.inner_vertices())
+        return all(x == 1 for x in div[:self.ball.inner_count])
 
     def check(self):
         """Return self if it verifies; raise CertificateError otherwise."""
@@ -409,16 +392,6 @@ def _ponzi_network(ball, t):
     return arcs, inner_edges, crossing, source, sink
 
 
-def ponzi_feasible(ball, t):
-    """Decide feasibility at bound t by max flow; certificate either way.
-
-    Feasible iff the max flow saturates every inner vertex's unit demand;
-    otherwise the returned min cut is a verifiable obstruction (capacity
-    strictly below the demand).
-    """
-    return _ponzi_probe(ball, t)[0]
-
-
 def _greedy_start(ball, t, inner_edges, crossing):
     """A flow on _ponzi_network's arcs at bound t, in two linear passes.
 
@@ -467,47 +440,43 @@ def _greedy_start(ball, t, inner_edges, crossing):
     return flows
 
 
-def _ponzi_probe(ball, t, start=None):
-    """ponzi_feasible's answer at bound t, and the arc flows of its max flow.
+def ponzi_feasible(ball, t):
+    """Decide feasibility at bound t by max flow; certificate either way.
 
-    start is passed to max_flow: the arc flows of a probe at a smaller
-    bound, which the larger capacities at t still admit.  Without one the
-    max flow starts from _greedy_start's flow, which is checked like any
-    start (_check_start).  If that flow fills every unit sink arc, its
-    value is the sink arcs' whole capacity, so it is already a maximum
-    flow, the one max_flow would return after no phase, and max_flow does
-    not run.  Flows map back to ball edges signed from the smaller end,
-    and a cut's source side is the unmerged one: its inner vertices, the
-    shell and the source len(ball).
+    Feasible iff the max flow saturates every inner vertex's unit demand;
+    otherwise the returned min cut is a verifiable obstruction (capacity
+    strictly below the demand).  The max flow starts from _greedy_start's
+    flow, which is checked like any start (_check_start).  If that flow
+    fills every unit sink arc, its value is the sink arcs' whole capacity,
+    so it is already a maximum flow, the one max_flow would return after no
+    phase, and max_flow does not run.  Flows map back to ball edges signed
+    from the smaller end, and a cut's source side is the unmerged one: its
+    inner vertices, the shell and the source len(ball).
     """
     if t < 1:
         raise ValueError("bound must be >= 1")
     arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
     demand, k = ball.inner_count, len(inner_edges)
-    routed = False
-    if start is None:
-        start = _greedy_start(ball, t, inner_edges, crossing)
-        routed = start[k + len(crossing):] == [1] * demand
+    f = _greedy_start(ball, t, inner_edges, crossing)
+    routed = f[k + len(crossing):] == [1] * demand
     if routed:
-        _check_start(sink + 1, arcs, start, source, sink)
-        f = start
+        _check_start(sink + 1, arcs, f, source, sink)
     else:
-        result = max_flow(sink + 1, list(arcs), source, sink, start)
+        result = max_flow(sink + 1, list(arcs), source, sink, f)
         f = result.arc_flows
         if result.value != demand:
             edges = inner_edges + crossing
             cut_edges = sorted(edges[a] for a in result.cut_arcs if a < len(edges))
             side = frozenset(range(source, len(ball) + 1)).union(
                 v for v in result.source_side if v < source)
-            return InfeasibleCut(ball, t, result.value, demand, cut_edges, side), f
+            return InfeasibleCut(ball, t, result.value, demand, cut_edges, side)
     flow = {edge: x for edge, x in zip(inner_edges, f) if x}
     flow.update((edge, -x) for edge, x in zip(crossing, f[k:]) if x)
-    return PonziCertificate(ball, t, flow).check(), f
+    return PonziCertificate(ball, t, flow).check()
 
 
 class MinBoundResult:
-    def __init__(self, ball, t_min, certificate, cut_below):
-        self.ball = ball
+    def __init__(self, t_min, certificate, cut_below):
         self.t_min = t_min
         self.certificate = certificate
         self.cut_below = cut_below  # None when t_min == 1
@@ -521,34 +490,30 @@ def min_ponzi_bound(ball):
     flux bound ceil(inner / crossing).  The min cut of an infeasible probe
     at t has capacity F(t): b = len(cut_edges) arcs of capacity t plus unit
     sink arcs.  At t' > t it costs F(t) + b (t' - t), so t_min >= step =
-    t + ceil((demand - F(t)) / b).  If step > t + 1, probe step - 1 warm
-    from t's flow: it must not route (CertificateError), and it gives the
-    exact cut below t_min if t_min = step.  Otherwise probe t + 1 from
-    _greedy_start's flow.  The feasible probe thus always starts from the
-    greedy flow, and its certificate is ponzi_feasible(ball, t_min)'s.  If
-    the flux bound routes, the cut below it is probed from the greedy flow.
-    On Z^2 at radius 25 the two probes run 36 blocking phases.
+    t + ceil((demand - F(t)) / b).  The next probe is at step - 1 if that
+    exceeds t + 1, and it must not route (CertificateError); it gives the
+    exact cut below t_min if t_min = step.  Otherwise the next probe is at
+    t + 1.  Every probe is ponzi_feasible's, so the certificate at t_min is
+    ponzi_feasible(ball, t_min)'s.  If the flux bound routes, the cut below
+    it is probed too.  On Z^2 at radius 25 the two probes run 36 blocking
+    phases.
     """
     demand = ball.inner_count
     t = -(-demand // len(ball.crossing_edges()))
-    result, flows = _ponzi_probe(ball, t)
+    result = ponzi_feasible(ball, t)
     below = None
     while not result.feasible:
         below = result
         step = t + -(-(demand - below.capacity) // len(below.cut_edges))
-        if step > t + 1:
-            t = step - 1
-            result, flows = _ponzi_probe(ball, t, flows)
-            if result.feasible:
-                raise CertificateError(f"t = {t} routes below the cut bound {step}")
-        else:
-            t += 1
-            result, flows = _ponzi_probe(ball, t)
+        t = max(t + 1, step - 1)
+        result = ponzi_feasible(ball, t)
+        if result.feasible and t < step:
+            raise CertificateError(f"t = {t} routes below the cut bound {step}")
     if below is None and t > 1:
         below = ponzi_feasible(ball, t - 1)
         if below.feasible:
             raise CertificateError(f"t = {t - 1} routes below the flux bound")
-    return MinBoundResult(ball, t, result, below)
+    return MinBoundResult(t, result, below)
 
 
 def free_group_ponzi(ball):

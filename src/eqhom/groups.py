@@ -175,11 +175,10 @@ class GroupModel:
     def codes(self, radius):
         """Integer codes for the radius-R Cayley ball and one step past it.
 
-        Returns (encode, decode, step, bound).  encode maps such an element
-        to an int in [0, bound) and decode inverts it; integer order on the
-        codes is sort_key order.  step(codes, s) is [c.s for c in codes]
-        for the code s of a generator or its inverse, other than the
-        identity.
+        Returns (encode, step, bound).  encode maps such elements one-to-one
+        into [0, bound), and integer order on the codes is sort_key order.
+        step(codes, s) is [c.s for c in codes] for the code s of a
+        generator or its inverse, other than the identity.
         """
         raise NotImplementedError
 
@@ -266,7 +265,7 @@ class FiniteGroup(GroupModel):
             col = [row[s] for row in table]
             return [col[c] for c in codes]
 
-        return int, int, step, self.order
+        return int, step, self.order
 
     def element_name(self, element):
         return f"c{element}"
@@ -342,20 +341,13 @@ class FreeGroup(GroupModel):
                 c = c * base + s + k - (s > 0)
             return c
 
-        def decode(c):
-            word = []
-            while c > 1:
-                c, d = divmod(c, base)
-                word.append(d - k + (d >= k))
-            return tuple(reversed(word))
-
         def step(codes, s):
             d = s - base  # s codes the one-letter word: 1, then digit d
             inverse = base - 1 - d
             return [c // base if c % base == inverse and c >= base else c * base + d
                     for c in codes]
 
-        return encode, decode, step, base ** (radius + 2)
+        return encode, step, base ** (radius + 2)
 
     def __eq__(self, other):
         return (isinstance(other, FreeGroup) and self.rank == other.rank
@@ -411,20 +403,13 @@ class FreeAbelianGroup(GroupModel):
                 c = c * base + e + offset
             return c
 
-        def decode(c):
-            x = [0] * n
-            for i in range(n - 1, -1, -1):
-                c, d = divmod(c, base)
-                x[i] = d - offset
-            return tuple(x)
-
         one = encode(self.identity)
 
         def step(codes, s):
             d = s - one
             return [c + d for c in codes]
 
-        return encode, decode, step, base ** n
+        return encode, step, base ** n
 
     def __eq__(self, other):
         return (isinstance(other, FreeAbelianGroup) and self.rank == other.rank
@@ -475,16 +460,12 @@ class ProductGroup(GroupModel):
     def codes(self, radius):
         """left * M + right, with M the right factor's code bound: the
         lexicographic order of the pairs.  A letter steps one factor."""
-        encode_l, decode_l, step_l, bound_l = self.left.codes(radius)
-        encode_r, decode_r, step_r, m = self.right.codes(radius)
+        encode_l, step_l, bound_l = self.left.codes(radius)
+        encode_r, step_r, m = self.right.codes(radius)
         one_l = encode_l(self.left.identity)
 
         def encode(x):
             return encode_l(x[0]) * m + encode_r(x[1])
-
-        def decode(c):
-            a, b = divmod(c, m)
-            return (decode_l(a), decode_r(b))
 
         def step(codes, s):
             a, b = divmod(s, m)
@@ -494,7 +475,7 @@ class ProductGroup(GroupModel):
             rights = [c % m for c in codes]
             return [c + y - r for c, r, y in zip(codes, rights, step_r(rights, b))]
 
-        return encode, decode, step, bound_l * m
+        return encode, step, bound_l * m
 
     def __eq__(self, other):
         return (isinstance(other, ProductGroup) and self.left == other.left

@@ -264,8 +264,9 @@ class SmithForm:
     d_1 | d_2 | ... | d_r followed by zeros.  The elimination's tapes (see
     _snf_inplace) stand for the transforms: replayed in order, the row
     tape applies U and the column tape V^-1; replayed backwards through
-    the inverse operations, U^-1 and V.  apply_* replays on one vector;
-    U, uinv, V and vinv build the matrix afresh on each access, as does S.
+    the inverse operations, U^-1 and V (_replay_vector replays on one
+    vector).  U, uinv, V and vinv build the matrix afresh on each access,
+    as does S.
     A tape that was not recorded is None.
     """
 
@@ -284,18 +285,6 @@ class SmithForm:
         m, n = self.shape
         diag = list(self.invariant_factors) + [0] * (m - len(self.invariant_factors))
         return IntMatrix._adopt(m, n, [{i: d} if d else {} for i, d in enumerate(diag)])
-
-    def apply_U(self, y):
-        return _replay_vector(self.row_ops, y)
-
-    def apply_uinv(self, x):
-        return _replay_vector(self.row_ops, x, inverse=True)
-
-    def apply_V(self, x):
-        return _replay_vector(self.col_ops, x, inverse=True)
-
-    def apply_vinv(self, x):
-        return _replay_vector(self.col_ops, x)
 
     U = property(lambda self: _tape_matrix(self.row_ops, self.shape[0]))
     uinv = property(lambda self: _tape_matrix(self.row_ops, self.shape[0], True))

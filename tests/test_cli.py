@@ -348,7 +348,7 @@ def test_ball_budget_exits_3(monkeypatch):
 def test_ball_shell_sizes_are_the_shells(spec):
     from eqhom.coarse import CayleyBall
     ball = CayleyBall(parse_group_spec(spec), 4)
-    sizes = " ".join(str(len(ball.shell(d))) for d in range(5))
+    sizes = " ".join(str(ball.depth.count(d)) for d in range(5))
     code, text = invoke("ball", spec, "--radius", "4")
     assert code == 0 and f"\nshell sizes = {sizes}\n" in text
 

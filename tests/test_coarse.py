@@ -101,7 +101,7 @@ class TestBalls:
         pg = ProductGroup(FreeAbelianGroup(1, ("a",)), FreeGroup(2, ("s", "t")))
         ball = CayleyBall(pg, 2)
         # |B_1| = 7 (two abelian moves, four tree moves, identity)
-        assert len(ball.shell(0)) == 1 and len(ball.shell(1)) == 6
+        assert ball.depth.count(0) == 1 and ball.depth.count(1) == 6
 
     def test_vertex_budget(self, monkeypatch):
         monkeypatch.setattr(coarse, "BUDGET", 161)
@@ -144,28 +144,25 @@ class TestBalls:
     def test_bfs_order_matches_reference(self, model):
         for r in range(1, 6):
             ball = CayleyBall(model, r)
-            vertices, depth, index, edges = reference_ball(model, r)
-            assert ball.vertices == vertices
+            # The edges' index pairs pin the BFS order of the vertices.
+            _, depth, _, edges = reference_ball(model, r)
             assert ball.depth == depth
-            assert ball.index == index
             assert ball.edges == edges
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_codes_order_like_the_sort_key_one_step_past_the_ball(self, model):
         for r in range(1, 4):
-            encode, decode, _, bound = model.codes(r)
+            encode, _, bound = model.codes(r)
             elements = reference_ball(model, r + 1)[0]
             codes = [encode(x) for x in elements]
             assert all(0 <= c < bound for c in codes)
-            assert [decode(c) for c in codes] == elements
-            assert sorted(elements, key=model.sort_key) == [
-                decode(c) for c in sorted(codes)]
+            assert sorted(codes) == [encode(x) for x in sorted(elements, key=model.sort_key)]
             assert len(set(codes)) == len(codes)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_steps_are_products(self, model):
         r = 3
-        encode, _, step, _ = model.codes(r)
+        encode, step, _ = model.codes(r)
         elements = reference_ball(model, r)[0]
         codes = [encode(x) for x in elements]
         for g in model.generators:
@@ -350,11 +347,11 @@ class TestMaxFlow:
             source, sink = len(ball), len(ball) + 1
             for bound in (1, 2, 3):
                 graph = nx.DiGraph()
-                graph.add_edges_from((source, v) for v in ball.shell(r))
+                graph.add_edges_from((source, v) for v, d in enumerate(ball.depth) if d == r)
                 for i, j in ball.edges:
                     graph.add_edge(i, j, capacity=bound)
                     graph.add_edge(j, i, capacity=bound)
-                graph.add_edges_from(((v, sink) for v in ball.inner_vertices()),
+                graph.add_edges_from(((v, sink) for v in range(ball.inner_count)),
                                      capacity=1)
                 residual = nx.algorithms.flow.edmonds_karp(graph, source, sink)
                 want = residual.graph["flow_value"]
@@ -649,7 +646,10 @@ class TestMinBound:
                          + [(ZZ, r) for r in range(1, 9)]
                          + [(F2, r) for r in range(1, 4)]
                          + [(ZF2, 2)]
-                         # radii 6 and 7 step past t + 1 and probe step - 1 warm
+                         # these step past t + 1 and probe step - 1: the
+                         # bipartite Z^2 at radius 28 (probes 7, 8, 9) and
+                         # the non-bipartite ZZ3 at radii 6 and 7
+                         + [(ZZ, 28)]
                          + [(ZZ3, r) for r in range(1, 8)])
 
     def test_search_agrees_with_brute_force(self):
@@ -696,15 +696,16 @@ class TestMinBound:
     @pytest.mark.parametrize("model, r, fake", [(ZZ3, 6, 4), (ZZ, 6, 1)],
                              ids=["warm-step", "below-flux"])
     def test_probe_below_t_min_must_not_route(self, monkeypatch, model, r, fake):
-        # ZZ3 r6 probes 3, then 4 warm (step 5), then 5; Z^2 r6 routes at its
-        # flux bound 2 and probes 1 for the cut.  A forged flow at `fake` must
-        # raise CertificateError, not an assert that -O would drop.
-        probe = coarse._ponzi_probe
+        # ZZ3 r6 probes 3, then 4 (step - 1 for step 5), then 5; Z^2 r6
+        # routes at its flux bound 2 and probes 1 for the cut.  A forged flow
+        # at `fake` must raise CertificateError, not an assert that -O would
+        # drop.
+        probe = coarse.ponzi_feasible
 
-        def forged(ball, t, start=None):
-            return probe(ball, ball.inner_count) if t == fake else probe(ball, t, start)
+        def forged(ball, t):
+            return probe(ball, ball.inner_count if t == fake else t)
 
-        monkeypatch.setattr(coarse, "_ponzi_probe", forged)
+        monkeypatch.setattr(coarse, "ponzi_feasible", forged)
         with pytest.raises(CertificateError, match=f"t = {fake} routes below"):
             min_ponzi_bound(CayleyBall(model, r))
 

@@ -286,10 +286,10 @@ class TestTapeReplay:
             y = [rng.randint(-5, 5) for _ in range(m)]
             x = [rng.randint(-5, 5) for _ in range(n)]
             y0, x0 = list(y), list(x)
-            assert sf.apply_U(y) == matvec(u, y)
-            assert sf.apply_uinv(y) == matvec(uinv, y)
-            assert sf.apply_V(x) == matvec(v, x)
-            assert sf.apply_vinv(x) == matvec(vinv, x)
+            assert intlinalg._replay_vector(sf.row_ops, y) == matvec(u, y)
+            assert intlinalg._replay_vector(sf.row_ops, y, inverse=True) == matvec(uinv, y)
+            assert intlinalg._replay_vector(sf.col_ops, x, inverse=True) == matvec(v, x)
+            assert intlinalg._replay_vector(sf.col_ops, x) == matvec(vinv, x)
             assert (y, x) == (y0, x0)
             # The column tape on the rows of a matrix is V^-1 times it.
             b = sparse_matrix(n, 3, [(rng.randrange(n), rng.randrange(3),
