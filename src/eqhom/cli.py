@@ -25,17 +25,13 @@ from .coarse import (CayleyBall, gromov_counterexample_report,
                      isoperimetric_ratio, min_ponzi_bound, ponzi_feasible)
 
 
-class _UsageError(InputError):
-    pass
-
-
 # Exit code per exception family, in the order the families are tried.
 _EXIT_CODES = {InputError: 1, ValueError: 1, BudgetError: 3, PreconditionError: 2}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _read(path):

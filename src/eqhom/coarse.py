@@ -19,10 +19,6 @@ from .groups import FreeGroup
 BUDGET = 200000  # vertices of one Cayley ball
 
 
-class UnsupportedModel(PreconditionError):
-    """Cayley-ball probes need an infinite model (free / free abelian / product)."""
-
-
 # ---------------------------------------------------------------------------
 # Cayley balls
 
@@ -42,7 +38,7 @@ class CayleyBall:
         if radius < 1:
             raise ValueError("radius must be >= 1")
         if model.is_finite:
-            raise UnsupportedModel(
+            raise PreconditionError(
                 "balls in finite groups stabilize; the probe is vacuous")
         self.model = model
         self.radius = radius

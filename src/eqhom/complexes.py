@@ -24,28 +24,9 @@ identity.
 from itertools import combinations, permutations
 
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
-from .groups import FiniteGroup, GroupPresentation, todd_coxeter, trivial_rep
+from .groups import (FiniteGroup, GroupPresentation, _default_names, todd_coxeter,
+                     trivial_rep)
 from .intlinalg import IntMatrix, chain_homology
-
-
-class ParseError(InputError):
-    pass
-
-
-class DuplicateVertexInSimplex(InputError):
-    pass
-
-
-class NotConnected(PreconditionError):
-    pass
-
-
-class InfiniteGroup(PreconditionError):
-    """The fundamental group did not complete to a finite model."""
-
-
-class PresentationMismatch(PreconditionError):
-    """The supplied model does not realize this complex's pi_1 presentation."""
 
 
 class SimplicialComplex:
@@ -56,13 +37,13 @@ class SimplicialComplex:
         for s in simplices:
             s = tuple(sorted(int(v) for v in s))
             if len(set(s)) != len(s):
-                raise DuplicateVertexInSimplex(f"repeated vertex in {s}")
+                raise InputError(f"repeated vertex in {s}")
             if s and s[0] < 0:
-                raise ParseError("negative vertex id")
+                raise InputError("negative vertex id")
             for k in range(1, len(s) + 1):
                 faces.update(combinations(s, k))
         if not faces:
-            raise ParseError("empty complex")
+            raise InputError("empty complex")
         self.dim = max(len(f) for f in faces) - 1
         self._simplices = [sorted(f for f in faces if len(f) == k + 1)
                            for k in range(self.dim + 1)]
@@ -143,17 +124,17 @@ def load_complex(text):
             continue
         parts = line.split()
         if parts[0] != "f":
-            raise ParseError(f"line {lineno}: expected 'f v0 v1 ...'")
+            raise InputError(f"line {lineno}: expected 'f v0 v1 ...'")
         try:
             verts = [int(p) for p in parts[1:]]
         except ValueError:
-            raise ParseError(f"line {lineno}: vertex ids must be integers") from None
+            raise InputError(f"line {lineno}: vertex ids must be integers") from None
         if not verts:
-            raise ParseError(f"line {lineno}: empty simplex")
+            raise InputError(f"line {lineno}: empty simplex")
         if any(v < 0 for v in verts):
-            raise ParseError(f"line {lineno}: negative vertex id")
+            raise InputError(f"line {lineno}: negative vertex id")
         if len(set(verts)) != len(verts):
-            raise DuplicateVertexInSimplex(f"line {lineno}: repeated vertex")
+            raise InputError(f"line {lineno}: repeated vertex")
         simplices.append(tuple(verts))
     return SimplicialComplex(simplices)
 
@@ -184,17 +165,14 @@ def _spanning_tree(cx, basepoint):
                     nxt.append(w)
         frontier = nxt
     if len(seen) != cx.vertices:
-        raise NotConnected("complex is not connected")
+        raise PreconditionError("complex is not connected")
     return tree_edges
 
 
 def _edge_path_data(cx, basepoint):
     tree_edges = _spanning_tree(cx, basepoint)
     nontree = [e for e in cx.simplices(1) if e not in tree_edges]
-    if len(nontree) <= 26:
-        names = ["abcdefghijklmnopqrstuvwxyz"[i] for i in range(len(nontree))]
-    else:
-        names = [f"x{i}" for i in range(len(nontree))]
+    names = _default_names(len(nontree))
     gen_of_edge = {e: names[i] for i, e in enumerate(nontree)}
 
     def edge_word(u, v):
@@ -209,7 +187,7 @@ def _edge_path_data(cx, basepoint):
         word = edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
         if word:
             relators.append(word)
-    pres = GroupPresentation(tuple(names), tuple(relators))
+    pres = GroupPresentation(names, relators)
     return pres, tree_edges, gen_of_edge
 
 
@@ -234,10 +212,10 @@ class EquivariantComplex:
     def __init__(self, base, model, basepoint=0, edge_path=None):
         """edge_path is _edge_path_data(base, basepoint), if already known."""
         if not isinstance(model, FiniteGroup):
-            raise InfiniteGroup("universal covers are built for finite models only")
+            raise PreconditionError("universal covers are built for finite models only")
         pres, tree_edges, gen_of_edge = edge_path or _edge_path_data(base, basepoint)
         if model.presentation != pres:
-            raise PresentationMismatch(
+            raise PreconditionError(
                 "model was not built from this complex's pi_1 presentation")
         self.base = base
         self.model = model
@@ -336,7 +314,7 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
         # pi_1 infinite, otherwise only the budget ran out.
         h1 = chain_homology([cx.boundary_matrix(1), cx.boundary_matrix(2)])[0]
         if h1.free_rank:
-            raise InfiniteGroup(f"pi_1 is infinite: H_1 = {h1}") from exc
+            raise PreconditionError(f"pi_1 is infinite: H_1 = {h1}") from exc
         raise
     return EquivariantComplex(cx, model, basepoint, edge_path)
 

@@ -44,18 +44,6 @@ from .intlinalg import (IntMatrix, PairHomology, chain_homology,
                         is_isomorphism_onto, matvec)
 
 
-class NotPseudomanifold(PreconditionError):
-    pass
-
-
-class NonOrientable(PreconditionError):
-    pass
-
-
-class DimensionMismatch(PreconditionError):
-    pass
-
-
 class TriangulatedManifold:
     """A closed oriented triangulated manifold: complex + facet signs."""
 
@@ -69,19 +57,19 @@ class TriangulatedManifold:
 
 
 def orient(cx):
-    """Coherently orient a closed pseudomanifold, or raise NonOrientable.
+    """Coherently orient a closed pseudomanifold, or raise PreconditionError.
 
     Signs propagate from the first facet; the induced orientations of a
     shared ridge must cancel.
     """
     n = cx.dim
     if n < 1:
-        raise NotPseudomanifold("dimension must be at least 1")
+        raise PreconditionError("dimension must be at least 1")
     if not cx.is_connected():
-        raise NotPseudomanifold("complex is not connected")
+        raise PreconditionError("complex is not connected")
     facets = cx.simplices(n)
     if any(len(f) != n + 1 for f in cx.facets):
-        raise NotPseudomanifold("complex is not pure of top dimension")
+        raise PreconditionError("complex is not pure of top dimension")
     ridge_incidence = {}
     for j, s in enumerate(facets):
         for i in range(n + 1):
@@ -89,7 +77,7 @@ def orient(cx):
             ridge_incidence.setdefault(ridge, []).append((j, i))
     for ridge, inc in ridge_incidence.items():
         if len(inc) != 2:
-            raise NotPseudomanifold(
+            raise PreconditionError(
                 f"ridge {ridge} lies in {len(inc)} facets, not 2")
     signs = {0: 1}
     stack = [0]
@@ -104,16 +92,16 @@ def orient(cx):
             forced = -signs[j] * (-1) ** (i1 + i2)
             if j2 in signs:
                 if signs[j2] != forced:
-                    raise NonOrientable("orientation propagation contradicts")
+                    raise PreconditionError("orientation propagation contradicts")
             else:
                 signs[j2] = forced
                 stack.append(j2)
     if len(signs) != len(facets):
-        raise NotPseudomanifold("facet adjacency graph is not connected")
+        raise PreconditionError("facet adjacency graph is not connected")
     orientation = tuple(signs[j] for j in range(len(facets)))
     z = matvec(cx.boundary_matrix(n), list(orientation))
     if any(z):
-        raise NonOrientable("signed facet sum is not a cycle")
+        raise PreconditionError("signed facet sum is not a cycle")
     return TriangulatedManifold(cx, n, orientation)
 
 
@@ -210,7 +198,7 @@ def _cap_operator(system, k, m, chain):
 def cap_chain(phi, chain, m):
     """phi cap z for a plain integer m-chain z; an (m-k)-chain with L coeffs."""
     if phi.degree > m:
-        raise DimensionMismatch("cochain degree exceeds chain degree")
+        raise PreconditionError("cochain degree exceeds chain degree")
     if len(chain) != len(phi.system.complex.simplices(m)):
         raise ValueError("chain vector has the wrong length")
     return matvec(_cap_operator(phi.system, phi.degree, m, chain), phi.flat())
@@ -381,9 +369,9 @@ def berstein_svarc(cover):
 
 def bs_power(cover, k):
     """k-fold cup power of the degree-one obstruction cocycle."""
-    beta = berstein_svarc(cover)
     if k < 1:
         raise ValueError("power must be >= 1")
+    beta = berstein_svarc(cover)
     out = beta
     for _ in range(k - 1):
         out = cup(out, beta)

@@ -18,9 +18,9 @@ are exact and are tested against each other.
 
 from itertools import product
 
-from .errors import BudgetError
-from .groups import (FiniteGroup, NotFinite, augmentation_ideal_rep,
-                     induced_rep, tensor_power, trivial_rep)
+from .errors import BudgetError, PreconditionError
+from .groups import (FiniteGroup, augmentation_ideal_rep, induced_rep,
+                     tensor_power, trivial_rep)
 from .intlinalg import IntMatrix, chain_homology, cokernel_invariants
 
 BUDGET = 20000
@@ -28,7 +28,7 @@ BUDGET = 20000
 
 def _require_finite(model):
     if not isinstance(model, FiniteGroup):
-        raise NotFinite("group homology routines need a finite model")
+        raise PreconditionError("group homology routines need a finite model")
 
 
 def _check_budget(model, n, rank=1):

@@ -21,14 +21,6 @@ from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
 from .intlinalg import IntMatrix, matmul
 
 
-class UnknownGenerator(InputError):
-    pass
-
-
-class NotFinite(PreconditionError):
-    """A finite group model is required."""
-
-
 # ---------------------------------------------------------------------------
 # words and presentations
 
@@ -104,7 +96,7 @@ class GroupPresentation:
         for rel in rels:
             for g, _ in rel:
                 if g not in known:
-                    raise UnknownGenerator(f"relator uses unknown generator {g!r}")
+                    raise InputError(f"relator uses unknown generator {g!r}")
 
     def __eq__(self, other):
         return (isinstance(other, GroupPresentation) and self.generators == other.generators
@@ -241,7 +233,7 @@ class FiniteGroup(GroupModel):
 
     def gen_element(self, name, exp=1):
         if name not in self.gens:
-            raise UnknownGenerator(f"unknown generator {name!r}")
+            raise InputError(f"unknown generator {name!r}")
         g = self.gens[name]
         return g if exp > 0 else self._inverse[g]
 
@@ -305,7 +297,7 @@ class FreeGroup(GroupModel):
 
     def gen_element(self, name, exp=1):
         if name not in self._index:
-            raise UnknownGenerator(f"unknown generator {name!r}")
+            raise InputError(f"unknown generator {name!r}")
         return ((self._index[name] + 1) * (1 if exp > 0 else -1),)
 
     def mul(self, x, y):
@@ -375,7 +367,7 @@ class FreeAbelianGroup(GroupModel):
 
     def gen_element(self, name, exp=1):
         if name not in self._index:
-            raise UnknownGenerator(f"unknown generator {name!r}")
+            raise InputError(f"unknown generator {name!r}")
         v = [0] * self.rank
         v[self._index[name]] = 1 if exp > 0 else -1
         return tuple(v)
@@ -446,7 +438,7 @@ class ProductGroup(GroupModel):
             return (self.left.gen_element(name, exp), self.right.identity)
         if name in self.right.generators:
             return (self.left.identity, self.right.gen_element(name, exp))
-        raise UnknownGenerator(f"unknown generator {name!r}")
+        raise InputError(f"unknown generator {name!r}")
 
     def mul(self, x, y):
         return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
@@ -703,7 +695,7 @@ def trivial_rep(model, rank=1):
 def regular_rep(model):
     """Z[pi] as a module over itself (left multiplication), for finite pi."""
     if not isinstance(model, FiniteGroup):
-        raise NotFinite("regular representation needs a finite model")
+        raise PreconditionError("regular representation needs a finite model")
     n, table = model.order, model.table
     return _checked_rep(model, n, lambda s: IntMatrix.from_blocks(
         n, n, (1, 1), ((table[s][g], g, 1, None) for g in range(n))))
@@ -720,7 +712,7 @@ def augmentation_ideal_rep(model):
     [[-1]]
     """
     if not isinstance(model, FiniteGroup):
-        raise NotFinite("augmentation ideal module needs a finite model")
+        raise PreconditionError("augmentation ideal module needs a finite model")
     n, table = model.order, model.table
     # row -1 is the dropped identity
     return _checked_rep(model, n - 1, lambda s: IntMatrix.from_blocks(

@@ -44,10 +44,6 @@ from heapq import heapify, heappop, heappush
 from .errors import PreconditionError
 
 
-class ChainConditionViolated(PreconditionError):
-    """d_k . d_{k+1} != 0; the boundary construction upstream is broken."""
-
-
 class IntMatrix:
     """A rows x cols matrix of Python ints, stored as sparse rows.
 
@@ -706,7 +702,7 @@ def _check_composition_zero(d_k, d_kplus1):
     bnz = d_kplus1._nz
     for row in d_k._nz:
         if any(_row_product(row, bnz).values()):
-            raise ChainConditionViolated("d_k . d_{k+1} != 0")
+            raise PreconditionError("d_k . d_{k+1} != 0")
 
 
 def chain_homology(differentials):
@@ -735,7 +731,7 @@ def chain_homology(differentials):
         facs, pivots = _nonzero_factors(d_kplus1, pivots)
         free = d_k.cols - r_k - len(facs)
         if free < 0:
-            raise ChainConditionViolated("rank bookkeeping failed; not a chain complex")
+            raise PreconditionError("rank bookkeeping failed; not a chain complex")
         groups.append(AbelianGroupInvariants(free, tuple(d for d in facs if d > 1)))
         d_k = d_kplus1
     return groups

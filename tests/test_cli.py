@@ -9,6 +9,7 @@ import pytest
 import eqhom
 from eqhom import cli
 from eqhom.cli import parse_group_spec, run
+from eqhom.errors import InputError
 from eqhom.groups import FreeAbelianGroup, FreeGroup, ProductGroup
 
 from conftest import fixture_path
@@ -181,7 +182,7 @@ class TestParser:
         ["ball", "f2", "--radius", "1", "--max-cosets", "5"], ["ball", "f2"],
         ["ponzi", "f2", "--radius", "x"], ["pi1", "--method", "bar"], ["nope"], []])
     def test_error_lines_match_the_full_parser(self, argv):
-        with pytest.raises(cli._UsageError) as full:
+        with pytest.raises(InputError) as full:
             cli.build_parser().parse_args(argv)
         assert invoke(*argv) == (1, f"error: {full.value}\n")
 
@@ -288,6 +289,23 @@ def test_error_line_is_the_only_output(argv, code, message, tmp_path):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in BAD_INPUTS else a for a in argv]
     assert invoke(*argv) == (code, f"error: {message}\n")
+
+
+def test_every_exception_class_lives_in_errors():
+    """errors holds the whole taxonomy: no other module defines an
+    exception class, so every failure is one of its six families."""
+    import importlib
+    import pkgutil
+    defined = {}
+    for info in pkgutil.iter_modules(eqhom.__path__, "eqhom."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException) \
+                    and value.__module__.startswith("eqhom"):
+                defined[value.__qualname__] = value.__module__
+    assert set(defined.values()) == {"eqhom.errors"}
+    assert sorted(defined) == ["BudgetError", "CertificateError", "EqhomError",
+                               "InputError", "ModelMismatch", "PreconditionError"]
 
 
 def test_import_loads_every_layer_and_nothing_slow():

@@ -11,11 +11,10 @@ import pytest
 import eqhom
 from eqhom import coarse
 from eqhom.coarse import (AmenabilityReport, CayleyBall, InfeasibleCut,
-                          ModelMismatch, PonziCertificate, UnsupportedModel,
-                          free_group_ponzi,
+                          ModelMismatch, PonziCertificate, free_group_ponzi,
                           gromov_counterexample_report, isoperimetric_ratio,
                           max_flow, min_ponzi_bound, ponzi_feasible)
-from eqhom.errors import BudgetError, CertificateError
+from eqhom.errors import BudgetError, CertificateError, PreconditionError
 from eqhom.groups import (FreeAbelianGroup, FreeGroup, GroupPresentation,
                           ProductGroup, todd_coxeter)
 
@@ -114,7 +113,8 @@ class TestBalls:
 
     def test_finite_model_rejected(self):
         z2 = todd_coxeter(GroupPresentation(("a",), ("aa",)), 5)
-        with pytest.raises(UnsupportedModel):
+        with pytest.raises(PreconditionError,
+                           match="^balls in finite groups stabilize; the probe is vacuous$"):
             CayleyBall(z2, 2)
 
     def test_crossing_count_z2(self):

@@ -4,20 +4,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqhom.complexes import (DuplicateVertexInSimplex, EquivariantComplex,
-                             LocalSystem, NotConnected, ParseError,
-                             PresentationMismatch, SimplicialComplex,
-                             build_cover, chain_boundary_matrix,
+from eqhom.complexes import (EquivariantComplex, LocalSystem,
+                             SimplicialComplex, build_cover, chain_boundary_matrix,
                              cochain_differential_matrix, cohomology,
                              barycentric_subdivision, cycle_complex,
                              fundamental_group, homology,
                              lens_space, load_complex, local_cohomology,
                              local_homology, render_homology,
                              simplicial_product, torus_complex)
-from eqhom.groups import (GroupPresentation, augmentation_ideal_rep,
+from eqhom.groups import (FreeGroup, GroupPresentation, augmentation_ideal_rep,
                           regular_rep, todd_coxeter, trivial_rep)
 import eqhom.intlinalg
-from eqhom.errors import ModelMismatch
+from eqhom.errors import InputError, ModelMismatch, PreconditionError
 from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix,
                              cokernel_invariants, matmul)
 
@@ -45,13 +43,22 @@ class TestConstruction:
         assert rp2.counts() == [6, 15, 10]
 
     def test_parse_error_carries_line(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError, match=r"^line 2: expected 'f v0 v1 \.\.\.'$") as exc:
             load_complex("f 0 1\ng 1 2\n")
         assert "line 2" in str(exc.value)
 
     def test_duplicate_vertex(self):
-        with pytest.raises(DuplicateVertexInSimplex):
+        with pytest.raises(InputError, match="^line 1: repeated vertex$"):
             load_complex("f 0 0 1\n")
+
+    @pytest.mark.parametrize("simplices, message", [
+        ([], "^empty complex$"),
+        ([(-1, 0)], "^negative vertex id$"),
+        ([(0, 0)], r"^repeated vertex in \(0, 0\)$")],
+        ids=["empty", "negative", "repeated"])
+    def test_bad_simplices(self, simplices, message):
+        with pytest.raises(InputError, match=message):
+            SimplicialComplex(simplices)
 
     def test_orient_line_is_ignored(self):
         with open(fixture_path("t2.cplx"), encoding="utf-8") as fh:
@@ -150,7 +157,7 @@ class TestFundamentalGroup:
 
     def test_not_connected(self):
         cx = SimplicialComplex([(0, 1, 2), (3, 4, 5)])
-        with pytest.raises(NotConnected):
+        with pytest.raises(PreconditionError, match="^complex is not connected$"):
             fundamental_group(cx)
 
 
@@ -191,8 +198,14 @@ class TestUniversalCover:
 
     def test_presentation_mismatch(self, rp2):
         wrong = todd_coxeter(GroupPresentation(("a",), ("aa",)), 10)
-        with pytest.raises(PresentationMismatch):
+        with pytest.raises(PreconditionError,
+                           match="^model was not built from this complex's pi_1 presentation$"):
             EquivariantComplex(rp2, wrong)
+
+    def test_infinite_model_rejected(self, rp2):
+        with pytest.raises(PreconditionError,
+                           match="^universal covers are built for finite models only$"):
+            EquivariantComplex(rp2, FreeGroup(2))
 
     def test_one_edge_path_presentation_per_cover(self, rp2, monkeypatch):
         import eqhom.complexes

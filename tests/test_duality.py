@@ -8,12 +8,12 @@ from eqhom.cli import run
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
                              chain_boundary_matrix, homology, lens_space,
                              torus_complex)
-from eqhom.duality import (Cochain, Cocycle, NonOrientable, NotPseudomanifold,
-                           TriangulatedManifold, bs_class_report, bs_power,
+from eqhom.duality import (Cochain, Cocycle, TriangulatedManifold,
+                           bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
                            pd_check, pert_finite)
-from eqhom.errors import ModelMismatch
+from eqhom.errors import ModelMismatch, PreconditionError
 from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
@@ -102,7 +102,7 @@ class TestOrientation:
                               m.fundamental_cycle()))
 
     def test_rp2_not_orientable(self, rp2):
-        with pytest.raises(NonOrientable):
+        with pytest.raises(PreconditionError, match="^orientation propagation contradicts$"):
             orient(rp2)
 
     def test_t2_orientable(self, t2):
@@ -110,7 +110,7 @@ class TestOrientation:
 
     def test_not_pseudomanifold(self):
         cx = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-        with pytest.raises(NotPseudomanifold):
+        with pytest.raises(PreconditionError, match=r"^ridge \(1, 2\) lies in 1 facets, not 2$"):
             orient(cx)
 
     @pytest.mark.parametrize("name", ["s2cx", "t2", "s3cx", "t3", "rp3"])
@@ -144,6 +144,12 @@ class TestProducts:
                 phi = rand_cochain(rng, LocalSystem(cx, 1), k)
                 assert cup(u, phi).values == phi.values
                 assert cup(phi, u).values == phi.values
+
+    def test_cap_chain_rejects_a_cochain_above_the_chain(self, t2):
+        phi = Cochain(LocalSystem(t2, 1), 1, [[0] for _ in t2.simplices(1)])
+        with pytest.raises(PreconditionError,
+                           match="^cochain degree exceeds chain degree$"):
+            cap_chain(phi, [0] * len(t2.simplices(0)), 0)
 
     def test_cap_unit_identity(self, t2):
         rng = random.Random(23)
@@ -354,7 +360,7 @@ class TestPdCheck:
             return IntMatrix.from_blocks(phi.rows, phi.cols, (1, 1), [(0, 0, sign, phi)])
 
         monkeypatch.setattr(duality, "_cap_matrix", flipped)
-        with pytest.raises(intlinalg.ChainConditionViolated):
+        with pytest.raises(PreconditionError, match=r"^d_k \. d_\{k\+1\} != 0$"):
             pd_check(orient(t2), LocalSystem(t2, 1))
 
 
@@ -511,7 +517,7 @@ class TestEssentiality:
         assert report.is_zero
 
     def test_rp2_rejected_by_orientation(self, rp2):
-        with pytest.raises(NonOrientable):
+        with pytest.raises(PreconditionError, match="^orientation propagation contradicts$"):
             orient(rp2)
 
 
@@ -578,6 +584,12 @@ class TestPert:
         for power in powers:
             with pytest.raises(ValueError, match="vector is not a cycle"):
                 pert_finite(power, lens3_cover)
+
+    def test_power_below_one_is_rejected_before_beta(self, lens3_cover, monkeypatch):
+        monkeypatch.setattr(duality, "berstein_svarc",
+                            lambda cover: pytest.fail("built beta for k < 1"))
+        with pytest.raises(ValueError, match="^power must be >= 1$"):
+            bs_power(lens3_cover, 0)
 
     def test_power_above_dimension_builds_no_large_identity(self, lens3_cover,
                                                             monkeypatch):

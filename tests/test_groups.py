@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqhom import groups, intlinalg
-from eqhom.errors import BudgetError, PreconditionError
+from eqhom.errors import BudgetError, InputError, PreconditionError
 from eqhom.groups import (FiniteGroup, FreeAbelianGroup, FreeGroup,
-                          GroupPresentation, ModelMismatch, NotFinite,
-                          ProductGroup, UnknownGenerator,
+                          GroupPresentation, ModelMismatch, ProductGroup,
                           augmentation_ideal_rep, free_reduce,
                           parse_presentation, parse_word, regular_rep,
                           render_word, tensor_power, tensor_rep, todd_coxeter,
@@ -98,7 +97,7 @@ class TestWords:
         assert len(pres.relators) == 3
 
     def test_unknown_generator(self):
-        with pytest.raises(UnknownGenerator, match="^relator uses unknown generator 'b'$"):
+        with pytest.raises(InputError, match="^relator uses unknown generator 'b'$"):
             GroupPresentation(("a",), ("ab",))
 
     def test_presentations_equal_by_value(self):
@@ -169,6 +168,13 @@ class TestToddCoxeter:
                            match="^generators do not generate the group$"):
             FiniteGroup(z4, {"a": 2})
         assert FiniteGroup(z4, {"a": 3}).order == 4
+
+    def test_table_must_satisfy_the_relators(self):
+        z2 = [[0, 1], [1, 0]]
+        with pytest.raises(PreconditionError,
+                           match="^table does not satisfy a relator$"):
+            FiniteGroup(z2, {"a": 1}, GroupPresentation(("a",), ("aaa",)))
+        assert FiniteGroup(z2, {"a": 1}, GroupPresentation(("a",), ("aa",))).order == 2
 
 
 class TestNormalForms:
@@ -263,7 +269,8 @@ class TestRepresentations:
         assert augmentation_ideal_rep(triv).rank == 0
 
     def test_not_finite(self):
-        with pytest.raises(NotFinite):
+        with pytest.raises(PreconditionError,
+                           match="^augmentation ideal module needs a finite model$"):
             augmentation_ideal_rep(FreeGroup(2))
 
     def test_tensor_unit(self):
