@@ -26,7 +26,7 @@ from .coarse import (CayleyBall, gromov_counterexample_report,
 
 
 # Exit code per exception family, in the order the families are tried.
-_EXIT_CODES = {InputError: 1, ValueError: 1, BudgetError: 3, PreconditionError: 2}
+_EXIT_CODES = {InputError: 1, BudgetError: 3, PreconditionError: 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,7 +286,7 @@ def _cmd_min_bound(args, out):
 def _cmd_folner(args, out):
     model = parse_group_spec(args.group)
     if args.radius < 1:  # the loop below would build no ball to reject it
-        raise ValueError("radius must be >= 1")
+        raise InputError("radius must be >= 1")
     out.append(f"group = {model.describe()}")
     for r in range(1, args.radius + 1):
         ball = CayleyBall(model, r)

@@ -13,7 +13,8 @@ outputs are certificates or obstructions at a stated finite radius.
 from itertools import chain
 from math import comb
 
-from .errors import BudgetError, CertificateError, ModelMismatch, PreconditionError
+from .errors import (BudgetError, CertificateError, InputError, ModelMismatch,
+                     PreconditionError)
 from .groups import FreeGroup
 
 BUDGET = 200000  # vertices of one Cayley ball
@@ -36,7 +37,7 @@ class CayleyBall:
 
     def __init__(self, model, radius):
         if radius < 1:
-            raise ValueError("radius must be >= 1")
+            raise InputError("radius must be >= 1")
         if model.is_finite:
             raise PreconditionError(
                 "balls in finite groups stabilize; the probe is vacuous")
@@ -450,7 +451,7 @@ def ponzi_feasible(ball, t):
     inner vertices, the shell and the source len(ball).
     """
     if t < 1:
-        raise ValueError("bound must be >= 1")
+        raise InputError("bound must be >= 1")
     arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
     demand, k = ball.inner_count, len(inner_edges)
     f = _greedy_start(ball, t, inner_edges, crossing)
@@ -646,9 +647,9 @@ def gromov_counterexample_report(n, radius, factor=None):
     in (b) is a finite-radius probe, not a proof.
     """
     if n < 1:
-        raise ValueError("rank must be >= 1")
+        raise InputError("rank must be >= 1")
     if radius < 2:
-        raise ValueError("radius must be >= 2")
+        raise InputError("radius must be >= 2")
     factor = factor or FreeGroup(2, names=("s", "t"))
     torus_lines, kv = _torus_section(n)
     kv["radius"] = radius

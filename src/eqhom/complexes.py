@@ -2,10 +2,14 @@
 
 A complex is stored as its full face lattice with simplices ordered
 lexicographically inside each dimension; boundary signs alternate over
-the sorted vertex order.  For a complex with finite fundamental group the
-universal cover is realized as an equivariant complex: one free Z[pi]
-basis cell per base simplex, with boundary entries carrying the deck
-translation of the leading face.
+the sorted vertex order.  The complex owns its face relations:
+boundary_terms(k) is built on first use and kept, and the differentials,
+the cover, the edge-path group and orientation all read it.
+
+For a complex with finite fundamental group the universal cover is
+realized as an equivariant complex: one free Z[pi] basis cell per base
+simplex, with boundary entries carrying the deck translation of the
+leading face.
 
 Deck bookkeeping follows the edge-path group: the holonomy of an edge
 (u, v) is the class of (tree path to u) + (u, v) + (tree path back from
@@ -21,7 +25,7 @@ coboundary through holonomy_matrix(s0, s1); every other face carries the
 identity.
 """
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
 from .groups import (FiniteGroup, GroupPresentation, _default_names, todd_coxeter,
@@ -30,12 +34,13 @@ from .intlinalg import IntMatrix, chain_homology
 
 
 class SimplicialComplex:
-    """Downward-closed face lattice generated by a list of simplices."""
+    """Downward-closed face lattice generated by a list of simplices; it is
+    immutable and keeps its face relations, boundary_terms(k), once built."""
 
     def __init__(self, simplices):
         faces = set()
         for s in simplices:
-            s = tuple(sorted(int(v) for v in s))
+            s = tuple(sorted(map(int, s)))
             if len(set(s)) != len(s):
                 raise InputError(f"repeated vertex in {s}")
             if s and s[0] < 0:
@@ -52,8 +57,9 @@ class SimplicialComplex:
         self.vertex_ids = [s[0] for s in self._simplices[0]]
         self.vertices = len(self.vertex_ids)
         # Faces are downward closed: a facet is no codimension-one face.
-        covered = {f[:i] + f[i + 1:] for f in faces for i in range(len(f))}
+        covered = set(chain.from_iterable(combinations(f, len(f) - 1) for f in faces))
         self.facets = sorted(faces - covered, key=lambda s: (len(s), s))
+        self._terms = [None] * (self.dim + 1)
 
     def simplices(self, k):
         if 0 <= k <= self.dim:
@@ -72,44 +78,25 @@ class SimplicialComplex:
             raise KeyError(f"no simplex {simplex}") from None
 
     def boundary_terms(self, k):
-        """(face_index, sign) per k-simplex, deleting vertex i with sign (-1)^i.
+        """Face indices per k-simplex: the i-th deletes vertex i and enters
+        the boundary with sign (-1)^i.
 
-        The lists are empty outside degrees 1..dim.
+        Built on first use and kept: the complex is immutable, so every
+        reader of face relations shares one list per degree.  The tuples
+        are empty outside degrees 1..dim.
         """
         if not 1 <= k <= self.dim:
-            return [[] for _ in self.simplices(k)]
-        index = self._index[k - 1]
-        return [[(index[s[:i] + s[i + 1:]], -1 if i % 2 else 1) for i in range(len(s))]
-                for s in self._simplices[k]]
+            return [() for _ in self.simplices(k)]
+        if self._terms[k] is None:
+            # combinations lists the faces deleting vertex k, ..., 0
+            index = self._index[k - 1].__getitem__
+            self._terms[k] = [tuple(map(index, combinations(s, k)))[::-1]
+                              for s in self._simplices[k]]
+        return self._terms[k]
 
     def boundary_matrix(self, k):
         """d_k : C_k -> C_{k-1}; shapes (0 x n_0) and (n_dim x 0) at the ends."""
-        terms = self.boundary_terms(k)
-        return IntMatrix.from_blocks(len(self.simplices(k - 1)), len(terms), (1, 1),
-                                     ((face, j, sign, None) for j, faces in enumerate(terms)
-                                      for face, sign in faces))
-
-    def vertex_adjacency(self):
-        adj = {v: [] for v in self.vertex_ids}
-        for (u, v) in self._simplices[1] if self.dim >= 1 else []:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
-
-    def is_connected(self):
-        if self.vertices <= 1:
-            return True
-        adj = self.vertex_adjacency()
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertices
+        return chain_boundary_matrix(LocalSystem(self, 1), k)
 
 
 def load_complex(text):
@@ -148,53 +135,52 @@ def load_complex_file(path):
 # edge-path fundamental group
 
 def _spanning_tree(cx, basepoint):
-    """Edges, as sorted pairs, of the BFS spanning tree at the basepoint."""
-    if (basepoint,) not in cx._index[0]:
+    """Edge indices of the BFS spanning tree at the basepoint, walked over
+    the edges' boundary terms; raises unless the complex is connected."""
+    root = cx._index[0].get((basepoint,))
+    if root is None:
         raise InputError(f"basepoint {basepoint} is not a vertex")
-    adj = cx.vertex_adjacency()
-    seen = {basepoint}
-    tree_edges = set()
-    frontier = [basepoint]
+    adj = [[] for _ in range(cx.vertices)]  # edges are sorted: neighbours in vertex order
+    for j, (v, u) in enumerate(cx.boundary_terms(1)):
+        adj[u].append((v, j))
+        adj[v].append((u, j))
+    seen, tree, frontier = {root}, set(), [root]
     while frontier:
         nxt = []
         for u in frontier:
-            for w in adj[u]:
+            for w, j in adj[u]:
                 if w not in seen:
                     seen.add(w)
-                    tree_edges.add((u, w) if u < w else (w, u))
+                    tree.add(j)
                     nxt.append(w)
         frontier = nxt
     if len(seen) != cx.vertices:
         raise PreconditionError("complex is not connected")
-    return tree_edges
+    return tree
 
 
 def _edge_path_data(cx, basepoint):
-    tree_edges = _spanning_tree(cx, basepoint)
-    nontree = [e for e in cx.simplices(1) if e not in tree_edges]
+    """The presentation and the generator name of each non-tree edge index.
+
+    Triangle (a, b, c) reads a -> b -> c -> a: face 2, face 0, then face 1
+    inverted; tree edges read as the empty word.
+    """
+    tree = _spanning_tree(cx, basepoint)
+    nontree = [j for j in range(len(cx.simplices(1))) if j not in tree]
     names = _default_names(len(nontree))
-    gen_of_edge = {e: names[i] for i, e in enumerate(nontree)}
-
-    def edge_word(u, v):
-        e = tuple(sorted((u, v)))
-        if e in tree_edges:
-            return ()
-        name = gen_of_edge[e]
-        return ((name, 1 if (u, v) == e else -1),)
-
-    relators = []
-    for (a, b, c) in cx.simplices(2):
-        word = edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
-        if word:
-            relators.append(word)
-    pres = GroupPresentation(names, relators)
-    return pres, tree_edges, gen_of_edge
+    gen_of_edge = dict(zip(nontree, names))
+    forward = [()] * len(cx.simplices(1))
+    backward = list(forward)
+    for j, name in gen_of_edge.items():
+        forward[j], backward[j] = ((name, 1),), ((name, -1),)
+    words = (forward[e2] + forward[e0] + backward[e1]
+             for e0, e1, e2 in cx.boundary_terms(2))
+    return GroupPresentation(names, [w for w in words if w]), gen_of_edge
 
 
 def fundamental_group(cx, basepoint=0):
     """Edge-path presentation from the BFS spanning tree at the basepoint."""
-    pres, _, _ = _edge_path_data(cx, basepoint)
-    return pres
+    return _edge_path_data(cx, basepoint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +199,15 @@ class EquivariantComplex:
         """edge_path is _edge_path_data(base, basepoint), if already known."""
         if not isinstance(model, FiniteGroup):
             raise PreconditionError("universal covers are built for finite models only")
-        pres, tree_edges, gen_of_edge = edge_path or _edge_path_data(base, basepoint)
+        pres, gen_of_edge = edge_path or _edge_path_data(base, basepoint)
         if model.presentation != pres:
             raise PreconditionError(
                 "model was not built from this complex's pi_1 presentation")
         self.base = base
         self.model = model
         self._holonomy = {}
-        for e in base.simplices(1):
-            if e in tree_edges:
-                h = model.identity
-            else:
-                h = model.gen_element(gen_of_edge[e])
+        for j, e in enumerate(base.simplices(1)):
+            h = model.gen_element(gen_of_edge[j]) if j in gen_of_edge else model.identity
             self._holonomy[e] = h
             self._holonomy[(e[1], e[0])] = model.inv(h)
         self._cover = None
@@ -239,12 +222,13 @@ class EquivariantComplex:
         return self.model.mul(g, h)
 
     def boundary_terms(self, k):
-        """(face_index, sign, element) per base k-simplex: the base terms, with
-        element the holonomy of (s0, s1) on face 0 and the identity elsewhere.
+        """(face_index, sign, element) per base k-simplex: the base's face i
+        with sign (-1)^i, and element the holonomy of (s0, s1) on face 0 and
+        the identity elsewhere.
         """
         one = self.model.identity
-        return [[(face, sign, self.holonomy(s[0], s[1]) if i == 0 else one)
-                 for i, (face, sign) in enumerate(faces)]
+        return [[(face, -1 if i % 2 else 1, self.holonomy(s[0], s[1]) if i == 0 else one)
+                 for i, face in enumerate(faces)]
                 for s, faces in zip(self.base.simplices(k), self.base.boundary_terms(k))]
 
     def ring_boundary_squares_to_zero(self):
@@ -376,8 +360,9 @@ def _boundary_blocks(system, k, dual):
     other faces carry None (the identity).
     """
     cx, transport = system.complex, system.holonomy_matrix
-    for j, (s, terms) in enumerate(zip(cx.simplices(k), cx.boundary_terms(k))):
-        for i, (face, sign) in enumerate(terms):
+    for j, (s, faces) in enumerate(zip(cx.simplices(k), cx.boundary_terms(k))):
+        for i, face in enumerate(faces):
+            sign = -1 if i % 2 else 1
             if dual:
                 yield j, face, sign, transport(s[0], s[1]) if i == 0 else None
             else:
@@ -436,7 +421,7 @@ def render_homology(groups, prefix="H"):
 def cycle_complex(n):
     """A circle: the n-cycle graph (n >= 3)."""
     if n < 3:
-        raise ValueError("a simplicial circle needs at least 3 vertices")
+        raise InputError("a simplicial circle needs at least 3 vertices")
     return SimplicialComplex([(i, (i + 1) % n) for i in range(n)])
 
 
@@ -468,7 +453,7 @@ def simplicial_product(cx1, cx2):
 def torus_complex(n):
     """The n-torus as an iterated staircase product of 3-vertex circles."""
     if n < 1:
-        raise ValueError("torus dimension must be >= 1")
+        raise InputError("torus dimension must be >= 1")
     out = cycle_complex(3)
     for _ in range(n - 1):
         out = simplicial_product(out, cycle_complex(3))
@@ -528,7 +513,7 @@ def lens_space(p):
     so the quotient is simplicial; p = 2 gives projective 3-space.
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise InputError("p must be >= 2")
     m = 2 * p
     facets = []
     for i in range(m):

@@ -35,8 +35,8 @@ signs.  Only when the cone is not acyclic does pd_check cap the Smith
 generators of each H^k to name the failing degrees.
 """
 
-from .errors import ModelMismatch, PreconditionError
-from .complexes import (LocalSystem, chain_boundary_matrix,
+from .errors import InputError, ModelMismatch, PreconditionError
+from .complexes import (LocalSystem, _spanning_tree, chain_boundary_matrix,
                         cochain_differential_matrix)
 from .groups import (augmentation_ideal_rep, regular_rep, tensor_rep,
                      trivial_rep)
@@ -59,46 +59,41 @@ class TriangulatedManifold:
 def orient(cx):
     """Coherently orient a closed pseudomanifold, or raise PreconditionError.
 
-    Signs propagate from the first facet; the induced orientations of a
-    shared ridge must cancel.
+    Signs propagate from the first facet over the ridges of the facets'
+    boundary terms; the induced orientations of a shared ridge must cancel.
     """
     n = cx.dim
     if n < 1:
         raise PreconditionError("dimension must be at least 1")
-    if not cx.is_connected():
-        raise PreconditionError("complex is not connected")
-    facets = cx.simplices(n)
+    _spanning_tree(cx, cx.vertex_ids[0])  # raises unless connected
     if any(len(f) != n + 1 for f in cx.facets):
         raise PreconditionError("complex is not pure of top dimension")
     ridge_incidence = {}
-    for j, s in enumerate(facets):
-        for i in range(n + 1):
-            ridge = s[:i] + s[i + 1:]
+    for j, faces in enumerate(cx.boundary_terms(n)):
+        for i, ridge in enumerate(faces):
             ridge_incidence.setdefault(ridge, []).append((j, i))
     for ridge, inc in ridge_incidence.items():
         if len(inc) != 2:
             raise PreconditionError(
-                f"ridge {ridge} lies in {len(inc)} facets, not 2")
-    signs = {0: 1}
-    stack = [0]
+                f"ridge {cx.simplices(n - 1)[ridge]} lies in {len(inc)} facets, not 2")
     neighbors = {}
-    for inc in ridge_incidence.values():
-        (j1, i1), (j2, i2) = inc
-        neighbors.setdefault(j1, []).append((j2, i1, i2))
-        neighbors.setdefault(j2, []).append((j1, i2, i1))
+    for (j1, i1), (j2, i2) in ridge_incidence.values():
+        neighbors.setdefault(j1, []).append((j2, i1 + i2))
+        neighbors.setdefault(j2, []).append((j1, i1 + i2))
+    signs, stack = {0: 1}, [0]
     while stack:
         j = stack.pop()
-        for j2, i1, i2 in neighbors.get(j, ()):
-            forced = -signs[j] * (-1) ** (i1 + i2)
+        for j2, parity in neighbors.get(j, ()):
+            forced = -signs[j] * (-1) ** parity
             if j2 in signs:
                 if signs[j2] != forced:
                     raise PreconditionError("orientation propagation contradicts")
             else:
                 signs[j2] = forced
                 stack.append(j2)
-    if len(signs) != len(facets):
+    if len(signs) != len(cx.simplices(n)):
         raise PreconditionError("facet adjacency graph is not connected")
-    orientation = tuple(signs[j] for j in range(len(facets)))
+    orientation = tuple(signs[j] for j in range(len(signs)))
     z = matvec(cx.boundary_matrix(n), list(orientation))
     if any(z):
         raise PreconditionError("signed facet sum is not a cycle")
@@ -370,7 +365,7 @@ def berstein_svarc(cover):
 def bs_power(cover, k):
     """k-fold cup power of the degree-one obstruction cocycle."""
     if k < 1:
-        raise ValueError("power must be >= 1")
+        raise InputError("power must be >= 1")
     beta = berstein_svarc(cover)
     out = beta
     for _ in range(k - 1):

@@ -1,12 +1,14 @@
 """Shared exception hierarchy: the only exception classes in eqhom.
 
 The six classes below are the whole taxonomy; every other module raises
-one of them (or ValueError for a bad argument) with a message that names
-the condition.  Three broad families matter to callers (and to the CLI's
-exit codes): input/parse problems, violated mathematical preconditions,
-and blown search budgets.  BudgetError is the one budget exception: coset
-enumeration, the bar-resolution rank and the Cayley-ball size all raise
-it directly, with a message naming the cap.
+one of them with a message that names the condition, a bad argument
+included.  Three broad families matter to callers (and to the CLI's exit
+codes): input/parse problems, violated mathematical preconditions, and
+blown search budgets.  ValueError is left to internal shape and
+consistency checks, which are faults of the program and have no exit
+code.  BudgetError is the one budget exception: coset enumeration, the
+bar-resolution rank and the Cayley-ball size all raise it directly, with
+a message naming the cap.
 """
 
 

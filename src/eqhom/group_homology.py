@@ -18,7 +18,7 @@ are exact and are tested against each other.
 
 from itertools import product
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, InputError, PreconditionError
 from .groups import (FiniteGroup, augmentation_ideal_rep, induced_rep,
                      tensor_power, trivial_rep)
 from .intlinalg import IntMatrix, chain_homology, cokernel_invariants
@@ -101,7 +101,7 @@ def bar_homology(model, n, coefficients=None):
     """
     _require_finite(model)
     if n < 0:
-        raise ValueError("degree must be >= 0")
+        raise InputError("degree must be >= 0")
     _check_budget(model, n)
     bar = BarComplex(model, n + 1, coefficients)
     return chain_homology([bar.boundary_matrix(n), bar.boundary_matrix(n + 1)])[0]
@@ -161,7 +161,7 @@ def shift_homology(model, n):
     """
     _require_finite(model)
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise InputError("degree must be >= 1")
     _check_budget(model, n)
     ideal = augmentation_ideal_rep(model)
     phi = _untwisted_inclusion(model, tensor_power(ideal, n - 1))
@@ -193,7 +193,7 @@ def shift_chain_check(model, n):
     """Check H_n(pi) = H_{n-1}(pi; I) = ... = H_1(pi; I^(n-1)) exactly."""
     _require_finite(model)
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise InputError("degree must be >= 1")
     ideal = augmentation_ideal_rep(model)
     degrees = []
     values = []
@@ -223,7 +223,7 @@ def projective_vanishing_check(model, k, m):
     """H_i(pi; I^(k-1) (x) Zpi) for i = 1..m; all must vanish."""
     _require_finite(model)
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     ideal = augmentation_ideal_rep(model)
     coeff = induced_rep(tensor_power(ideal, k - 1))
     return ProjectiveVanishingReport(

@@ -582,7 +582,7 @@ def todd_coxeter(pres, max_cosets):
     3
     """
     if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
+        raise InputError("max_cosets must be >= 1")
     gens = pres.generators
     ncols = 2 * len(gens)
     colof = {}

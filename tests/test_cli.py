@@ -9,8 +9,13 @@ import pytest
 import eqhom
 from eqhom import cli
 from eqhom.cli import parse_group_spec, run
+from eqhom.coarse import CayleyBall, gromov_counterexample_report, ponzi_feasible
+from eqhom.complexes import cycle_complex, lens_space, torus_complex
 from eqhom.errors import InputError
-from eqhom.groups import FreeAbelianGroup, FreeGroup, ProductGroup
+from eqhom.group_homology import (bar_homology, projective_vanishing_check,
+                                  shift_chain_check, shift_homology)
+from eqhom.groups import (FiniteGroup, FreeAbelianGroup, FreeGroup, GroupPresentation,
+                          ProductGroup, todd_coxeter)
 
 from conftest import fixture_path
 
@@ -235,6 +240,43 @@ class TestExitCodes:
                                 "--coeff", str(bad))
             assert code == 1 and text.startswith("error:"), line
             assert text.count("\n") == 1, line
+
+
+def _z2():
+    return todd_coxeter(GroupPresentation(("a",), ("aa",)), 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CayleyBall(FreeGroup(2), 0), "radius must be >= 1"),
+    (lambda: ponzi_feasible(CayleyBall(FreeGroup(2), 2), 0), "bound must be >= 1"),
+    (lambda: gromov_counterexample_report(0, 4), "rank must be >= 1"),
+    (lambda: gromov_counterexample_report(2, 1), "radius must be >= 2"),
+    (lambda: bar_homology(_z2(), -1), "degree must be >= 0"),
+    (lambda: shift_homology(_z2(), 0), "degree must be >= 1"),
+    (lambda: shift_chain_check(_z2(), 0), "degree must be >= 1"),
+    (lambda: projective_vanishing_check(_z2(), 0, 1), "k must be >= 1"),
+    (lambda: todd_coxeter(GroupPresentation(("a",), ()), 0), "max_cosets must be >= 1"),
+    (lambda: cycle_complex(2), "a simplicial circle needs at least 3 vertices"),
+    (lambda: torus_complex(0), "torus dimension must be >= 1"),
+    (lambda: lens_space(1), "p must be >= 2"),
+])
+def test_argument_range_checks_are_input_errors(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
+def test_a_failed_internal_check_is_no_exit_code(monkeypatch, tmp_path):
+    """Only the errors families map to exit codes.  With a broken deck
+    action the cocycle check of pert fails inside intlinalg: that
+    ValueError is a fault of the program, not of the input, so it is not
+    printed as an exit-1 input error."""
+    path = tmp_path / "lens3.cplx"
+    path.write_text("".join("f " + " ".join(map(str, f)) + "\n"
+                            for f in lens_space(3).facets))
+    assert invoke("pert", str(path), "--power", "1")[0] == 0
+    monkeypatch.setattr(FiniteGroup, "inv", lambda self, g: g)
+    with pytest.raises(ValueError, match="^vector is not a cycle$"):
+        invoke("pert", str(path), "--power", "1")
 
 
 # Input files written to a temporary directory by the test below.

@@ -12,8 +12,9 @@ from eqhom.complexes import (EquivariantComplex, LocalSystem,
                              lens_space, load_complex, local_cohomology,
                              local_homology, render_homology,
                              simplicial_product, torus_complex)
-from eqhom.groups import (FreeGroup, GroupPresentation, augmentation_ideal_rep,
-                          regular_rep, todd_coxeter, trivial_rep)
+from eqhom.duality import orient
+from eqhom.groups import (FreeGroup, GroupPresentation, _default_names,
+                          augmentation_ideal_rep, regular_rep, todd_coxeter, trivial_rep)
 import eqhom.intlinalg
 from eqhom.errors import InputError, ModelMismatch, PreconditionError
 from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix,
@@ -159,6 +160,108 @@ class TestFundamentalGroup:
         cx = SimplicialComplex([(0, 1, 2), (3, 4, 5)])
         with pytest.raises(PreconditionError, match="^complex is not connected$"):
             fundamental_group(cx)
+
+
+def edge_path_reference(cx, basepoint):
+    """The edge-path presentation built from vertex pairs, or None if the
+    complex is not connected: a BFS spanning tree over sorted neighbours,
+    and triangle (a, b, c) read as the words of (a, b), (b, c), (c, a)."""
+    adj = {v: [] for v in cx.vertex_ids}
+    for u, v in cx.simplices(1):
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, tree, frontier = {basepoint}, set(), [basepoint]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in sorted(adj[u]):
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(tuple(sorted((u, w))))
+                    nxt.append(w)
+        frontier = nxt
+    if len(seen) != cx.vertices:
+        return None
+    nontree = [e for e in cx.simplices(1) if e not in tree]
+    names = _default_names(len(nontree))
+    name_of = dict(zip(nontree, names))
+
+    def edge_word(u, v):
+        e = tuple(sorted((u, v)))
+        return () if e in tree else ((name_of[e], 1 if (u, v) == e else -1),)
+
+    words = (edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
+             for a, b, c in cx.simplices(2))
+    return GroupPresentation(names, [w for w in words if w])
+
+
+def orientation_reference(cx):
+    """Facet signs propagated depth first from facet 0 over ridges cut out
+    of the facets' vertex tuples; None if the signs contradict."""
+    n = cx.dim
+    incidence = {}
+    for j, s in enumerate(cx.simplices(n)):
+        for i in range(n + 1):
+            incidence.setdefault(s[:i] + s[i + 1:], []).append((j, i))
+    neighbors = {}
+    for (j1, i1), (j2, i2) in incidence.values():
+        neighbors.setdefault(j1, []).append((j2, i1 + i2))
+        neighbors.setdefault(j2, []).append((j1, i1 + i2))
+    signs, stack = {0: 1}, [0]
+    while stack:
+        j = stack.pop()
+        for j2, parity in neighbors[j]:
+            forced = -signs[j] * (-1) ** parity
+            if j2 not in signs:
+                signs[j2] = forced
+                stack.append(j2)
+            elif signs[j2] != forced:
+                return None
+    return tuple(signs[j] for j in range(len(signs)))
+
+
+# Facet sets on at most 7 vertices, joined into one component by edges
+# between the least vertices of consecutive facets.
+connected_complexes = st.lists(
+    st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8
+).map(lambda facets: SimplicialComplex(
+    [tuple(f) for f in facets]
+    + [(min(f), min(g)) for f, g in zip(facets, facets[1:]) if min(f) != min(g)]))
+
+
+class TestFaceReaders:
+    """The complex's kept boundary terms give the same presentation and
+    orientation as the definitions on vertex tuples."""
+
+    @pytest.fixture(scope="class")
+    def complexes(self):
+        return ([load_fixture(f"{name}.cplx") for name in FIXTURE_NAMES]
+                + [lens_space(p) for p in (3, 4, 5)])
+
+    def test_terms_are_kept(self, complexes):
+        for cx in complexes:
+            for k in range(1, cx.dim + 1):
+                assert cx.boundary_terms(k) is cx.boundary_terms(k)
+
+    def test_presentation_matches_vertex_pairs(self, complexes):
+        for cx in complexes:
+            assert fundamental_group(cx) == edge_path_reference(cx, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_complexes)
+    def test_presentation_matches_vertex_pairs_on_drawn_complexes(self, cx):
+        for basepoint in (cx.vertex_ids[0], cx.vertex_ids[-1]):
+            assert fundamental_group(cx, basepoint) == edge_path_reference(cx, basepoint)
+
+    def test_orientation_matches_ridge_tuples(self, complexes):
+        for cx in complexes:
+            expected = orientation_reference(cx)
+            if expected is None:
+                with pytest.raises(PreconditionError,
+                                   match="^orientation propagation contradicts$"):
+                    orient(cx)
+            else:
+                assert orient(cx).orientation == expected
 
 
 class TestUniversalCover:

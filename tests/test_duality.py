@@ -13,7 +13,7 @@ from eqhom.duality import (Cochain, Cocycle, TriangulatedManifold,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
                            cup, essentiality_pairing, homology_pair, orient,
                            pd_check, pert_finite)
-from eqhom.errors import ModelMismatch, PreconditionError
+from eqhom.errors import InputError, ModelMismatch, PreconditionError
 from eqhom.groups import augmentation_ideal_rep, regular_rep, tensor_power
 from eqhom.group_homology import bar_homology
 from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, matvec
@@ -588,7 +588,7 @@ class TestPert:
     def test_power_below_one_is_rejected_before_beta(self, lens3_cover, monkeypatch):
         monkeypatch.setattr(duality, "berstein_svarc",
                             lambda cover: pytest.fail("built beta for k < 1"))
-        with pytest.raises(ValueError, match="^power must be >= 1$"):
+        with pytest.raises(InputError, match="^power must be >= 1$"):
             bs_power(lens3_cover, 0)
 
     def test_power_above_dimension_builds_no_large_identity(self, lens3_cover,
