@@ -55,6 +55,6 @@ print()
 image = pert_finite(bs_power(cover, 3), cover)
 print("the same power, pushed to the cover:", image.render())
 gen = cohomology_pair(LocalSystem(rp3, 1), 3)
-top = Cochain.from_flat(LocalSystem(rp3, 1), 3, gen.generator_cycle(0))
+top = Cochain(LocalSystem(rp3, 1), 3, gen.generator_cycle(0))
 print("while the integral top class transfers with degree two:",
       pert_finite(top, cover).render())

@@ -2,15 +2,17 @@
 products, chain-level duality checks, the degree-one lifting obstruction
 cocycle and its powers, and the forget-equivariance map to the cover.
 
-Products use the front-face/back-face formulas over the global vertex
-order.  With local coefficients the back factor is carried across the
-splitting vertex vk by LocalSystem.holonomy_matrix, which is exactly what
-the same formulas on the universal cover descend to: cup reads the back
-factor through holonomy_matrix(v0, vk), and cap carries the cochain's
-value through holonomy_matrix(vk, v0) = rho(h(v0, vk))^-1 onto the back
-face.  Both caps, f cap z and the matrix Phi_k below, are one assembly.
-The normative sign facts, verified exactly by the test suite on random
-cochain/chain data:
+A k-cochain with coefficients in L is one flat vector of rank(L) entries
+per k-simplex, in simplex order: the layout of the differentials, of cap
+and of PairHomology.  Products use the front-face/back-face formulas over
+the global vertex order.  With local coefficients the back factor is
+carried across the splitting vertex vk by LocalSystem.holonomy_matrix,
+which is exactly what the same formulas on the universal cover descend to:
+cup reads the back factor through holonomy_matrix(v0, vk), and cap carries
+the cochain's value through holonomy_matrix(vk, v0) = rho(h(v0, vk))^-1
+onto the back face.  Both caps, f cap z and the matrix Phi_k below, are
+one assembly.  The normative sign facts, verified exactly by the test
+suite on random cochain/chain data:
 
     delta(f cup g) = (delta f) cup g + (-1)^k f cup (delta g)
     boundary(f cap z) = (-1)^k ( f cap (boundary z) - (delta f) cap z )
@@ -104,58 +106,38 @@ def orient(cx):
 # cochains with local coefficients
 
 class Cochain:
-    """A k-cochain: one coefficient vector per base k-simplex."""
+    """A k-cochain: one flat int vector, rank ints per k-simplex in order."""
 
-    def __init__(self, system, degree, values):
+    def __init__(self, system, degree, vector):
         self.system = system
         self.degree = degree
-        n = len(system.complex.simplices(degree))
-        if len(values) != n or any(len(v) != system.rank for v in values):
-            raise ValueError("cochain values have the wrong shape")
-        self.values = [list(map(int, v)) for v in values]
-
-    @classmethod
-    def from_flat(cls, system, degree, flat):
-        r = system.rank
-        n = len(system.complex.simplices(degree))
-        if len(flat) != n * r:
-            raise ValueError("flat vector has the wrong length")
-        return cls(system, degree, [flat[i * r:(i + 1) * r] for i in range(n)])
-
-    def flat(self):
-        return [x for v in self.values for x in v]
+        if len(vector) != len(system.complex.simplices(degree)) * system.rank:
+            raise ValueError("cochain vector has the wrong length")
+        self.vector = list(map(int, vector))
 
     def value(self, simplex):
-        return self.values[self.system.complex.index(simplex)]
+        r = self.system.rank
+        i = self.system.complex.index(simplex) * r
+        return self.vector[i:i + r]
 
     def delta(self):
         mat = cochain_differential_matrix(self.system, self.degree)
-        return Cochain.from_flat(self.system, self.degree + 1,
-                                 matvec(mat, self.flat()))
+        return Cochain(self.system, self.degree + 1, matvec(mat, self.vector))
 
     def __add__(self, other):
         if self.system is not other.system or self.degree != other.degree:
             raise ModelMismatch("cochain mismatch in +")
         return Cochain(self.system, self.degree,
-                       [[a + b for a, b in zip(va, vb)]
-                        for va, vb in zip(self.values, other.values)])
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.system is other.system
-                and self.degree == other.degree and self.values == other.values)
+                       [a + b for a, b in zip(self.vector, other.vector)])
 
 
 class Cocycle(Cochain):
     """A cochain whose codifferential vanishes (checked on construction)."""
 
-    def __init__(self, system, degree, values):
-        super().__init__(system, degree, values)
-        if any(self.delta().flat()):
+    def __init__(self, system, degree, vector):
+        super().__init__(system, degree, vector)
+        if any(self.delta().vector):
             raise PreconditionError("cochain is not a cocycle")
-
-
-def _tensor_vec(u, v):
-    return [a * b for a in u for b in v]
 
 
 def cup(phi, psi):
@@ -168,11 +150,11 @@ def cup(phi, psi):
     transport = psi.system.holonomy_matrix
     out = []
     for s in cx.simplices(k + l):
-        pv = psi.value(s[k:])
+        back = psi.value(s[k:])
         rho = transport(s[0], s[k])
         if rho is not None:
-            pv = matvec(rho, pv)
-        out.append(_tensor_vec(phi.value(s[:k + 1]), pv))
+            back = matvec(rho, back)
+        out.extend([a * b for a in phi.value(s[:k + 1]) for b in back])
     return Cochain(system, k + l, out)
 
 
@@ -196,7 +178,7 @@ def cap_chain(phi, chain, m):
         raise PreconditionError("cochain degree exceeds chain degree")
     if len(chain) != len(phi.system.complex.simplices(m)):
         raise ValueError("chain vector has the wrong length")
-    return matvec(_cap_operator(phi.system, phi.degree, m, chain), phi.flat())
+    return matvec(_cap_operator(phi.system, phi.degree, m, chain), phi.vector)
 
 
 def cap(phi, manifold):
@@ -352,14 +334,13 @@ def berstein_svarc(cover):
     model = cover.model
     ideal = augmentation_ideal_rep(model)
     system = LocalSystem.from_rep(cover, ideal)
-    values = []
-    for (u, v) in cover.base.simplices(1):
-        vec = [0] * ideal.rank
+    r = ideal.rank
+    vector = [0] * (len(cover.base.simplices(1)) * r)
+    for j, (u, v) in enumerate(cover.base.simplices(1)):
         h = cover.holonomy(u, v)
         if h != model.identity:
-            vec[h - 1] = 1
-        values.append(vec)
-    return Cocycle(system, 1, values)
+            vector[j * r + h - 1] = 1
+    return Cocycle(system, 1, vector)
 
 
 def bs_power(cover, k):
@@ -377,7 +358,7 @@ def bs_class_report(cover, k):
     """The class of the k-th power in H^k(M; I^(x)k)."""
     power = bs_power(cover, k)
     pair = cohomology_pair(power.system, k)
-    coords = pair.coordinates(power.flat())
+    coords = pair.coordinates(power.vector)
     return HomologyClassReport(pair.invariants, coords,
                                description=f"beta^{k} ")
 
@@ -413,8 +394,9 @@ def pert_finite(phi, cover):
     r = phi.system.rank
     model = cover.model
     n = model.order
-    flat = [0] * (len(phi.values) * n * r)
-    for j, base_val in enumerate(phi.values):
+    flat = [0] * (len(phi.vector) * n)
+    for j in range(len(cover.base.simplices(k))):
+        base_val = phi.vector[j * r:(j + 1) * r]
         for g in model.elements():
             val = base_val if phi.system.is_trivial \
                 else phi.system.rep.act(g, base_val)

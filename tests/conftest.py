@@ -18,7 +18,7 @@ def load_fixture(name):
 
 def unit_cocycle(cx):
     """The augmentation 0-cocycle with trivial Z coefficients (cup unit)."""
-    return Cocycle(LocalSystem(cx, 1), 0, [[1] for _ in cx.simplices(0)])
+    return Cocycle(LocalSystem(cx, 1), 0, [1] * len(cx.simplices(0)))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import gc
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,8 @@ from eqhom.groups import (FiniteGroup, FreeAbelianGroup, FreeGroup, GroupPresent
                           ProductGroup, todd_coxeter)
 
 from conftest import fixture_path
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def invoke(*argv):
@@ -348,6 +351,47 @@ def test_every_exception_class_lives_in_errors():
     assert set(defined.values()) == {"eqhom.errors"}
     assert sorted(defined) == ["BudgetError", "CertificateError", "EqhomError",
                                "InputError", "ModelMismatch", "PreconditionError"]
+
+
+def test_tracer_pinned_methods_exist():
+    """bench/tracejob.py wraps each METHODS entry found as vars(cls)[meth];
+    a renamed or deleted method would raise KeyError in every traced job."""
+    import importlib
+    import importlib.util
+    path = os.path.join(ROOT, "bench", "tracejob.py")
+    spec = importlib.util.spec_from_file_location("eqhom_tracejob", path)
+    tracejob = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracejob)
+    missing = []
+    for layer, quals in tracejob.METHODS.items():
+        module = importlib.import_module("eqhom." + layer)
+        for qual in quals:
+            cls_name, meth = qual.split(".")
+            if meth not in vars(getattr(module, cls_name, object)):
+                missing.append(f"{layer}.{qual}")
+    assert tracejob.METHODS and missing == []
+
+
+def readme_command_lines():
+    """Every ``eqhom ...`` line of README's fenced blocks, as argv lists."""
+    argvs, fenced = [], False
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        for line in fh:
+            fenced ^= line.startswith("```")
+            if fenced and line.startswith("eqhom "):
+                argvs.append(shlex.split(line, comments=True)[1:])
+    return argvs
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in readme_command_lines()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, text = run(argv)
+    assert code == 0, text
 
 
 def test_import_loads_every_layer_and_nothing_slow():

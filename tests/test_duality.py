@@ -25,9 +25,8 @@ Z2 = AbelianGroupInvariants(0, (2,))
 
 
 def rand_cochain(rng, system, k):
-    return Cochain(system, k,
-                   [[rng.randint(-3, 3) for _ in range(system.rank)]
-                    for _ in system.complex.simplices(k)])
+    return Cochain(system, k, [rng.randint(-3, 3) for _ in range(
+        len(system.complex.simplices(k)) * system.rank)])
 
 
 def rand_chain(rng, cx, m):
@@ -54,6 +53,24 @@ def cap_reference(phi, chain, m):
     return out
 
 
+def cup_reference(phi, psi):
+    """phi cup psi, one simplex at a time: s carries phi(front face) (x)
+    rho(h(s0, sk)) psi(back face) on the lexicographic basis, the back
+    value moved to s0 through psi's group action."""
+    k, l = phi.degree, psi.degree
+    r1, r2 = phi.system.rank, psi.system.rank
+    cx = phi.system.complex
+    out = [0] * (len(cx.simplices(k + l)) * r1 * r2)
+    for j, s in enumerate(cx.simplices(k + l)):
+        front, back = phi.value(s[:k + 1]), psi.value(s[k:])
+        if not psi.system.is_trivial and k > 0:
+            back = psi.system.rep.act(psi.system.cover.holonomy(s[0], s[k]), back)
+        for a in range(r1):
+            for b in range(r2):
+                out[(j * r1 + a) * r2 + b] = front[a] * back[b]
+    return out
+
+
 def cap_systems(name, lens3_cover, rp3_cover):
     """L(3, 1) with I and I^2, where a nontrivial holonomy is not its own
     inverse, and RP^3 with Z[pi]."""
@@ -74,9 +91,9 @@ def check_leibniz(rng, system, instances):
         l = rng.randint(0, n - 1 - k) if n - 1 - k >= 0 else 0
         phi = rand_cochain(rng, system, k)
         psi = rand_cochain(rng, LocalSystem(cx, 1), l)
-        lhs = cup(phi, psi).delta().flat()
-        a = cup(phi.delta(), psi).flat()
-        b = cup(phi, psi.delta()).flat()
+        lhs = cup(phi, psi).delta().vector
+        a = cup(phi.delta(), psi).vector
+        b = cup(phi, psi.delta()).vector
         sign = (-1) ** k
         assert lhs == [x + sign * y for x, y in zip(a, b)]
         # cap: d(phi cap z) = (-1)^k (phi cap dz - dphi cap z)
@@ -91,6 +108,22 @@ def check_leibniz(rng, system, instances):
         west = cap_chain(phi2.delta(), z, m)
         sign = (-1) ** k2
         assert lhs2 == [sign * (x - y) for x, y in zip(east, west)]
+
+
+class TestCochain:
+    def test_vector_is_kept_flat(self, rp3_cover):
+        system = LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+        edges = rp3_cover.base.simplices(1)
+        flat = list(range(len(edges) * system.rank))
+        phi = Cochain(system, 1, flat)
+        assert phi.vector == flat
+        assert phi.value(edges[3]) == [6, 7]
+
+    def test_wrong_length_is_refused(self, t2):
+        system = LocalSystem(t2, 2)
+        for size in (len(t2.simplices(1)), 2 * len(t2.simplices(1)) + 1):
+            with pytest.raises(ValueError, match="^cochain vector has the wrong length$"):
+                Cochain(system, 1, [0] * size)
 
 
 class TestOrientation:
@@ -142,11 +175,11 @@ class TestProducts:
             u = unit_cocycle(cx)
             for k in range(cx.dim + 1):
                 phi = rand_cochain(rng, LocalSystem(cx, 1), k)
-                assert cup(u, phi).values == phi.values
-                assert cup(phi, u).values == phi.values
+                assert cup(u, phi).vector == phi.vector
+                assert cup(phi, u).vector == phi.vector
 
     def test_cap_chain_rejects_a_cochain_above_the_chain(self, t2):
-        phi = Cochain(LocalSystem(t2, 1), 1, [[0] for _ in t2.simplices(1)])
+        phi = Cochain(LocalSystem(t2, 1), 1, [0] * len(t2.simplices(1)))
         with pytest.raises(PreconditionError,
                            match="^cochain degree exceeds chain degree$"):
             cap_chain(phi, [0] * len(t2.simplices(0)), 0)
@@ -165,7 +198,7 @@ class TestProducts:
             a = rand_cochain(rng, sys0, j)
             b = rand_cochain(rng, sys0, k)
             c = rand_cochain(rng, sys0, l)
-            assert cup(cup(a, b), c).values == cup(a, cup(b, c)).values
+            assert cup(cup(a, b), c).vector == cup(a, cup(b, c)).vector
 
     def test_cup_associative_twisted(self, rp3, rp3_cover):
         rng = random.Random(6)
@@ -174,7 +207,7 @@ class TestProducts:
         a = rand_cochain(rng, system, 1)
         b = rand_cochain(rng, system, 1)
         c = rand_cochain(rng, system, 1)
-        assert cup(cup(a, b), c).values == cup(a, cup(b, c)).values
+        assert cup(cup(a, b), c).vector == cup(a, cup(b, c)).vector
 
     def test_leibniz_trivial_coefficients(self, t2, s3cx):
         rng = random.Random(31)
@@ -193,9 +226,9 @@ class TestProducts:
         for (k, l) in [(0, 1), (1, 1), (1, 0), (0, 2), (2, 0)]:
             phi = rand_cochain(rng, system, k)
             psi = rand_cochain(rng, system, l)
-            lhs = cup(phi, psi).delta().flat()
-            a = cup(phi.delta(), psi).flat()
-            b = cup(phi, psi.delta()).flat()
+            lhs = cup(phi, psi).delta().vector
+            a = cup(phi.delta(), psi).vector
+            b = cup(phi, psi.delta()).vector
             sign = (-1) ** k
             assert lhs == [x + sign * y for x, y in zip(a, b)]
 
@@ -227,6 +260,21 @@ class TestProducts:
                 z = rand_chain(rng, cx, m)
                 assert cap_chain(phi, z, m) == cap_reference(phi, z, m), (m, k)
 
+    @pytest.mark.parametrize("name", ["L(3,1) I", "L(3,1) I^2", "RP3 Zpi", "T2 Z^2"])
+    def test_cup_matches_reference(self, name, lens3_cover, rp3_cover, t2):
+        # Both factors twisted, and each one against trivial Z coefficients.
+        system = LocalSystem(t2, 2) if name == "T2 Z^2" \
+            else cap_systems(name, lens3_cover, rp3_cover)
+        cx = system.complex
+        plain = LocalSystem(cx, 1)
+        rng = random.Random(61)
+        for k in range(cx.dim + 1):
+            for l in range(cx.dim + 1 - k):
+                for left, right in ((system, system), (system, plain), (plain, system)):
+                    phi = rand_cochain(rng, left, k)
+                    psi = rand_cochain(rng, right, l)
+                    assert cup(phi, psi).vector == cup_reference(phi, psi), (k, l)
+
     @pytest.mark.parametrize("name", ["L(3,1) I", "L(3,1) I^2", "RP3 Zpi"])
     def test_cap_matrix_matches_reference(self, name, lens3_cover, rp3_cover):
         # Phi_k is eps_k (f cap [M]), eps_0 = 1 and eps_{k+1} = (-1)^(k+1) eps_k.
@@ -236,7 +284,7 @@ class TestProducts:
         eps = 1
         for k in range(manifold.dim + 1):
             phi = rand_cochain(rng, system, k)
-            image = matvec(duality._cap_matrix(manifold, system, k), phi.flat())
+            image = matvec(duality._cap_matrix(manifold, system, k), phi.vector)
             expected = cap_reference(phi, manifold.fundamental_cycle(), manifold.dim)
             assert image == [eps * x for x in expected], k
             eps *= (-1) ** (k + 1)
@@ -249,15 +297,15 @@ class TestToruspairing:
         co1 = cohomology_pair(sys0, 1)
         assert co1.invariants == AbelianGroupInvariants(2)
         h0 = homology_pair(sys0, 0)
-        gens = [Cochain.from_flat(sys0, 1, co1.generator_cycle(i))
+        gens = [Cochain(sys0, 1, co1.generator_cycle(i))
                 for i in range(2)]
         pairing = [[h0.coordinates(cap(cup(gens[i], gens[j]), manifold))[0]
                     for j in range(2)] for i in range(2)]
         assert abs(determinant(IntMatrix.from_rows(pairing))) == 1
         assert pairing[0][0] == 0 and pairing[1][1] == 0
         co2 = cohomology_pair(sys0, 2)
-        assert co2.coordinates(cup(gens[0], gens[0]).flat()) == (0,)
-        assert co2.coordinates(cup(gens[1], gens[1]).flat()) == (0,)
+        assert co2.coordinates(cup(gens[0], gens[0]).vector) == (0,)
+        assert co2.coordinates(cup(gens[1], gens[1]).vector) == (0,)
 
     def test_cap_sends_degree_one_generators_to_dual_curves(self, t2):
         manifold = orient(t2)
@@ -266,7 +314,7 @@ class TestToruspairing:
         h1 = homology_pair(sys0, 1)
         images = []
         for i in range(2):
-            phi = Cochain.from_flat(sys0, 1, co1.generator_cycle(i))
+            phi = Cochain(sys0, 1, co1.generator_cycle(i))
             coords = h1.coordinates(cap(phi, manifold))
             assert any(coords)  # a nonzero 1-cycle class (the dual curve)
             images.append(coords)
@@ -469,6 +517,20 @@ class TestObstructionClass:
         berstein_svarc(rp2_cover)
         berstein_svarc(rp3_cover)
 
+    @pytest.mark.parametrize("cover_name", ["rp2_cover", "rp3_cover", "lens3_cover"])
+    def test_beta_is_h_minus_one_on_every_edge(self, cover_name, request):
+        # On the edge (u, v), beta is h(u, v) - 1, read on I's basis
+        # {g - 1 : g != e} in the model's element order.
+        cover = request.getfixturevalue(cover_name)
+        model = cover.model
+        basis = [g for g in model.elements() if g != model.identity]
+        expected = []
+        for u, v in cover.base.simplices(1):
+            h = cover.holonomy(u, v)
+            expected.extend(int(g == h) for g in basis)
+        assert any(expected)
+        assert berstein_svarc(cover).vector == expected
+
     def test_trivial_group_zero_class(self, s2cx):
         cover = build_cover(s2cx)
         beta = berstein_svarc(cover)
@@ -489,10 +551,10 @@ class TestObstructionClass:
         rng = random.Random(41)
         beta = berstein_svarc(rp3_cover)
         pair = cohomology_pair(beta.system, 1)
-        base = pair.coordinates(beta.flat())
+        base = pair.coordinates(beta.vector)
         eta = rand_cochain(rng, beta.system, 0)
         shifted = beta + eta.delta()
-        assert pair.coordinates(shifted.flat()) == base
+        assert pair.coordinates(shifted.vector) == base
 
     def test_basepoint_independence_of_pairing(self, rp3):
         manifold = orient(rp3)
@@ -536,7 +598,8 @@ def pert_on_cover_complex(phi, cover):
     k, r = phi.degree, phi.system.rank
     cc = cover.cover_complex()
     flat = [0] * (len(cc.simplices(k)) * r)
-    for s, base_val in zip(cover.base.simplices(k), phi.values):
+    for s in cover.base.simplices(k):
+        base_val = phi.value(s)
         for g in cover.model.elements():
             cell = tuple(cover.vertex_label(v, cover.vertex_sheet(s, i, g))
                          for i, v in enumerate(s))
@@ -553,7 +616,7 @@ def pert_inputs(cover):
     for k in range(cover.base.dim + 1):
         co = cohomology_pair(sys0, k)
         for i in range(co.num_generators):
-            yield f"H^{k} generator {i}", Cochain.from_flat(sys0, k, co.generator_cycle(i))
+            yield f"H^{k} generator {i}", Cochain(sys0, k, co.generator_cycle(i))
     for k in (1, 2, 3):
         yield f"beta^{k}", bs_power(cover, k)
 
@@ -613,7 +676,7 @@ class TestPert:
         cover = build_cover(s2cx)
         sys0 = LocalSystem(s2cx, 1)
         co2 = cohomology_pair(sys0, 2)
-        gen = Cochain.from_flat(sys0, 2, co2.generator_cycle(0))
+        gen = Cochain(sys0, 2, co2.generator_cycle(0))
         report = pert_finite(gen, cover)
         assert report.group == co2.invariants
         assert tuple(abs(c) for c in report.coordinates) == (1,)
@@ -628,7 +691,7 @@ class TestPert:
         sys0 = LocalSystem(rp3, 1)
         co3 = cohomology_pair(sys0, 3)
         assert co3.invariants == AbelianGroupInvariants(1)
-        gen = Cochain.from_flat(sys0, 3, co3.generator_cycle(0))
+        gen = Cochain(sys0, 3, co3.generator_cycle(0))
         report = pert_finite(gen, rp3_cover)
         assert tuple(abs(c) for c in report.coordinates) == (2,)
 
