@@ -23,14 +23,26 @@ carries a coefficient along an edge.  The chain boundary reads face 0 of
 a simplex s through holonomy_matrix(s1, s0) = rho(h(s0, s1))^-1 and the
 coboundary through holonomy_matrix(s0, s1); every other face carries the
 identity.
+
+Groups come from critical cells: coreduction() matches the base cells
+acyclically once per complex (Mrozek-Batko), and local_homology and
+local_cohomology factor the Morse complex over Z[pi] (Skoldberg) and its
+Hom dual.  What prints Smith coordinates (duality) reads the full
+differentials.  check_chain_condition proves their d.d = 0 without them:
+the simplicial identities cancel the terms of d.d in pairs with equal
+coefficients, except where vertices 0 and 1 go.  There the front triangle
+meets rho(h(s2, s1)) rho(h(s1, s0)) with rho(h(s2, s0)), and in the
+coboundary rho(h(s0, s1)) rho(h(s1, s2)) with rho(h(s0, s2)).
 """
 
-from itertools import chain, combinations, permutations
+from collections import deque
+from heapq import heappop, heappush
+from itertools import chain, combinations, count, permutations
 
-from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
+from .errors import BudgetError, CertificateError, InputError, ModelMismatch, PreconditionError
 from .groups import (FiniteGroup, GroupPresentation, _default_names, todd_coxeter,
                      trivial_rep)
-from .intlinalg import IntMatrix, chain_homology
+from .intlinalg import IntMatrix, chain_homology, matmul
 
 
 class SimplicialComplex:
@@ -60,6 +72,7 @@ class SimplicialComplex:
         covered = set(chain.from_iterable(combinations(f, len(f) - 1) for f in faces))
         self.facets = sorted(faces - covered, key=lambda s: (len(s), s))
         self._terms = [None] * (self.dim + 1)
+        self._coreduction = None
 
     def simplices(self, k):
         if 0 <= k <= self.dim:
@@ -97,6 +110,50 @@ class SimplicialComplex:
     def boundary_matrix(self, k):
         """d_k : C_k -> C_{k-1}; shapes (0 x n_0) and (n_dim x 0) at the ends."""
         return chain_boundary_matrix(LocalSystem(self, 1), k)
+
+    def coreduction(self):
+        """(critical, stamp, partner) per degree, kept: an acyclic matching.
+
+        A queued cell with one face left goes with it; when the queue runs
+        dry, the first cell left in the least degree is critical.  stamp
+        orders removals; partner is the upper cell of a lower one, -1 on a
+        critical cell and -2 on an upper one."""
+        if self._coreduction is None:
+            terms = [self.boundary_terms(k) for k in range(self.dim + 1)]
+            for k in range(2, self.dim + 1):
+                if any(terms[k - 1][f[j]][i] != terms[k - 1][f[i]][j - 1] for f in terms[k]
+                       for j in range(1, k + 1) for i in range(j)):
+                    raise PreconditionError(f"faces of degree {k} break the simplicial identities")
+            cofaces = [[[] for _ in level] for level in terms]
+            for k in range(1, self.dim + 1):
+                for t, faces in enumerate(terms[k]):
+                    for f in faces:
+                        cofaces[k - 1][f].append(t)
+            left = [list(map(len, level)) for level in terms]
+            stamp, partner = ([[-1] * len(level) for level in terms] for _ in range(2))
+            clock, queue = count(), deque()
+
+            def remove(k, j):
+                stamp[k][j] = next(clock)
+                for t in cofaces[k][j]:
+                    left[k + 1][t] -= 1
+                    if stamp[k + 1][t] < 0:
+                        queue.append((k + 1, t))
+
+            for k, level in enumerate(stamp):
+                for j, done in enumerate(level):
+                    if done < 0:
+                        remove(k, j)
+                    while queue:
+                        d, s = queue.popleft()
+                        if stamp[d][s] < 0 and left[d][s] == 1:
+                            t = next(f for f in terms[d][s] if stamp[d - 1][f] < 0)
+                            partner[d - 1][t], partner[d][s] = s, -2
+                            remove(d, s)
+                            remove(d - 1, t)
+            critical = [[j for j, p in enumerate(level) if p == -1] for level in partner]
+            self._coreduction = critical, stamp, partner
+        return self._coreduction
 
 
 def load_complex(text):
@@ -231,22 +288,6 @@ class EquivariantComplex:
                  for i, face in enumerate(faces)]
                 for s, faces in zip(self.base.simplices(k), self.base.boundary_terms(k))]
 
-    def ring_boundary_squares_to_zero(self):
-        """Exact check of the Z[pi] chain condition in every degree."""
-        model = self.model
-        for k in range(2, self.base.dim + 1):
-            upper = self.boundary_terms(k)
-            lower = self.boundary_terms(k - 1)
-            for terms in upper:
-                acc = {}
-                for face, s1, h1 in terms:
-                    for face2, s2, h2 in lower[face]:
-                        key = (face2, model.mul(h1, h2))
-                        acc[key] = acc.get(key, 0) + s1 * s2
-                if any(acc.values()):
-                    return False
-        return True
-
     # -- the plain cover, a reference for tests and demos ---------------------
 
     def vertex_label(self, v, g):
@@ -296,7 +337,7 @@ def build_cover(cx, basepoint=0, max_cosets=20000):
     except BudgetError as exc:
         # H_1 is the abelianized pi_1 (Hurewicz); a free summand proves
         # pi_1 infinite, otherwise only the budget ran out.
-        h1 = chain_homology([cx.boundary_matrix(1), cx.boundary_matrix(2)])[0]
+        h1 = homology(cx)[1]
         if h1.free_rank:
             raise PreconditionError(f"pi_1 is infinite: H_1 = {h1}") from exc
         raise
@@ -361,12 +402,10 @@ def _boundary_blocks(system, k, dual):
     """
     cx, transport = system.complex, system.holonomy_matrix
     for j, (s, faces) in enumerate(zip(cx.simplices(k), cx.boundary_terms(k))):
+        front = transport(s[0], s[1]) if dual else transport(s[1], s[0])
         for i, face in enumerate(faces):
-            sign = -1 if i % 2 else 1
-            if dual:
-                yield j, face, sign, transport(s[0], s[1]) if i == 0 else None
-            else:
-                yield face, j, sign, transport(s[1], s[0]) if i == 0 else None
+            sign, block = -1 if i % 2 else 1, None if i else front
+            yield (j, face, sign, block) if dual else (face, j, sign, block)
 
 
 def chain_boundary_matrix(system, k):
@@ -385,6 +424,88 @@ def cochain_differential_matrix(system, k):
                                  len(cx.simplices(k)) * r, (r, r), blocks)
 
 
+def check_chain_condition(system):
+    """Raise PreconditionError unless d.d = 0 on C_*(X; L) and C^*(X; L): the
+    simplicial identities (checked by the coreduction), the cocycle condition
+    and rho multiplicative on the pairs the front triangles meet, skipping the
+    identity 0, which the Morse differentials carry as None."""
+    cx, cover, rep = system.complex, system.cover, system.rep
+    cx.coreduction()
+    if cover is None:
+        return
+    mul, inv, hol = cover.model.mul, cover.model.inv, cover.holonomy
+    pairs = set()
+    for a, b, c in cx.simplices(2):
+        ab, bc = hol(a, b), hol(b, c)
+        if mul(ab, bc) != hol(a, c):
+            raise PreconditionError(f"edge holonomies are not a cocycle on {(a, b, c)}")
+        pairs.update(((ab, bc), (inv(bc), inv(ab))))
+    if rep is not None and any(x and y and matmul(rep.matrix_of(x), rep.matrix_of(y))
+                               != rep.matrix_of(mul(x, y)) for x, y in pairs):
+        raise PreconditionError("the representation is not multiplicative on holonomies")
+
+
+def _morse_groups(system, dual):
+    """H_* (H^* when dual) of the Morse complex; free ranks checked by Euler.
+
+    A critical cell's boundary is walked in reverse removal order: a lower
+    cell f paired with u, [u : f] = +-h, passes -[u : g] [u : f]^-1 x to
+    each other face g of u, and an upper cell drops out.  x = sum a_g g is
+    the block sum a_g rho(g), or sum a_g rho(g^-1) transposed when dual."""
+    check_chain_condition(system)
+    cx, r, rep = system.complex, system.rank, system.rep
+    model = system.cover.model if rep is not None else None
+    critical, stamps, partners = cx.coreduction()
+    critical, differentials = critical + [[]], []
+
+    def walk(k, front, c):
+        terms, stamp, partner = cx.boundary_terms(k), stamps[k - 1], partners[k - 1]
+        acc, heap, out = {}, [], {}
+
+        def add(f, m, sign, x):
+            if partner[f] != -2:
+                if f not in acc:
+                    heappush(heap, (-stamp[f], f))
+                y = acc.setdefault(f, {})
+                for g, a in x.items():
+                    g = model.mul(m, g) if m else g
+                    y[g] = y.get(g, 0) + sign * a
+
+        for i, f in enumerate(terms[c]):
+            add(f, 0 if i else front[c], -1 if i % 2 else 1, {0: 1})
+        while heap:
+            f = heappop(heap)[1]
+            x = {g: a for g, a in acc.pop(f).items() if a}
+            if x and partner[f] == -1:
+                out[f] = x
+            elif x:
+                faces, h = terms[partner[f]], front[partner[f]]
+                p = faces.index(f)
+                for q, g in enumerate(faces):
+                    if q != p:
+                        m = model.inv(h) if p == 0 and h else (0 if q else h)
+                        add(g, m, 1 if (p + q) % 2 else -1, x)
+        return out
+
+    for k in range(cx.dim + 2):
+        rows, cols, blocks = critical[k - 1], critical[k], []
+        if rows and cols:
+            front = ([system.cover.holonomy(s[1], s[0]) for s in cx.simplices(k)]
+                     if model else [0] * len(stamps[k]))
+            pos = {f: i for i, f in enumerate(rows)}
+            blocks = [(pos[f], j, a, g) for j, c in enumerate(cols)
+                      for f, x in walk(k, front, c).items() for g, a in x.items()]
+        shape = (len(cols) * r, len(rows) * r) if dual else (len(rows) * r, len(cols) * r)
+        differentials.append(IntMatrix.from_blocks(*shape, (r, r), (
+            (j, i, a, rep.matrix_of(model.inv(g)) if g else None) if dual else
+            (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in blocks)))
+    groups = (chain_homology(differentials[::-1])[::-1] if dual
+              else chain_homology(differentials))
+    if sum((-1) ** k * (h.free_rank - r * n) for k, (h, n) in enumerate(zip(groups, cx.counts()))):
+        raise CertificateError("free ranks do not add up to the Euler characteristic")
+    return groups
+
+
 def homology(cx):
     """H_k(X; Z) for k = 0..dim, via Smith normal forms.
 
@@ -400,15 +521,13 @@ def cohomology(cx):
 
 
 def local_homology(system):
-    """H_k(X; L) for k = 0..dim."""
-    return chain_homology(chain_boundary_matrix(system, k)
-                          for k in range(system.complex.dim + 2))
+    """H_k(X; L) for k = 0..dim, from the Morse complex."""
+    return _morse_groups(system, dual=False)
 
 
 def local_cohomology(system):
-    """H^k(X; L) for k = 0..dim; the pair (delta^k, delta^{k-1}) gives H^k."""
-    return chain_homology(cochain_differential_matrix(system, k)
-                          for k in range(system.complex.dim, -2, -1))[::-1]
+    """H^k(X; L) for k = 0..dim, from the Morse complex's Hom dual."""
+    return _morse_groups(system, dual=True)
 
 
 def render_homology(groups, prefix="H"):

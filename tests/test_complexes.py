@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqhom.complexes import (EquivariantComplex, LocalSystem,
                              SimplicialComplex, build_cover, chain_boundary_matrix,
+                             check_chain_condition,
                              cochain_differential_matrix, cohomology,
                              barycentric_subdivision, cycle_complex,
                              fundamental_group, homology,
@@ -124,12 +125,14 @@ class TestHomology:
         real = eqhom.intlinalg._nonzero_factors
 
         def counting(mat, skip=frozenset()):
-            factored.append((mat.rows, mat.cols, tuple(map(tuple, mat.data))))
+            factored.append(mat)  # kept alive, so the ids stay distinct
             return real(mat, skip)
 
         monkeypatch.setattr(eqhom.intlinalg, "_nonzero_factors", counting)
         groups(load_fixture(f"{name}.cplx"))
-        assert len(factored) == len(set(factored)) == 5
+        # one call per differential d_0 .. d_4; two of the 1 x 1 Morse
+        # differentials may be equal, so they are told apart by identity
+        assert len(factored) == len({id(mat) for mat in factored}) == 5
 
     def test_euler_equals_alternating_betti(self):
         for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):
@@ -282,8 +285,8 @@ class TestUniversalCover:
         assert [str(h) for h in homology(cc)] == ["Z^1", "0", "0", "Z^1"]
 
     def test_ring_boundary_squares_to_zero(self, rp2_cover, rp3_cover):
-        assert rp2_cover.ring_boundary_squares_to_zero()
-        assert rp3_cover.ring_boundary_squares_to_zero()
+        for cover in (rp2_cover, rp3_cover):
+            check_chain_condition(LocalSystem(cover.base, 1, cover=cover))
 
     def test_deck_action_free(self, rp2_cover, rp3_cover):
         assert rp2_cover.deck_action_is_free()
