@@ -27,8 +27,9 @@ identity.
 Groups come from critical cells: coreduction() matches the base cells
 acyclically once per complex (Mrozek-Batko), and local_homology and
 local_cohomology factor the Morse complex over Z[pi] (Skoldberg) and its
-Hom dual.  What prints Smith coordinates (duality) reads the full
-differentials.  check_chain_condition proves their d.d = 0 without them:
+Hom dual.  One MorseProjection serves both the groups and pd_check's cone;
+only what prints Smith coordinates (duality) reads the full differentials.
+check_chain_condition proves their d.d = 0 without them:
 the simplicial identities cancel the terms of d.d in pairs with equal
 coefficients, except where vertices 0 and 1 go.  There the front triangle
 meets rho(h(s2, s1)) rho(h(s1, s0)) with rho(h(s2, s0)), and in the
@@ -36,7 +37,6 @@ coboundary rho(h(s0, s1)) rho(h(s1, s2)) with rho(h(s0, s2)).
 """
 
 from collections import deque
-from heapq import heappop, heappush
 from itertools import chain, combinations, count, permutations
 
 from .errors import BudgetError, CertificateError, InputError, ModelMismatch, PreconditionError
@@ -445,65 +445,98 @@ def check_chain_condition(system):
         raise PreconditionError("the representation is not multiplicative on holonomies")
 
 
-def _morse_groups(system, dual):
-    """H_* (H^* when dual) of the Morse complex; free ranks checked by Euler.
+class MorseProjection:
+    """The Morse projection P : C_*(X~) -> M_* over Z[pi] onto the critical
+    cells of the base coreduction, and the Morse complex d^M = P d.
 
-    A critical cell's boundary is walked in reverse removal order: a lower
-    cell f paired with u, [u : f] = +-h, passes -[u : g] [u : f]^-1 x to
-    each other face g of u, and an upper cell drops out.  x = sum a_g g is
-    the block sum a_g rho(g), or sum a_g rho(g^-1) transposed when dual."""
-    check_chain_condition(system)
-    cx, r, rep = system.complex, system.rank, system.rep
-    model = system.cover.model if rep is not None else None
-    critical, stamps, partners = cx.coreduction()
-    critical, differentials = critical + [[]], []
+    A matrix entry x = sum a_g g over Z[pi] stands for the block
+    sum a_g rho(g); rho is multiplicative, so products are taken in Z[pi]
+    and rho is applied once, by matrix().  Column sigma of P_k is sigma on
+    a critical cell, 0 on an upper one, and on a lower sigma = face_p u
+    -sum_{q != p} P(face_q u) [u : face_q u] [u : sigma]^-1, which makes
+    P(d u) = 0; [u : face_q u] = (-1)^q m_q with m_0 = h(u1, u0) and
+    m_q = 1 otherwise.  Columns are {(critical position, g): a}, each built
+    once on first use from faces that left the coreduction earlier.  P d =
+    d^M P follows from d.d = 0, which the constructor checks first.
+    """
 
-    def walk(k, front, c):
-        terms, stamp, partner = cx.boundary_terms(k), stamps[k - 1], partners[k - 1]
-        acc, heap, out = {}, [], {}
+    def __init__(self, system):
+        check_chain_condition(system)
+        self.system, self.complex = system, system.complex
+        self.model = system.cover.model if system.rep is not None else None
+        self.critical, _, self._partners = self.complex.coreduction()
+        self._columns = [{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
+        self._differentials = {}
 
-        def add(f, m, sign, x):
-            if partner[f] != -2:
-                if f not in acc:
-                    heappush(heap, (-stamp[f], f))
-                y = acc.setdefault(f, {})
-                for g, a in x.items():
-                    g = model.mul(m, g) if m else g
-                    y[g] = y.get(g, 0) + sign * a
+    def holonomy(self, u, v):
+        """h(u, v) in Z[pi]; 0, the identity, for u == v or an untwisted system."""
+        return self.system.cover.holonomy(u, v) if self.model and u != v else 0
 
-        for i, f in enumerate(terms[c]):
-            add(f, 0 if i else front[c], -1 if i % 2 else 1, {0: 1})
-        while heap:
-            f = heappop(heap)[1]
-            x = {g: a for g, a in acc.pop(f).items() if a}
-            if x and partner[f] == -1:
-                out[f] = x
-            elif x:
-                faces, h = terms[partner[f]], front[partner[f]]
-                p = faces.index(f)
-                for q, g in enumerate(faces):
-                    if q != p:
-                        m = model.inv(h) if p == 0 and h else (0 if q else h)
-                        add(g, m, 1 if (p + q) % 2 else -1, x)
-        return out
+    def mul(self, x, y):
+        return self.model.mul(x, y) if x and y else x or y
 
-    for k in range(cx.dim + 2):
-        rows, cols, blocks = critical[k - 1], critical[k], []
-        if rows and cols:
-            front = ([system.cover.holonomy(s[1], s[0]) for s in cx.simplices(k)]
-                     if model else [0] * len(stamps[k]))
-            pos = {f: i for i, f in enumerate(rows)}
-            blocks = [(pos[f], j, a, g) for j, c in enumerate(cols)
-                      for f, x in walk(k, front, c).items() for g, a in x.items()]
-        shape = (len(cols) * r, len(rows) * r) if dual else (len(rows) * r, len(cols) * r)
-        differentials.append(IntMatrix.from_blocks(*shape, (r, r), (
-            (j, i, a, rep.matrix_of(model.inv(g)) if g else None) if dual else
-            (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in blocks)))
-    groups = (chain_homology(differentials[::-1])[::-1] if dual
-              else chain_homology(differentials))
-    if sum((-1) ** k * (h.free_rank - r * n) for k, (h, n) in enumerate(zip(groups, cx.counts()))):
-        raise CertificateError("free ranks do not add up to the Euler characteristic")
-    return groups
+    def inv(self, x):
+        return self.model.inv(x) if x else 0
+
+    def column(self, k, s):
+        """P_k e_s as {(critical position, g): a}; gradient paths are long, so
+        the faces it needs are stacked, not recursed into."""
+        cols, partner, todo = self._columns[k], self._partners[k], [s]
+        if s in cols or partner[s] == -2:
+            return cols.get(s, {})
+        terms = self.complex.boundary_terms(k + 1)
+        while todo:
+            t = todo[-1]
+            if t not in cols:  # a lower cell: critical ones are seeded, upper ones skipped
+                u = partner[t]
+                wait = [f for f in terms[u] if f not in cols and partner[f] != -2 and f != t]
+                if wait:
+                    todo.extend(wait)
+                    continue
+                cols[t] = self._image(k + 1, u, terms[u].index(t))
+            todo.pop()
+        return cols[s]
+
+    def _image(self, k, c, p=None):
+        """sum_{q != p} P(face_q c) [c : face_q c] for a k-cell c, that times
+        -[c : face_p c]^-1 when p is given; upper faces add 0."""
+        s, cols, partner = self.complex.simplices(k)[c], self._columns[k - 1], self._partners[k - 1]
+        m0, acc = self.holonomy(s[1], s[0]), {}
+        sign, right = (1, 0) if p is None else (-1 if p % 2 == 0 else 1, 0 if p else self.inv(m0))
+        for q, f in enumerate(self.complex.boundary_terms(k)[c]):
+            if q != p and partner[f] != -2:
+                m, a_q = m0 if q == 0 else right, -sign if q % 2 else sign  # m_q m_p^-1
+                for (i, g), a in (cols[f] if f in cols else self.column(k - 1, f)).items():
+                    key = (i, self.mul(g, m)) if m else (i, g)
+                    acc[key] = acc.get(key, 0) + a_q * a
+        return {key: a for key, a in acc.items() if a}
+
+    def matrix(self, rows, cols, entries, dual=False):
+        """The rho-image of a rows x cols matrix over Z[pi] given by (i, j, a, g)
+        entries; of its conjugate transpose (g -> g^-1) when dual."""
+        r, rep = self.system.rank, self.system.rep
+        shape = (cols * r, rows * r) if dual else (rows * r, cols * r)
+        return IntMatrix.from_blocks(*shape, (r, r), (
+            (j, i, a, rep.matrix_of(self.inv(g)) if g else None) if dual else
+            (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in entries))
+
+    def differentials(self, dual=False):
+        """d^M_0..d^M_{dim+1}; when dual their Hom duals, delta_M^-1..delta_M^dim."""
+        if dual not in self._differentials:
+            crit = self.critical + [[]]
+            self._differentials[dual] = [self.matrix(len(crit[k - 1]), len(crit[k]), (
+                (i, j, a, g) for j, c in enumerate(crit[k] if k else ())
+                for (i, g), a in self._image(k, c).items()), dual) for k in range(len(crit))]
+        return self._differentials[dual]
+
+    def homology(self, dual=False):
+        """H_* (H^* when dual) of the Morse complex; free ranks checked by Euler."""
+        d, r = self.differentials(dual), self.system.rank
+        groups = chain_homology(d[::-1])[::-1] if dual else chain_homology(d)
+        if sum((-1) ** k * (h.free_rank - r * n)
+               for k, (h, n) in enumerate(zip(groups, self.complex.counts()))):
+            raise CertificateError("free ranks do not add up to the Euler characteristic")
+        return groups
 
 
 def homology(cx):
@@ -522,12 +555,12 @@ def cohomology(cx):
 
 def local_homology(system):
     """H_k(X; L) for k = 0..dim, from the Morse complex."""
-    return _morse_groups(system, dual=False)
+    return MorseProjection(system).homology()
 
 
 def local_cohomology(system):
     """H^k(X; L) for k = 0..dim, from the Morse complex's Hom dual."""
-    return _morse_groups(system, dual=True)
+    return MorseProjection(system).homology(dual=True)
 
 
 def render_homology(groups, prefix="H"):

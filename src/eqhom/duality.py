@@ -31,15 +31,27 @@ sits in the long exact sequence
 
 whose maps H^{n-j} -> H_j are Phi_*.  So the cone is acyclic iff cap with
 [M] is an isomorphism in every degree, and then H^k = H_{n-k} exactly.
-Acyclicity needs invariant factors only, which chain_homology computes
-without transforms; its composition check D_{j-1} D_j = 0 verifies the
-signs.  Only when the cone is not acyclic does pd_check cap the Smith
-generators of each H^k to name the failing degrees.
+
+pd_check builds the cone on critical cells.  With P the Morse projection
+onto the Morse complex M_* (complexes.MorseProjection) and P^* its Hom
+dual, Psi_k = P_{n-k} Phi_k P_k^* : M^k -> M_{n-k} is a chain map.  P and
+P^* are chain homotopy equivalences, so by the five lemma both cones are
+equivalent to Cone(Phi P^*): H_*(Cone Psi) = H_*(Cone Phi) in every degree,
+the same verdict and the same failing degrees.  Psi is multiplied out in
+Z[pi] in the order back column, holonomy, conjugated front column, and rho
+is applied once.  Acyclicity needs invariant factors only, which
+chain_homology computes without transforms; its composition check
+D_{j-1} D_j = 0 proves Psi a chain map, signs included, next to every
+nonzero Morse differential.  Where all of them vanish (T^2, T^3, S^3) it
+cannot see a wrong eps_k, which cannot change the verdict there: -Psi is
+an isomorphism exactly when Psi is.  Only when the cone is not acyclic
+does pd_check cap the Smith generators of each H^k on the full
+differentials to name the failing degrees.
 """
 
 from .errors import InputError, ModelMismatch, PreconditionError
-from .complexes import (LocalSystem, _spanning_tree, chain_boundary_matrix,
-                        cochain_differential_matrix)
+from .complexes import (LocalSystem, MorseProjection, _spanning_tree,
+                        chain_boundary_matrix, cochain_differential_matrix)
 from .groups import (augmentation_ideal_rep, regular_rep, tensor_rep,
                      trivial_rep)
 from .intlinalg import (IntMatrix, PairHomology, chain_homology,
@@ -96,7 +108,10 @@ def orient(cx):
     if len(signs) != len(cx.simplices(n)):
         raise PreconditionError("facet adjacency graph is not connected")
     orientation = tuple(signs[j] for j in range(len(signs)))
-    z = matvec(cx.boundary_matrix(n), list(orientation))
+    z = [0] * len(cx.simplices(n - 1))
+    for c, faces in zip(orientation, cx.boundary_terms(n)):
+        for i, ridge in enumerate(faces):
+            z[ridge] += -c if i % 2 else c
     if any(z):
         raise PreconditionError("signed facet sum is not a cycle")
     return TriangulatedManifold(cx, n, orientation)
@@ -262,14 +277,33 @@ def _cap_matrix(manifold, system, k):
                          [eps * c for c in manifold.fundamental_cycle()])
 
 
-def _cone_differentials(manifold, system, delta, bd):
-    """D_0..D_{n+2} of Cone(Phi), one at a time.
+def _morse_cap(manifold, morse, k):
+    """Psi_k = P_{n-k} Phi_k P_k^* : M^k -> M_{n-k}, multiplied out in Z[pi]:
+    a facet s with coefficient c in [M] adds eps_k c P_{n-k}[a, back(s)]
+    h(s_k, s_0) conj(P_k[b, front(s)]) at (a, b)."""
+    cx, n = manifold.complex, manifold.dim
+    eps, acc = (-1) ** (k * (k + 1) // 2), {}
+    for s, c in zip(cx.simplices(n), manifold.fundamental_cycle()):
+        if c:
+            h = morse.holonomy(s[k], s[0])
+            front = morse.column(k, cx.index(s[:k + 1])).items()
+            for (a, x), u in morse.column(n - k, cx.index(s[k:])).items():
+                xh = morse.mul(x, h)
+                for (b, y), v in front:
+                    key = (a, b, morse.mul(xh, morse.inv(y)))
+                    acc[key] = acc.get(key, 0) + eps * c * u * v
+    return morse.matrix(len(morse.critical[n - k]), len(morse.critical[k]),
+                        ((a, b, w, g) for (a, b, g), w in acc.items()))
 
-    Cone_j = C^{n+1-j} + C_j and D_j = [[-delta^{n+1-j}, 0], [Phi_{n+1-j}, d_j]].
+
+def _mapping_cone(delta, bd, psi):
+    """D_0..D_{n+2} of Cone(Psi), one at a time.
+
+    Cone_j = M^{n+1-j} + M_j and D_j = [[-delta^{n+1-j}, 0], [Psi_{n+1-j}, d_j]].
     """
-    n = manifold.dim
+    n = len(psi) - 1
 
-    def size(k):  # rank of C^k = C_k
+    def size(k):  # rank of M^k = M_k
         return bd[k].cols if 0 <= k <= n else 0
 
     for j in range(n + 3):
@@ -279,7 +313,7 @@ def _cone_differentials(manifold, system, delta, bd):
         if k <= n:
             blocks.append((0, 0, -1, delta[k + 1]))
         if 0 <= k <= n:
-            blocks.append((top, 0, 1, _cap_matrix(manifold, system, k)))
+            blocks.append((top, 0, 1, psi[k]))
         if j <= n + 1:
             blocks.append((top, left, 1, bd[j]))
         yield IntMatrix.from_blocks(top + size(j - 1), left + size(j), (1, 1), blocks)
@@ -288,21 +322,25 @@ def _cone_differentials(manifold, system, delta, bd):
 def pd_check(manifold, system):
     """Verify cap with [M] maps H^k(M; L) isomorphically onto H_{n-k}(M; L).
 
-    By the long exact sequence of Cone(Phi), Phi_k is an isomorphism
-    whenever H_j(Cone) and H_{j+1}(Cone) vanish, j = n - k; such a degree
-    takes its groups from H_*(M; L) on the same boundaries.  Only the
-    other degrees, none when the cone is acyclic, go through _pd_entry.
+    The cone is taken on critical cells (see the module docstring):
+    Phi_k is an isomorphism whenever H_j and H_{j+1} of Cone(Psi) vanish,
+    j = n - k, and such a degree takes its groups from the Morse complex.
+    Only the other degrees, none when the cone is acyclic, go through
+    _pd_entry, which assembles the full differentials.
     """
     if system.complex is not manifold.complex:
         raise ModelMismatch("local system lives on a different complex")
     n = manifold.dim
-    delta, bd = _differentials(system, n)
-    cone = chain_homology(_cone_differentials(manifold, system, delta, bd))
+    morse = MorseProjection(system)
+    psi = [_morse_cap(manifold, morse, k) for k in range(n + 1)]
+    cone = chain_homology(_mapping_cone(morse.differentials(dual=True),
+                                        morse.differentials(), psi))
     direct = [not (cone[n - k].is_trivial() and cone[n - k + 1].is_trivial())
               for k in range(n + 1)]
-    groups = None if all(direct) else chain_homology(bd)
+    groups = None if all(direct) else morse.homology()
+    full = _differentials(system, n) if any(direct) else ()
     return PdReport([
-        _pd_entry(manifold, system, delta, bd, k) if direct[k]
+        _pd_entry(manifold, system, *full, k) if direct[k]
         else PdEntry(k, groups[n - k], groups[n - k], True)
         for k in range(n + 1)])
 

@@ -64,3 +64,13 @@ def rp3_cover(rp3):
 @pytest.fixture(scope="session")
 def lens3_cover():
     return build_cover(lens_space(3))
+
+
+@pytest.fixture(scope="session")
+def q8space():
+    return load_fixture("q8space.cplx")
+
+
+@pytest.fixture(scope="session")
+def q8_cover(q8space):
+    return build_cover(q8space)

@@ -52,11 +52,20 @@ class TestGoldenOutputs:
         assert text == "H0 = Z^1\nH1 = Z^2\nH2 = Z^1\n"
 
     def test_homology_matches_golden_files(self):
-        for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3"):
+        for name in ("circle", "t2", "s2", "s3", "rp2", "rp3", "t3", "q8space"):
             code, text = invoke("homology", fixture_path(f"{name}.cplx"))
             assert code == 0
             with open(fixture_path(f"{name}.golden")) as fh:
                 assert text == fh.read()
+
+    def test_pd_check_q8_space_with_the_ideal(self):
+        # the same golden file the installed-console-script CI step diffs against
+        code, text = invoke("pd-check", fixture_path("q8space.cplx"),
+                            "--coeff", fixture_path("i.rep"))
+        assert code == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "q8space_pd_i.out")
+        with open(golden) as fh:
+            assert text == fh.read()
 
     def test_group_homology_both(self):
         code, text = invoke("group-homology", fixture_path("z2.pres"),

@@ -3,11 +3,12 @@ from math import comb
 
 import pytest
 
+import eqhom.complexes
 from eqhom import duality, intlinalg
 from eqhom.cli import run
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
                              chain_boundary_matrix, homology, lens_space,
-                             torus_complex)
+                             local_cohomology, local_homology, torus_complex)
 from eqhom.duality import (Cochain, Cocycle, TriangulatedManifold,
                            bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
@@ -398,18 +399,49 @@ class TestPdCheck:
         system = LocalSystem.from_rep(cover, augmentation_ideal_rep(cover.model))
         assert pd_check(doubled(orient(cx)), system).ok
 
-    def test_wrong_cap_sign_is_refused(self, t2, monkeypatch):
-        # The cone's composition check, not an assert, proves the eps_k signs.
-        real = duality._cap_matrix
+    def test_wrong_cap_sign_is_refused(self, rp3, monkeypatch):
+        """The cone's composition check, not an assert, proves the eps_k signs.
 
-        def flipped(manifold, system, k):
-            phi = real(manifold, system, k)
+        It sees a flipped Psi_k only through a nonzero Morse differential
+        next to it: on RP3, d^M_2 = 2 meets Psi_1 in d^M_2 Psi_1 =
+        Psi_2 delta_M^1.  On T^2 (and T^3, S^3) every Morse differential is
+        zero, so no composition reads the sign, and none has to: -Psi is an
+        isomorphism exactly when Psi is.
+        """
+        real = duality._morse_cap
+
+        def flipped(manifold, morse, k):
+            psi = real(manifold, morse, k)
             sign = -1 if k == 1 else 1
-            return IntMatrix.from_blocks(phi.rows, phi.cols, (1, 1), [(0, 0, sign, phi)])
+            return IntMatrix.from_blocks(psi.rows, psi.cols, (1, 1), [(0, 0, sign, psi)])
 
-        monkeypatch.setattr(duality, "_cap_matrix", flipped)
+        monkeypatch.setattr(duality, "_morse_cap", flipped)
         with pytest.raises(PreconditionError, match=r"^d_k \. d_\{k\+1\} != 0$"):
-            pd_check(orient(t2), LocalSystem(t2, 1))
+            pd_check(orient(rp3), LocalSystem(rp3, 1))
+
+    def test_q8_space(self, q8space, q8_cover):
+        # nonabelian pi: Z[pi] is noncommutative, so Psi's factor order counts
+        model, manifold = q8_cover.model, orient(q8space)
+        report = pd_check(manifold, LocalSystem.from_rep(q8_cover, regular_rep(model)))
+        assert [str(e.cohomology) for e in report.entries] == ["Z^1", "0", "0", "Z^1"]
+        assert report.ok
+        report = pd_check(manifold, LocalSystem.from_rep(q8_cover, augmentation_ideal_rep(model)))
+        assert report.render() == (
+            "k=0: H^0 = 0 ~ H_3 = 0 [iso]\n"
+            "k=1: H^1 = Z/8 ~ H_2 = Z/8 [iso]\n"
+            "k=2: H^2 = 0 ~ H_1 = 0 [iso]\n"
+            "k=3: H^3 = Z/2 + Z/2 ~ H_0 = Z/2 + Z/2 [iso]\n"
+            "PD CHECK: PASS")
+
+    def test_lens5_with_i_cubed(self):
+        cx = lens_space(5)
+        cover = build_cover(cx)
+        system = LocalSystem.from_rep(cover, tensor_power(augmentation_ideal_rep(cover.model), 3))
+        report = pd_check(orient(cx), system)
+        assert report.ok
+        homology, cohomology = local_homology(system), local_cohomology(system)
+        assert [e.homology for e in report.entries] == homology[::-1]
+        assert [e.cohomology for e in report.entries] == cohomology
 
 
 class TestPdRoutesAgree:
@@ -443,13 +475,25 @@ class TestPdRoutesAgree:
         assert report.ok
         assert report.render() == by_degree(manifold, system).render()
 
+    @pytest.mark.parametrize("power", [None, 2], ids=["Zpi", "I^2"])
+    def test_lens3(self, lens3_cover, power):
+        model = lens3_cover.model
+        rep = regular_rep(model) if power is None else \
+            tensor_power(augmentation_ideal_rep(model), power)
+        manifold, system = orient(lens3_cover.base), LocalSystem.from_rep(lens3_cover, rep)
+        report = pd_check(manifold, system)
+        assert report.ok
+        assert report.render() == by_degree(manifold, system).render()
+
     @pytest.mark.parametrize("case, direct", [
         ("doubled-z", [0, 1, 2, 3]), ("doubled-zpi", [0, 1, 3]), ("suspended-t2", [1, 2])])
     def test_failing_reports_match(self, case, direct, rp3, rp3_cover, t2, monkeypatch):
         # Only the degrees next to a nonzero H_*(Cone) are found directly;
         # the report is the one every degree found directly gives.  H_*(M; L)
         # is computed only if some degree takes its groups from it: with
-        # every degree found directly, only the cone's homology is.
+        # every degree found directly, only the cone's homology is.  The
+        # groups come from the Morse complex, whose chain_homology is the
+        # one in complexes; the full differentials are assembled once.
         if case == "suspended-t2":
             cx = suspension(t2)
             manifold, system = orient(cx), LocalSystem(cx, 1)
@@ -462,15 +506,19 @@ class TestPdRoutesAgree:
         real = duality._pd_entry
         monkeypatch.setattr(duality, "_pd_entry",
                             lambda *args: degrees.append(args[-1]) or real(*args))
-        calls = []
-        homology = duality.chain_homology
-        monkeypatch.setattr(duality, "chain_homology",
-                            lambda ds: calls.append(ds) or homology(ds))
+        calls, full = [], []
+        for module in (duality, eqhom.complexes):
+            monkeypatch.setattr(module, "chain_homology", lambda ds, real=module.chain_homology:
+                                calls.append(ds) or real(ds))
+        real_full = duality._differentials
+        monkeypatch.setattr(duality, "_differentials",
+                            lambda *args: full.append(args) or real_full(*args))
         report = pd_check(manifold, system)
         assert not report.ok
         assert report.render() == want
         assert degrees == direct
         assert len(calls) == (1 if direct == list(range(manifold.dim + 1)) else 2)
+        assert len(full) == 1
 
 
 class TestReadersReplayTapes:
@@ -496,19 +544,22 @@ class TestReadersReplayTapes:
         assert len(factored) > 10
         assert built == []
 
-    def test_pd_check_assembles_each_differential_once(self, rp3, rp3_cover,
-                                                       monkeypatch):
+    def test_passing_pd_check_assembles_no_full_matrix(self, rp3, rp3_cover, monkeypatch):
         made = []
-        for name in ("cochain_differential_matrix", "chain_boundary_matrix"):
-            real = getattr(duality, name)
-            monkeypatch.setattr(duality, name, lambda system, k, name=name, real=real:
-                                made.append((name, k)) or real(system, k))
+        for module, name in ((duality, "cochain_differential_matrix"),
+                             (duality, "chain_boundary_matrix"), (duality, "_cap_matrix"),
+                             (eqhom.complexes, "chain_boundary_matrix"),
+                             (eqhom.complexes, "cochain_differential_matrix")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                                made.append(name) or real(*args))
         ideal = augmentation_ideal_rep(rp3_cover.model)
-        assert pd_check(orient(rp3), LocalSystem.from_rep(rp3_cover, ideal)).ok
-        # delta^-1..delta^3 and d_0..d_4
-        assert sorted(made) == sorted(
-            [("cochain_differential_matrix", k) for k in range(-1, 4)]
-            + [("chain_boundary_matrix", k) for k in range(5)])
+        manifold = orient(rp3)
+        assert pd_check(manifold, LocalSystem.from_rep(rp3_cover, ideal)).ok
+        assert made == []
+        # a failing degree reads the full differentials and Phi_k
+        assert not pd_check(doubled(manifold), LocalSystem(rp3, 1)).ok
+        assert {"cochain_differential_matrix", "chain_boundary_matrix", "_cap_matrix"} <= set(made)
 
 
 class TestObstructionClass:

@@ -1,7 +1,7 @@
 """The Morse complex on critical cells against the full differentials.
 
 local_homology and local_cohomology factor the Morse complex of the base
-complex's coreduction.  The full route, chain_homology over
+complex's coreduction, d^M = P d through the Morse projection P.  The full route, chain_homology over
 chain_boundary_matrix / cochain_differential_matrix with one rank-L block
 per simplex, is the oracle here; both routes must reject a broken face
 relation or holonomy with PreconditionError.
@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 
 import eqhom.complexes
-from eqhom.complexes import (LocalSystem, build_cover, chain_boundary_matrix,
-                             check_chain_condition, cochain_differential_matrix,
-                             homology, lens_space, local_cohomology, local_homology,
-                             simplicial_product, torus_complex)
+from eqhom.complexes import (LocalSystem, MorseProjection, build_cover,
+                             chain_boundary_matrix, check_chain_condition,
+                             cochain_differential_matrix, homology, lens_space,
+                             local_cohomology, local_homology, simplicial_product,
+                             torus_complex)
 from eqhom.errors import CertificateError, PreconditionError
 from eqhom.groups import (IntRepresentation, augmentation_ideal_rep, regular_rep,
                           tensor_power)
-from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, chain_homology
+from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, chain_homology, matmul
 
 from conftest import load_fixture
 from test_complexes import FIXTURE_NAMES, small_complexes
@@ -71,6 +72,11 @@ class TestOracle:
         cover = build_cover(simplicial_product(s2cx, rp3))
         assert_matches_full_route(LocalSystem.from_rep(cover, augmentation_ideal_rep(cover.model)))
 
+    def test_q8_space(self, q8_cover):
+        # nonabelian pi: the Morse differentials multiply in a noncommutative Z[pi]
+        for system in list(ideal_systems(q8_cover, powers=(1,))):
+            assert_matches_full_route(system)
+
     def test_four_torus(self):
         assert_matches_full_route(LocalSystem(torus_complex(4), 1))
 
@@ -78,6 +84,49 @@ class TestOracle:
     @given(small_complexes)
     def test_small_complexes(self, cx):
         assert_matches_full_route(LocalSystem(cx, 1))
+
+
+def projection_matrix(morse, k):
+    """The rho-image of P_k : C_k -> M_k, one column per k-cell."""
+    cells = range(len(morse.complex.simplices(k)))
+    return morse.matrix(len(morse.critical[k]), len(cells), (
+        (i, s, a, g) for s in cells for (i, g), a in morse.column(k, s).items()))
+
+
+def assert_projection_is_a_chain_map(system):
+    """P is the identity on critical cells and P_{k-1} d_k = d^M_k P_k on the
+    rho-images, against the full chain_boundary_matrix."""
+    morse = MorseProjection(system)
+    dim, d_morse = system.complex.dim, morse.differentials()
+    for k, level in enumerate(morse.critical):
+        assert all(morse.column(k, c) == {(i, 0): 1} for i, c in enumerate(level))
+    p = [projection_matrix(morse, k) for k in range(dim + 1)]
+    for k in range(1, dim + 1):
+        assert matmul(p[k - 1], chain_boundary_matrix(system, k)) == matmul(d_morse[k], p[k])
+
+
+class TestProjection:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_with_z(self, name):
+        assert_projection_is_a_chain_map(LocalSystem(load_fixture(f"{name}.cplx"), 1))
+
+    def test_rp3_twisted(self, rp3_cover):
+        for system in ideal_systems(rp3_cover):
+            assert_projection_is_a_chain_map(system)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_lens_spaces(self, p):
+        for system in ideal_systems(build_cover(lens_space(p)), powers=(1,)):
+            assert_projection_is_a_chain_map(system)
+
+    def test_q8_space_with_the_group_ring(self, q8_cover):
+        assert_projection_is_a_chain_map(
+            LocalSystem.from_rep(q8_cover, regular_rep(q8_cover.model)))
+
+    def test_columns_are_built_once(self, rp3):
+        morse = MorseProjection(LocalSystem(rp3, 1))
+        column = morse.column(1, len(rp3.simplices(1)) - 1)
+        assert morse.column(1, len(rp3.simplices(1)) - 1) is column
 
 
 class TestCoreduction:
