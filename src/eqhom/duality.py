@@ -10,8 +10,8 @@ carried across the splitting vertex vk by LocalSystem.holonomy_matrix,
 which is exactly what the same formulas on the universal cover descend to:
 cup reads the back factor through holonomy_matrix(v0, vk), and cap carries
 the cochain's value through holonomy_matrix(vk, v0) = rho(h(v0, vk))^-1
-onto the back face.  Both caps, f cap z and the matrix Phi_k below, are
-one assembly.  The normative sign facts, verified exactly by the test
+onto the back face; Psi_k below multiplies the same terms out through the
+Morse projection.  The normative sign facts, verified exactly by the test
 suite on random cochain/chain data:
 
     delta(f cup g) = (delta f) cup g + (-1)^k f cup (delta g)
@@ -44,9 +44,9 @@ chain_homology computes without transforms; its composition check
 D_{j-1} D_j = 0 proves Psi a chain map, signs included, next to every
 nonzero Morse differential.  Where all of them vanish (T^2, T^3, S^3) it
 cannot see a wrong eps_k, which cannot change the verdict there: -Psi is
-an isomorphism exactly when Psi is.  Only when the cone is not acyclic
-does pd_check cap the Smith generators of each H^k on the full
-differentials to name the failing degrees.
+an isomorphism exactly when Psi is.  When the cone is not acyclic,
+pd_check maps the Smith generators of each H^k by Psi_k on the same Morse
+complex to name the failing degrees: Psi_* = P_* Phi_* P^*_* exactly.
 """
 
 from .errors import InputError, ModelMismatch, PreconditionError
@@ -263,20 +263,6 @@ def homology_pair(system, k):
                         chain_boundary_matrix(system, k + 1))
 
 
-def _differentials(system, n):
-    """(delta, bd): delta[k + 1] is delta^k for k = -1..n, bd[k] is d_k for
-    k = 0..n + 1, each assembled once."""
-    return ([cochain_differential_matrix(system, k) for k in range(-1, n + 1)],
-            [chain_boundary_matrix(system, k) for k in range(n + 2)])
-
-
-def _cap_matrix(manifold, system, k):
-    """Phi_k : C^k(M; L) -> C_{n-k}(M; L), f |-> eps_k (f cap [M])."""
-    eps = (-1) ** (k * (k + 1) // 2)
-    return _cap_operator(system, k, manifold.dim,
-                         [eps * c for c in manifold.fundamental_cycle()])
-
-
 def _morse_cap(manifold, morse, k):
     """Psi_k = P_{n-k} Phi_k P_k^* : M^k -> M_{n-k}, multiplied out in Z[pi]:
     a facet s with coefficient c in [M] adds eps_k c P_{n-k}[a, back(s)]
@@ -322,37 +308,36 @@ def _mapping_cone(delta, bd, psi):
 def pd_check(manifold, system):
     """Verify cap with [M] maps H^k(M; L) isomorphically onto H_{n-k}(M; L).
 
-    The cone is taken on critical cells (see the module docstring):
+    Everything is decided on the Morse complex (see the module docstring):
     Phi_k is an isomorphism whenever H_j and H_{j+1} of Cone(Psi) vanish,
-    j = n - k, and such a degree takes its groups from the Morse complex.
-    Only the other degrees, none when the cone is acyclic, go through
-    _pd_entry, which assembles the full differentials.
+    j = n - k, and such a degree takes its groups from the Morse homology.
+    The other degrees, none when the cone is acyclic, are found by
+    _pd_entry on the Morse differentials and Psi_k.
     """
     if system.complex is not manifold.complex:
         raise ModelMismatch("local system lives on a different complex")
     n = manifold.dim
     morse = MorseProjection(system)
     psi = [_morse_cap(manifold, morse, k) for k in range(n + 1)]
-    cone = chain_homology(_mapping_cone(morse.differentials(dual=True),
-                                        morse.differentials(), psi))
+    delta, bd = morse.differentials(dual=True), morse.differentials()
+    cone = chain_homology(_mapping_cone(delta, bd, psi))
     direct = [not (cone[n - k].is_trivial() and cone[n - k + 1].is_trivial())
               for k in range(n + 1)]
     groups = None if all(direct) else morse.homology()
-    full = _differentials(system, n) if any(direct) else ()
     return PdReport([
-        _pd_entry(manifold, system, *full, k) if direct[k]
+        _pd_entry(delta, bd, psi[k], k) if direct[k]
         else PdEntry(k, groups[n - k], groups[n - k], True)
         for k in range(n + 1)])
 
 
-def _pd_entry(manifold, system, delta, bd, k):
+def _pd_entry(delta, bd, phi, k):
     """The PdEntry of degree k, found directly: map the Smith generators of
-    H^k by Phi_k and test their images in H_{n-k}; delta and bd as from
-    _differentials.  The sign eps_k of Phi_k does not change the verdict."""
-    n = manifold.dim
+    H^k by the cap phi and test their images in H_{n-k}.  delta[k + 1] is
+    delta^k and bd[k] is d_k of a complex equivalent to C_*(M; L), the Morse
+    one with Psi_k or the full one with Phi_k.  A sign on phi changes nothing."""
+    n = len(bd) - 2
     co = PairHomology(delta[k + 1], delta[k])
     ho = PairHomology(bd[n - k], bd[n - k + 1])
-    phi = _cap_matrix(manifold, system, k)
     images = [ho.coordinates(matvec(phi, co.generator_cycle(i)))
               for i in range(co.num_generators)]
     iso = is_isomorphism_onto(co.invariants, ho.invariants, images)

@@ -7,8 +7,9 @@ import eqhom.complexes
 from eqhom import duality, intlinalg
 from eqhom.cli import run
 from eqhom.complexes import (LocalSystem, SimplicialComplex, build_cover,
-                             chain_boundary_matrix, homology, lens_space,
-                             local_cohomology, local_homology, torus_complex)
+                             chain_boundary_matrix, cochain_differential_matrix,
+                             homology, lens_space, local_cohomology,
+                             local_homology, torus_complex)
 from eqhom.duality import (Cochain, Cocycle, TriangulatedManifold,
                            bs_class_report, bs_power,
                            berstein_svarc, cap, cap_chain, cohomology_pair,
@@ -285,7 +286,7 @@ class TestProducts:
         eps = 1
         for k in range(manifold.dim + 1):
             phi = rand_cochain(rng, system, k)
-            image = matvec(duality._cap_matrix(manifold, system, k), phi.vector)
+            image = matvec(cap_matrix(manifold, system, k), phi.vector)
             expected = cap_reference(phi, manifold.fundamental_cycle(), manifold.dim)
             assert image == [eps * x for x in expected], k
             eps *= (-1) ** (k + 1)
@@ -322,11 +323,20 @@ class TestToruspairing:
         assert abs(determinant(IntMatrix.from_rows(images))) == 1
 
 
+def cap_matrix(manifold, system, k):
+    """Phi_k : C^k(M; L) -> C_{n-k}(M; L), f |-> eps_k (f cap [M])."""
+    eps = (-1) ** (k * (k + 1) // 2)
+    return duality._cap_operator(system, k, manifold.dim,
+                                 [eps * c for c in manifold.fundamental_cycle()])
+
+
 def by_degree(manifold, system):
-    """The report with every degree found directly, by duality._pd_entry."""
+    """The report with every degree found directly by duality._pd_entry on
+    the full differentials and Phi_k, not on the Morse complex."""
     n = manifold.dim
-    delta, bd = duality._differentials(system, n)
-    return duality.PdReport([duality._pd_entry(manifold, system, delta, bd, k)
+    delta = [cochain_differential_matrix(system, k) for k in range(-1, n + 1)]
+    bd = [chain_boundary_matrix(system, k) for k in range(n + 2)]
+    return duality.PdReport([duality._pd_entry(delta, bd, cap_matrix(manifold, system, k), k)
                              for k in range(n + 1)])
 
 
@@ -336,10 +346,22 @@ def suspension(cx):
     return SimplicialComplex([f + (v,) for f in cx.facets for v in (top + 1, top + 2)])
 
 
-def doubled(manifold):
-    """The same complex with twice its fundamental class."""
+def doubled(manifold, times=2):
+    """The same complex with twice (or `times` times) its fundamental class."""
     return TriangulatedManifold(manifold.complex, manifold.dim,
-                                tuple(2 * c for c in manifold.orientation))
+                                tuple(times * c for c in manifold.orientation))
+
+
+def flip_morse_cap(monkeypatch, degree):
+    """Make pd_check build -Psi_degree in place of Psi_degree."""
+    real = duality._morse_cap
+
+    def flipped(manifold, morse, k):
+        psi = real(manifold, morse, k)
+        sign = -1 if k == degree else 1
+        return IntMatrix.from_blocks(psi.rows, psi.cols, (1, 1), [(0, 0, sign, psi)])
+
+    monkeypatch.setattr(duality, "_morse_cap", flipped)
 
 
 class TestPdCheck:
@@ -399,6 +421,16 @@ class TestPdCheck:
         system = LocalSystem.from_rep(cover, augmentation_ideal_rep(cover.model))
         assert pd_check(doubled(orient(cx)), system).ok
 
+    def test_doubled_class_fails_on_q8_space(self, q8space, q8_cover):
+        # nonabelian pi on the failure path; by_degree takes seconds here
+        system = LocalSystem.from_rep(q8_cover, augmentation_ideal_rep(q8_cover.model))
+        assert pd_check(doubled(orient(q8space)), system).render() == (
+            "k=0: H^0 = 0 ~ H_3 = 0 [iso]\n"
+            "k=1: H^1 = Z/8 ~ H_2 = Z/8 [NOT ISO]\n"
+            "k=2: H^2 = 0 ~ H_1 = 0 [iso]\n"
+            "k=3: H^3 = Z/2 + Z/2 ~ H_0 = Z/2 + Z/2 [NOT ISO]\n"
+            "PD CHECK: FAIL")
+
     def test_wrong_cap_sign_is_refused(self, rp3, monkeypatch):
         """The cone's composition check, not an assert, proves the eps_k signs.
 
@@ -408,16 +440,19 @@ class TestPdCheck:
         zero, so no composition reads the sign, and none has to: -Psi is an
         isomorphism exactly when Psi is.
         """
-        real = duality._morse_cap
-
-        def flipped(manifold, morse, k):
-            psi = real(manifold, morse, k)
-            sign = -1 if k == 1 else 1
-            return IntMatrix.from_blocks(psi.rows, psi.cols, (1, 1), [(0, 0, sign, psi)])
-
-        monkeypatch.setattr(duality, "_morse_cap", flipped)
+        flip_morse_cap(monkeypatch, 1)
         with pytest.raises(PreconditionError, match=r"^d_k \. d_\{k\+1\} != 0$"):
             pd_check(orient(rp3), LocalSystem(rp3, 1))
+
+    def test_cap_sign_cannot_change_a_failing_verdict(self, t3, monkeypatch):
+        """Every Morse differential of T^3 is zero, so no composition reads
+        the sign of Psi_1; the failing degree 1, found from Psi_1, does, and
+        its verdict must not depend on it."""
+        manifold, system = doubled(orient(t3), 3), LocalSystem(t3, 1)
+        want = pd_check(manifold, system).render()
+        assert "k=1: H^1 = Z^3 ~ H_2 = Z^3 [NOT ISO]" in want
+        flip_morse_cap(monkeypatch, 1)
+        assert pd_check(manifold, system).render() == want
 
     def test_q8_space(self, q8space, q8_cover):
         # nonabelian pi: Z[pi] is noncommutative, so Psi's factor order counts
@@ -445,7 +480,7 @@ class TestPdCheck:
 
 
 class TestPdRoutesAgree:
-    """The cone verdict against the per-degree route it replaces on a pass."""
+    """pd_check, all on the Morse complex, against by_degree on the full one."""
 
     @pytest.mark.parametrize("name", ["circle", "t2", "t3", "s2", "s3", "rp3"])
     def test_closed_fixtures_with_z(self, name):
@@ -486,39 +521,48 @@ class TestPdRoutesAgree:
         assert report.render() == by_degree(manifold, system).render()
 
     @pytest.mark.parametrize("case, direct", [
-        ("doubled-z", [0, 1, 2, 3]), ("doubled-zpi", [0, 1, 3]), ("suspended-t2", [1, 2])])
+        ("doubled-z", [0, 1, 2, 3]), ("doubled-zpi", [0, 1, 3]), ("suspended-t2", [1, 2]),
+        ("doubled-i3", [0, 1, 2, 3]), ("doubled-l4-i", [0, 1, 2, 3]),
+        ("doubled-l4-zpi", [0, 1, 3])])
     def test_failing_reports_match(self, case, direct, rp3, rp3_cover, t2, monkeypatch):
-        # Only the degrees next to a nonzero H_*(Cone) are found directly;
-        # the report is the one every degree found directly gives.  H_*(M; L)
-        # is computed only if some degree takes its groups from it: with
-        # every degree found directly, only the cone's homology is.  The
-        # groups come from the Morse complex, whose chain_homology is the
-        # one in complexes; the full differentials are assembled once.
+        # Only the degrees next to a nonzero H_*(Cone) are found directly,
+        # on the Morse complex; the report is the one every degree found
+        # directly on the full complex gives.  H_*(M; L) is computed only if
+        # some degree takes its groups from it: with every degree found
+        # directly, only the cone's homology is.  The groups come from the
+        # Morse complex, whose chain_homology is the one in complexes.
+        # RP3 with I^3 and L(4,1) are twisted, with nonzero Morse
+        # differentials; L(4,1)'s holonomy is not its own inverse.
         if case == "suspended-t2":
             cx = suspension(t2)
             manifold, system = orient(cx), LocalSystem(cx, 1)
+        elif case.startswith("doubled-l4"):
+            cx = lens_space(4)
+            cover = build_cover(cx)
+            rep = regular_rep(cover.model) if case == "doubled-l4-zpi" \
+                else augmentation_ideal_rep(cover.model)
+            manifold, system = doubled(orient(cx)), LocalSystem.from_rep(cover, rep)
         else:
             manifold = doubled(orient(rp3))
-            system = LocalSystem(rp3, 1) if case == "doubled-z" else \
-                LocalSystem.from_rep(rp3_cover, regular_rep(rp3_cover.model))
+            model = rp3_cover.model
+            system = {"doubled-z": LocalSystem(rp3, 1),
+                      "doubled-zpi": LocalSystem.from_rep(rp3_cover, regular_rep(model)),
+                      "doubled-i3": LocalSystem.from_rep(
+                          rp3_cover, tensor_power(augmentation_ideal_rep(model), 3))}[case]
         want = by_degree(manifold, system).render()
         degrees = []
         real = duality._pd_entry
         monkeypatch.setattr(duality, "_pd_entry",
                             lambda *args: degrees.append(args[-1]) or real(*args))
-        calls, full = [], []
+        calls = []
         for module in (duality, eqhom.complexes):
             monkeypatch.setattr(module, "chain_homology", lambda ds, real=module.chain_homology:
                                 calls.append(ds) or real(ds))
-        real_full = duality._differentials
-        monkeypatch.setattr(duality, "_differentials",
-                            lambda *args: full.append(args) or real_full(*args))
         report = pd_check(manifold, system)
         assert not report.ok
         assert report.render() == want
         assert degrees == direct
         assert len(calls) == (1 if direct == list(range(manifold.dim + 1)) else 2)
-        assert len(full) == 1
 
 
 class TestReadersReplayTapes:
@@ -544,22 +588,31 @@ class TestReadersReplayTapes:
         assert len(factored) > 10
         assert built == []
 
-    def test_passing_pd_check_assembles_no_full_matrix(self, rp3, rp3_cover, monkeypatch):
+    @staticmethod
+    def full_matrices_made(monkeypatch):
         made = []
         for module, name in ((duality, "cochain_differential_matrix"),
-                             (duality, "chain_boundary_matrix"), (duality, "_cap_matrix"),
+                             (duality, "chain_boundary_matrix"), (duality, "_cap_operator"),
                              (eqhom.complexes, "chain_boundary_matrix"),
                              (eqhom.complexes, "cochain_differential_matrix")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
                                 made.append(name) or real(*args))
+        return made
+
+    def test_passing_pd_check_assembles_no_full_matrix(self, rp3, rp3_cover, monkeypatch):
+        made = self.full_matrices_made(monkeypatch)
         ideal = augmentation_ideal_rep(rp3_cover.model)
-        manifold = orient(rp3)
-        assert pd_check(manifold, LocalSystem.from_rep(rp3_cover, ideal)).ok
+        assert pd_check(orient(rp3), LocalSystem.from_rep(rp3_cover, ideal)).ok
         assert made == []
-        # a failing degree reads the full differentials and Phi_k
-        assert not pd_check(doubled(manifold), LocalSystem(rp3, 1)).ok
-        assert {"cochain_differential_matrix", "chain_boundary_matrix", "_cap_matrix"} <= set(made)
+
+    def test_failing_pd_check_assembles_no_full_matrix(self, rp3, rp3_cover, monkeypatch):
+        # the failing degrees are found on the Morse complex too
+        made = self.full_matrices_made(monkeypatch)
+        ideal = augmentation_ideal_rep(rp3_cover.model)
+        for system in (LocalSystem(rp3, 1), LocalSystem.from_rep(rp3_cover, ideal)):
+            assert not pd_check(doubled(orient(rp3)), system).ok
+        assert made == []
 
 
 class TestObstructionClass:
