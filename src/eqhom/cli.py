@@ -7,9 +7,9 @@ collections) so outputs can be golden-tested byte for byte.  Exit codes:
 output; a failed verdict names the failing values in it.
 """
 
-import argparse
 import gc
 import sys
+from types import SimpleNamespace
 
 from .errors import BudgetError, InputError, PreconditionError
 from .groups import (FreeAbelianGroup, FreeGroup, ProductGroup,
@@ -27,11 +27,6 @@ from .coarse import (CayleyBall, gromov_counterexample_report,
 
 # Exit code per exception family, in the order the families are tried.
 _EXIT_CODES = {InputError: 1, BudgetError: 3, PreconditionError: 2}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
 
 
 def _read(path):
@@ -310,62 +305,126 @@ _GROUP = (("group",), {})
 _RADIUS = (("--radius",), {"type": int, "required": True})
 _DEGREE = (("--n",), {"type": int, "required": True})
 _POWER = (("--power",), {"type": int, "default": 1})
+_COSETS = (("--max-cosets",), {"type": int, "default": 20000,
+                               "help": "coset enumeration budget"})
 
-# name -> (function, help, arguments as (args, kwargs) pairs, coset budget);
-# the coarse commands enumerate no cosets.
+# name -> (function, help, arguments as (args, kwargs) pairs); the coarse
+# commands enumerate no cosets, so they take no --max-cosets.
 _COMMANDS = {
     "homology": (_cmd_homology, "homology of a complex file",
-                 (_FILE, (("--coeff",), {"help": "coefficient descriptor file"})), True),
+                 (_COSETS, _FILE, (("--coeff",), {"help": "coefficient descriptor file"}))),
     "cohomology": (_cmd_cohomology, "cohomology of a complex file",
-                   (_FILE, (("--coeff",), {})), True),
+                   (_COSETS, _FILE, (("--coeff",), {}))),
     "pi1": (_cmd_pi1, "edge-path presentation of pi_1",
-            (_FILE, (("--basepoint",), {"type": int, "default": 0})), True),
-    "cover": (_cmd_cover, "universal cover cells and homology", (_FILE,), True),
+            (_COSETS, _FILE, (("--basepoint",), {"type": int, "default": 0}))),
+    "cover": (_cmd_cover, "universal cover cells and homology", (_COSETS, _FILE)),
     "group-homology": (_cmd_group_homology, "H_n of a presented finite group", (
-        (("presentation",), {}), _DEGREE,
-        (("--method",), {"choices": ("bar", "shift", "both"), "default": "both"})), True),
+        _COSETS, (("presentation",), {}), _DEGREE,
+        (("--method",), {"choices": ("bar", "shift", "both"), "default": "both"}))),
     "shift-chain": (_cmd_shift_chain, "H_n = H_{n-1}(pi; I) = ... chain check",
-                    ((("presentation",), {}), _DEGREE), True),
+                    (_COSETS, (("presentation",), {}), _DEGREE)),
     "pd-check": (_cmd_pd_check, "cap-with-[M] duality check",
-                 (_FILE, (("--coeff",), {})), True),
-    "essential": (_cmd_essential, "degree-n pairing test", (_FILE,), True),
-    "bs-class": (_cmd_bs_class, "obstruction class power", (_FILE, _POWER), True),
-    "pert": (_cmd_pert, "forget-equivariance image of beta^k", (_FILE, _POWER), True),
-    "ball": (_cmd_ball, "Cayley ball summary", (_GROUP, _RADIUS), False),
+                 (_COSETS, _FILE, (("--coeff",), {}))),
+    "essential": (_cmd_essential, "degree-n pairing test", (_COSETS, _FILE)),
+    "bs-class": (_cmd_bs_class, "obstruction class power", (_COSETS, _FILE, _POWER)),
+    "pert": (_cmd_pert, "forget-equivariance image of beta^k", (_COSETS, _FILE, _POWER)),
+    "ball": (_cmd_ball, "Cayley ball summary", (_GROUP, _RADIUS)),
     "ponzi": (_cmd_ponzi, "bounded-divergence flow probe",
-              (_GROUP, _RADIUS, (("--bound",), {"type": int, "default": 1})), False),
-    "min-bound": (_cmd_min_bound, "least feasible flow bound", (_GROUP, _RADIUS), False),
-    "folner": (_cmd_folner, "isoperimetric ratios per radius", (_GROUP, _RADIUS), False),
+              (_GROUP, _RADIUS, (("--bound",), {"type": int, "default": 1}))),
+    "min-bound": (_cmd_min_bound, "least feasible flow bound", (_GROUP, _RADIUS)),
+    "folner": (_cmd_folner, "isoperimetric ratios per radius", (_GROUP, _RADIUS)),
     "gromov-report": (_cmd_gromov_report, "three-section counterexample-mechanism report", (
         (("--rank",), {"type": int, "required": True}), _RADIUS,
         (("--factor",), {"help": "replace F_2 (e.g. z2) to probe the amenable direction"}),
-        (("--format",), {"choices": ("text", "kv"), "default": "text"})), False),
+        (("--format",), {"choices": ("text", "kv"), "default": "text"}))),
 }
 
 
 def build_parser(command=None):
-    """The argument parser, with only the named command's subparser when
+    """The argparse parser, with only the named command's subparser when
     command names one, and with every subparser otherwise (for --help, a
-    missing command or an unknown one)."""
-    parser = _Parser(prog="eqhom", description=__doc__.splitlines()[0])
+    missing command or an unknown one).
+
+    run uses it only for the command lines its plain parse defers: help,
+    abbreviations, --opt=value, repeated options, dash-leading values,
+    ``--`` and every usage error.  It is the one place that imports
+    argparse, so a canonical command line pays neither for the import nor
+    for building the parser.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(message)
+
+    parser = Parser(prog="eqhom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
-        fn, help_text, arguments, cosets = _COMMANDS[name]
+        fn, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if cosets:
-            p.add_argument("--max-cosets", type=int, default=20000,
-                           help="coset enumeration budget")
         for args, kwargs in arguments:
             p.add_argument(*args, **kwargs)
     return parser
 
 
+def _parse_plain(argv):
+    """The namespace build_parser would parse from a canonical command
+    line, or None to leave the line to it.
+
+    Canonical: a known command; options given by their exact names, each
+    once and followed by a value that does not start with "-"; as many
+    other words as the command has positionals; every required option
+    present; every int and choice valid.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "fn": fn}
+    options, positionals, words = {}, [], []
+    for (name,), kwargs in arguments:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, kwargs
+            values[dest] = kwargs.get("default")
+        else:
+            positionals.append(name)
+    rest = iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            words.append(word)
+            continue
+        dest, kwargs = options.pop(word, (None, None))
+        value = next(rest, "-")  # a missing value defers like a dash-leading one
+        if dest is None or value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if len(words) != len(positionals) or any(
+            kwargs.get("required") for _, kwargs in options.values()):
+        return None
+    values.update(zip(positionals, words))
+    return SimpleNamespace(**values)
+
+
 def run(argv):
-    """Execute a command line; returns (exit_code, output_text)."""
+    """Execute a command line; returns (exit_code, output_text).
+
+    A canonical command line (see _parse_plain) is parsed straight from
+    _COMMANDS; any other goes to build_parser, so help text and usage
+    errors are argparse's.
+    """
     out = []
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         args.fn(args, out)
     except tuple(_EXIT_CODES) as exc:
         code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))

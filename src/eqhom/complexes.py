@@ -37,7 +37,7 @@ coboundary rho(h(s0, s1)) rho(h(s1, s2)) with rho(h(s0, s2)).
 """
 
 from collections import deque
-from itertools import chain, combinations, count, permutations
+from itertools import chain, combinations, count, permutations, repeat
 
 from .errors import BudgetError, CertificateError, InputError, ModelMismatch, PreconditionError
 from .groups import (FiniteGroup, GroupPresentation, _default_names, todd_coxeter,
@@ -50,27 +50,35 @@ class SimplicialComplex:
     immutable and keeps its face relations, boundary_terms(k), once built."""
 
     def __init__(self, simplices):
-        faces = set()
+        """The face levels are built top-down in one pass: level k - 1 is
+        the faces of level k plus the given (k - 1)-simplices, and the
+        facets are the given simplices that no face of the level above
+        covers.  Each level is sorted lexicographically."""
+        given = {}
         for s in simplices:
             s = tuple(sorted(map(int, s)))
             if len(set(s)) != len(s):
                 raise InputError(f"repeated vertex in {s}")
             if s and s[0] < 0:
                 raise InputError("negative vertex id")
-            for k in range(1, len(s) + 1):
-                faces.update(combinations(s, k))
-        if not faces:
+            if s:
+                given.setdefault(len(s) - 1, set()).add(s)
+        if not given:
             raise InputError("empty complex")
-        self.dim = max(len(f) for f in faces) - 1
-        self._simplices = [sorted(f for f in faces if len(f) == k + 1)
-                           for k in range(self.dim + 1)]
+        self.dim = max(given)
+        self._simplices = [None] * (self.dim + 1)
+        facets = [None] * (self.dim + 1)
+        covered = set()  # the faces of the level above
+        for k in range(self.dim, -1, -1):
+            mine = given.get(k, set())
+            facets[k] = sorted(mine - covered)
+            level = self._simplices[k] = sorted(covered | mine)
+            covered = set(chain.from_iterable(map(combinations, level, repeat(k))))
         self._index = [{s: i for i, s in enumerate(level)}
                        for level in self._simplices]
         self.vertex_ids = [s[0] for s in self._simplices[0]]
         self.vertices = len(self.vertex_ids)
-        # Faces are downward closed: a facet is no codimension-one face.
-        covered = set(chain.from_iterable(combinations(f, len(f) - 1) for f in faces))
-        self.facets = sorted(faces - covered, key=lambda s: (len(s), s))
+        self.facets = list(chain.from_iterable(facets))
         self._terms = [None] * (self.dim + 1)
         self._coreduction = None
 

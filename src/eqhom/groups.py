@@ -18,7 +18,7 @@ single-character names (``aba'``) or dot-separated names (``x0.x1'``).
 from operator import add, neg
 
 from .errors import BudgetError, InputError, ModelMismatch, PreconditionError
-from .intlinalg import IntMatrix, matmul
+from .intlinalg import IntMatrix, matmul, matvec
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +87,26 @@ class GroupPresentation:
 
     def __init__(self, generators, relators):
         self.generators = gens = tuple(generators)
-        self.relators = rels = tuple(free_reduce(_as_word(w)) for w in relators)
+        # A relator spelled in the letters (g, 1) and (g, -1) of the
+        # generators is normalized by lookups; only other relators go
+        # through _as_word and need their generators checked.
+        letters = {}
+        for g in gens:
+            letters[g, 1], letters[g, -1] = (g, 1), (g, -1)
+        rels, unchecked = [], []
+        for w in relators:
+            try:
+                rels.append(free_reduce(tuple(map(letters.__getitem__, w))))
+            except (KeyError, TypeError):
+                rels.append(free_reduce(_as_word(w)))
+                unchecked.append(rels[-1])
+        self.relators = tuple(rels)
         known = set()
         for g in gens:
             if g in known:
                 raise InputError(f"repeated generator {g!r}")
             known.add(g)
-        for rel in rels:
+        for rel in unchecked:
             for g, _ in rel:
                 if g not in known:
                     raise InputError(f"relator uses unknown generator {g!r}")
@@ -194,8 +207,17 @@ class FiniteGroup(GroupModel):
         self.identity = 0
         self._inverse = [row.index(0) for row in self.table]
         if presentation is not None:
+            # Walk each relator from the identity; a letter is the table
+            # column of its generator or inverse, looked up once.
+            table, column = self.table, {}
             for rel in presentation.relators:
-                if self.normal_form(rel) != 0:
+                x = 0
+                for letter in rel:
+                    col = column.get(letter)
+                    if col is None:
+                        col = column[letter] = self.gen_element(*letter)
+                    x = table[x][col]
+                if x:
                     raise PreconditionError("table does not satisfy a relator")
 
     def _check_table(self):
@@ -484,8 +506,17 @@ class ProductGroup(GroupModel):
 # Todd-Coxeter coset enumeration (HLT, trivial subgroup)
 
 class _CosetTable:
-    def __init__(self, ncols, budget):
-        self.ncols = ncols
+    """The coset table of an HLT enumeration under a coset budget.
+
+    Column 2i is generator i and 2i + 1 its inverse.  Row c holds only its
+    defined entries, as a dict from column to coset: most cosets of a big
+    enumeration die in a coincidence with few entries defined, so a row
+    costs what it holds.  unify walks a dead row's entries in ascending
+    column order, so definitions, coincidences and the coset count are
+    those of a table with one slot per column.
+    """
+
+    def __init__(self, budget):
         self.budget = budget
         self.tab = []
         self.parent = []
@@ -495,7 +526,7 @@ class _CosetTable:
         if len(self.tab) >= self.budget:
             raise BudgetError(f"coset budget {self.budget} exceeded")
         c = len(self.tab)
-        self.tab.append([None] * self.ncols)
+        self.tab.append({})
         self.parent.append(c)
         return c
 
@@ -515,54 +546,55 @@ class _CosetTable:
         return d
 
     def unify(self, a, b):
+        find, parent, tab = self.find, self.parent, self.tab
         stack = [(a, b)]
         while stack:
             a, b = stack.pop()
-            a, b = self.find(a), self.find(b)
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if a > b:
                 a, b = b, a
-            self.parent[b] = a
-            rowa, rowb = self.tab[a], self.tab[b]
-            for col in range(self.ncols):
-                nb = rowb[col]
-                if nb is not None:
-                    if rowa[col] is None:
-                        rowa[col] = nb
-                    else:
-                        stack.append((rowa[col], nb))
+            parent[b] = a
+            rowa = tab[a]
+            for col, nb in sorted(tab[b].items()):
+                na = rowa.get(col)
+                if na is None:
+                    rowa[col] = nb
+                else:
+                    stack.append((na, nb))
 
     def scan_and_fill(self, c, word):
+        find, tab = self.find, self.tab
         f, i = c, 0
         b, r = c, len(word) - 1
         while True:
-            f, b = self.find(f), self.find(b)
+            f, b = find(f), find(b)
             while i <= r:
-                nxt = self.tab[f][word[i]]
+                nxt = tab[f].get(word[i])
                 if nxt is None:
                     break
-                f = self.find(nxt)
+                f = find(nxt)
                 i += 1
             if i > r:
                 if f != b:
                     self.unify(f, b)
                 return
             while r >= i:
-                nxt = self.tab[b][word[r] ^ 1]
+                nxt = tab[b].get(word[r] ^ 1)
                 if nxt is None:
                     break
-                b = self.find(nxt)
+                b = find(nxt)
                 r -= 1
             if r < i:
                 self.unify(f, b)
                 return
             if r == i:
-                self.tab[f][word[i]] = b
-                back = self.tab[b][word[i] ^ 1]
+                tab[f][word[i]] = b
+                back = tab[b].get(word[i] ^ 1)
                 if back is None:
-                    self.tab[b][word[i] ^ 1] = f
-                elif self.find(back) != self.find(f):
+                    tab[b][word[i] ^ 1] = f
+                elif find(back) != find(f):
                     self.unify(back, f)
                 return
             self.define(f, word[i])
@@ -589,8 +621,8 @@ def todd_coxeter(pres, max_cosets):
     for i, g in enumerate(gens):
         colof[(g, 1)] = 2 * i
         colof[(g, -1)] = 2 * i + 1
-    rels = [tuple(colof[letter] for letter in rel) for rel in pres.relators if rel]
-    ct = _CosetTable(ncols, max_cosets)
+    rels = [tuple(map(colof.__getitem__, rel)) for rel in pres.relators if rel]
+    ct = _CosetTable(max_cosets)
     idx = 0
     while idx < len(ct.tab):
         if ct.find(idx) == idx:
@@ -599,8 +631,9 @@ def todd_coxeter(pres, max_cosets):
                 if ct.find(idx) != idx:
                     break
             if ct.find(idx) == idx:
+                row = ct.tab[idx]
                 for col in range(ncols):
-                    if ct.tab[idx][col] is None:
+                    if col not in row:
                         ct.define(idx, col)
         idx += 1
     live = [i for i in range(len(ct.tab)) if ct.find(i) == i]
@@ -653,7 +686,6 @@ class IntRepresentation:
         return m
 
     def act(self, element, vector):
-        from .intlinalg import matvec
         return matvec(self.matrix_of(element), vector)
 
 

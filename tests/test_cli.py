@@ -67,6 +67,14 @@ class TestGoldenOutputs:
         with open(golden) as fh:
             assert text == fh.read()
 
+    def test_cover_q8_space(self):
+        # The largest shipped coset enumeration: 3389 cosets for |Q8| = 8.
+        code, text = invoke("cover", fixture_path("q8space.cplx"))
+        assert code == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "q8space_cover.out")
+        with open(golden) as fh:
+            assert text == fh.read()
+
     def test_group_homology_both(self):
         code, text = invoke("group-homology", fixture_path("z2.pres"),
                             "--n", "3", "--method", "both")
@@ -401,6 +409,196 @@ def test_readme_command_line_runs(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     code, text = run(argv)
     assert code == 0, text
+
+
+# Every command line run by the tests, the golden files, the CI script and
+# the benchmark jobs; work/ holds the benchmark's generated inputs.
+# readme_command_lines() adds the README's.
+COMMAND_LINES = [shlex.split(line) for line in (
+    # tests
+    "ball q3 --radius 2",
+    "homology fixtures/t2.cplx",
+    "homology fixtures/circle.cplx",
+    "homology fixtures/s2.cplx",
+    "homology fixtures/s3.cplx",
+    "homology fixtures/rp2.cplx",
+    "homology fixtures/rp3.cplx",
+    "homology fixtures/t3.cplx",
+    "homology fixtures/q8space.cplx",
+    "pd-check fixtures/q8space.cplx --coeff fixtures/i.rep",
+    "ponzi 'z1*f2' --radius 2",
+    "pi1 fixtures/rp2.cplx",
+    "cover fixtures/rp2.cplx",
+    "pd-check fixtures/t2.cplx",
+    "essential fixtures/s3.cplx",
+    "min-bound z1 --radius 8",
+    "gromov-report --rank 5 --radius 3",
+    "min-bound z2 --radius 5",
+    "ball f2 --radius 1 --max-cosets 5",
+    "ball f2",
+    "ponzi f2 --radius x",
+    "pi1 --method bar",
+    "nope",
+    "",
+    "homology nope.cplx",
+    "homology fixtures/t2.cplx --bogus",
+    "pd-check fixtures/rp2.cplx",
+    "essential fixtures/t2.cplx --max-cosets 500",
+    "group-homology fixtures/s3.pres --n 7",
+    "ball z2 --radius 0",
+    "gromov-report --rank 5 --radius 1",
+    "homology fixtures/rp3.cplx --coeff bad.rep",
+    "pert lens3.cplx --power 1",
+    "ponzi z2 --radius 3 --bound 0",
+    "shift-chain fixtures/s3.pres --n 0",
+    "gromov-report --rank 0 --radius 4",
+    "essential fixtures/rp3.cplx --max-cosets 1",
+    "group-homology fixtures/z2.pres --n 0 --method both",
+    "group-homology fixtures/z2.pres --n -1 --method both",
+    "group-homology fixtures/z2.pres --n 0 --method shift",
+    "group-homology fixtures/z2.pres --n -1 --method shift",
+    "ball z2 --radius -3",
+    "ponzi z2 --radius 0",
+    "min-bound z2 --radius -3",
+    "folner z2 --radius 0",
+    "folner z2 --radius -3",
+    "group-homology repeated-gen.pres --n 1",
+    "group-homology two-gens-lines.pres --n 1",
+    "ball z27 --radius 1",
+    "ball 'z20*f10' --radius 1",
+    "group-homology fixtures/s3.pres --n 7 --method bar",
+    "group-homology fixtures/s3.pres --n 7 --method shift",
+    "pd-check two-triangles.cplx",
+    "essential two-triangles.cplx",
+    "group-homology fixtures/z2.pres --n 0",
+    "ball f2 --radius 20",
+    "ball 'z1*f2' --radius 4",
+    "group-homology fixtures/z2.pres --n 1",
+    "gromov-report --rank 5 --radius 4 --format kv --factor z2",
+    "essential lens3.cplx",
+    "bs-class --power 3 lens3.cplx",
+    "pd-check susp_t2.cplx",
+    # golden files
+    "gromov-report --rank 5 --radius 4 --format kv",
+    "gromov-report --rank 5 --radius 4 --factor z2 --format kv",
+    "cover fixtures/q8space.cplx",
+    # CI
+    "--help",
+    "ponzi --help",
+    "ball f2 --radius 0",
+    # benchmark jobs
+    "cover work/lens3.cplx",
+    "cohomology fixtures/rp3.cplx",
+    "pd-check fixtures/rp3.cplx --coeff fixtures/regular.rep",
+    "pd-check fixtures/rp3.cplx --coeff fixtures/i2.rep",
+    "essential fixtures/rp3.cplx",
+    "bs-class fixtures/rp3.cplx --power 3",
+    "pert fixtures/rp3.cplx --power 3",
+    "group-homology work/q8.pres --n 3 --method both",
+    "group-homology fixtures/z2z2.pres --n 4",
+    "shift-chain fixtures/s3.pres --n 3",
+    "ponzi f2 --radius 8 --bound 1",
+    "min-bound z2 --radius 25",
+)]
+
+
+def command_line_variants(argv):
+    """argv and the variants the plain parse must parse as argparse does,
+    or leave to it: an abbreviated option, --opt=value, a repeated option,
+    an option before the positional, a negative value, "--", help, an
+    unknown option, a missing option, a bad int and a bad choice."""
+    out = [argv, argv + ["--"], argv[:1] + ["--"] + argv[1:], argv + ["-h"],
+           argv[:1] + ["--help"], argv + ["--bogus", "1"],
+           argv + ["--method", "nope"], argv + ["--format", "nope"]]
+    if len(argv) > 1 and not argv[1].startswith("-"):
+        out.append(argv[:1] + argv[2:] + argv[1:2])
+    for i, word in enumerate(argv[:-1]):
+        if word.startswith("--"):
+            value = argv[i + 1]
+            out += [argv[:i] + [word[:-1]] + argv[i + 1:],
+                    argv[:i] + [f"{word}={value}"] + argv[i + 2:],
+                    argv + [word, value],
+                    argv[:i] + argv[i + 2:],
+                    argv[:i + 1] + ["-1"] + argv[i + 2:],
+                    argv[:i + 1] + ["x"] + argv[i + 2:]]
+    return out
+
+
+class TestPlainParse:
+    """run parses canonical command lines without argparse and leaves
+    every other line to build_parser."""
+
+    ARGVS = COMMAND_LINES + [a for a in readme_command_lines() if a not in COMMAND_LINES]
+
+    @staticmethod
+    def argparse_namespace(argv):
+        try:
+            return vars(cli.build_parser(argv[0] if argv else None).parse_args(argv))
+        except (InputError, SystemExit):
+            return None
+
+    def test_canonical_lines_are_parsed_plainly(self, capsys):
+        checked = 0
+        for argv in self.ARGVS:
+            full = self.argparse_namespace(argv)
+            # Lines with a negative value, such as --n -1, are left to argparse.
+            if full is not None and all(w[:2] == "--" and w[2:3].isalpha()
+                                        for w in argv if w.startswith("-")):
+                assert vars(cli._parse_plain(argv)) == full, argv
+                checked += 1
+        assert checked > 60
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_variants_parse_as_argparse_or_defer(self, argv, monkeypatch, capsys):
+        def echo(args, out):
+            out.append(repr(sorted((k, v) for k, v in vars(args).items() if k != "fn")))
+
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: (echo, *entry[1:]) for name, entry in cli._COMMANDS.items()})
+        for variant in command_line_variants(argv):
+            plain = cli._parse_plain(variant)
+            assert plain is None or vars(plain) == self.argparse_namespace(variant), variant
+            with monkeypatch.context() as m:
+                try:
+                    fast = ("returned", invoke(*variant))
+                except SystemExit as exc:
+                    fast = ("exit", exc.code, capsys.readouterr().out)
+                m.setattr(cli, "_parse_plain", lambda argv: None)
+                try:
+                    slow = ("returned", invoke(*variant))
+                except SystemExit as exc:
+                    slow = ("exit", exc.code, capsys.readouterr().out)
+            assert fast == slow, variant
+
+    def test_output_matches_the_argparse_path(self, tmp_path, monkeypatch, capsys):
+        os.symlink(os.path.join(ROOT, "fixtures"), tmp_path / "fixtures")
+        (tmp_path / "work").mkdir()
+        (tmp_path / "work" / "lens3.cplx").write_text("".join(
+            "f " + " ".join(map(str, f)) + "\n" for f in lens_space(3).facets))
+        (tmp_path / "work" / "q8.pres").write_text("gens: a b\nrels: aaaa aabb abab'\n")
+        monkeypatch.chdir(tmp_path)
+        for argv in self.ARGVS:
+            if cli._parse_plain(argv) is None:
+                continue
+            fast = invoke(*argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse_plain", lambda argv: None)
+                assert invoke(*argv) == fast, argv
+
+
+def test_canonical_line_leaves_argparse_unloaded():
+    """import eqhom.cli and a canonical command line import no argparse;
+    a usage error builds the parser."""
+    script = textwrap.dedent("""
+        import sys
+        from eqhom.cli import run
+        print(run(["ball", "z2", "--radius", "2"])[0], "argparse" in sys.modules)
+        print(run(["ball", "z2"])[0], "argparse" in sys.modules)
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqhom.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0 False\n1 True\n"
 
 
 def test_import_loads_every_layer_and_nothing_slow():

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqhom import groups, intlinalg
+from eqhom.complexes import fundamental_group, lens_space, simplicial_product
 from eqhom.errors import BudgetError, InputError, PreconditionError
 from eqhom.groups import (FiniteGroup, FreeAbelianGroup, FreeGroup,
                           GroupPresentation, ModelMismatch, ProductGroup,
@@ -36,7 +38,7 @@ def word_walk_table(pres, max_cosets):
         colof[(g, 1)] = 2 * i
         colof[(g, -1)] = 2 * i + 1
     rels = [tuple(colof[letter] for letter in rel) for rel in pres.relators if rel]
-    ct = groups._CosetTable(ncols, max_cosets)
+    ct = groups._CosetTable(max_cosets)
     idx = 0
     while idx < len(ct.tab):
         if ct.find(idx) == idx:
@@ -46,7 +48,7 @@ def word_walk_table(pres, max_cosets):
                     break
             if ct.find(idx) == idx:
                 for col in range(ncols):
-                    if ct.tab[idx][col] is None:
+                    if col not in ct.tab[idx]:
                         ct.define(idx, col)
         idx += 1
     live = [i for i in range(len(ct.tab)) if ct.find(i) == i]
@@ -97,8 +99,12 @@ class TestWords:
         assert len(pres.relators) == 3
 
     def test_unknown_generator(self):
-        with pytest.raises(InputError, match="^relator uses unknown generator 'b'$"):
-            GroupPresentation(("a",), ("ab",))
+        for rel in ("ab", (("a", 1), ("b", 1)), (("a", 1), ("b", 2))):
+            with pytest.raises(InputError, match="^relator uses unknown generator 'b'$"):
+                GroupPresentation(("a",), (rel,))
+        # Only the reduced relators are checked, however they are spelled.
+        for rel in ("abb'", (("a", 1), ("b", 1), ("b", -1))):
+            assert GroupPresentation(("a",), (rel,)).relators == ((("a", 1),),)
 
     def test_presentations_equal_by_value(self):
         a = GroupPresentation(("a", "b"), ("aa", "bb'b"))
@@ -161,6 +167,34 @@ class TestToddCoxeter:
             assert m.gens == gens
         assert todd_coxeter(A5_PRES, 1000).order == 60
         assert todd_coxeter(redundant, 200).order == 6
+
+    # sha256 of repr((table, gens)) for the edge-path group of each space,
+    # recorded before coset rows held only their defined entries.  Printed
+    # Smith coordinates depend on this element numbering.
+    NUMBERING = {
+        "rp3": "b739236f659130c7b109e2f3277f350fbaf2150a341c091319adbb8dcc71d490",
+        "lens3": "100a137ee4c448c2ccd87215d95e6d068a74b8d8dd2ef1664825868d4148340b",
+        "lens4": "235a9d572001fd96aa00b7b0b99367035564f8a1e3206d487f9d9281814bbc72",
+        "lens5": "27f951e0fed6025a6d28c80a65ff8a115e48aae349907ca0823b8ba4aab841ab",
+        "lens7": "41a79e67bdcd86074017f8dc360be18024ae8c97d7748a238e5743590793b44d",
+        "q8space": "bf41ce3efa85960ad507b154128a3ab4644ec590a6eb157102cc8798ec408595",
+        "s2xrp3": "b3090f07bc092aaada5ed0f6bf5dea3be92e223cd6f5d759d1c5d89ff1db4956",
+    }
+
+    def test_element_numbering_is_pinned(self, rp3, q8space, s2cx):
+        spaces = {"rp3": rp3, "q8space": q8space, "s2xrp3": simplicial_product(s2cx, rp3)}
+        spaces.update((f"lens{p}", lens_space(p)) for p in (3, 4, 5, 7))
+        for name, cx in spaces.items():
+            m = todd_coxeter(fundamental_group(cx), 20000)
+            digest = hashlib.sha256(repr((m.table, m.gens)).encode()).hexdigest()
+            assert digest == self.NUMBERING[name], name
+
+    def test_budget_edge(self, rp3):
+        # Enumerating pi_1(RP^3) defines 111 cosets in all.
+        pres = fundamental_group(rp3)
+        with pytest.raises(BudgetError, match="^coset budget 110 exceeded$"):
+            todd_coxeter(pres, 110)
+        assert todd_coxeter(pres, 111).order == 2
 
     def test_generators_must_generate(self):
         z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
