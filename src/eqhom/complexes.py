@@ -18,11 +18,11 @@ v), and the lift of a simplex at sheet g places its smallest vertex v0 on
 cover run on the base with Z[pi] coefficients (Shapiro's lemma); the plain
 cover as a simplicial complex is only a reference for checking them.
 
-LocalSystem.holonomy_matrix(u, v) = rho(h(u, v)) is the one rule that
-carries a coefficient along an edge.  The chain boundary reads face 0 of
-a simplex s through holonomy_matrix(s1, s0) = rho(h(s0, s1))^-1 and the
-coboundary through holonomy_matrix(s0, s1); every other face carries the
-identity.
+LocalSystem alone knows about twisting.  holonomy(u, v) is the element
+of Z[pi] that carries a coefficient along the edge u -> v, 0 the identity;
+faces(k, c) gives face 0 of a simplex s the element h(s1, s0), or
+h(s0, s1) in the coboundary, and every other face 0; matrix() applies rho
+once to a matrix over Z[pi], for the differentials, cap and Morse alike.
 
 Groups come from critical cells: coreduction() matches the base cells
 acyclically once per complex (Mrozek-Batko), and local_homology and
@@ -380,12 +380,33 @@ class LocalSystem:
     def is_trivial(self):
         return self.rep is None
 
-    def holonomy_matrix(self, u, v):
-        """rho(h(u, v)), which carries a coefficient along the edge u -> v;
-        None (the identity) for a trivial system and for u == v."""
-        if self.rep is None or u == v:
-            return None
-        return self.rep.matrix_of(self.cover.holonomy(u, v))
+    def holonomy(self, u, v):
+        """h(u, v) in Z[pi], which carries a coefficient along the edge u -> v;
+        0, the identity, for a trivial system and for u == v."""
+        return self.cover.holonomy(u, v) if self.rep is not None and u != v else 0
+
+    def mul(self, x, y):
+        return self.cover.model.mul(x, y) if x and y else x or y
+
+    def inv(self, x):
+        return self.cover.model.inv(x) if x else 0
+
+    def faces(self, k, c, dual=False):
+        """(face, sign, g) for each face i of the k-cell c, k >= 1: sign (-1)^i,
+        and g = h(s1, s0) on face 0, or h(s0, s1) when dual, else 0."""
+        s = self.complex.simplices(k)[c]
+        g = self.holonomy(s[0], s[1]) if dual else self.holonomy(s[1], s[0])
+        return [(face, -1 if i % 2 else 1, 0 if i else g)
+                for i, face in enumerate(self.complex.boundary_terms(k)[c])]
+
+    def matrix(self, rows, cols, entries, dual=False):
+        """The rho-image of a rows x cols matrix over Z[pi] given by (i, j, a, g)
+        entries, a block rho(g) each; its block transpose when dual."""
+        r, rep = self.rank, self.rep
+        shape = (cols * r, rows * r) if dual else (rows * r, cols * r)
+        return IntMatrix.from_blocks(*shape, (r, r), (
+            (j, i, a, rep.matrix_of(g) if g else None) if dual else
+            (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in entries))
 
     def tensor(self, other):
         if self.complex is not other.complex:
@@ -401,35 +422,21 @@ class LocalSystem:
         return LocalSystem.from_rep(cover, tensor_rep(left, right))
 
 
-def _boundary_blocks(system, k, dual):
-    """(face, simplex, sign, block) for every entry of d_k with coefficients.
-
-    Face 0 of a simplex s carries holonomy_matrix(s1, s0), or
-    holonomy_matrix(s0, s1) with face and simplex swapped when dual; the
-    other faces carry None (the identity).
-    """
-    cx, transport = system.complex, system.holonomy_matrix
-    for j, (s, faces) in enumerate(zip(cx.simplices(k), cx.boundary_terms(k))):
-        front = transport(s[0], s[1]) if dual else transport(s[1], s[0])
-        for i, face in enumerate(faces):
-            sign, block = -1 if i % 2 else 1, None if i else front
-            yield (j, face, sign, block) if dual else (face, j, sign, block)
+def _differential(system, k, dual):
+    """d_k over Z[pi] from faces, as its rho-image; delta^(k-1) when dual."""
+    rows, cols = len(system.complex.simplices(k - 1)), len(system.complex.simplices(k))
+    return system.matrix(rows, cols, ((face, j, sign, g) for j in range(cols if k > 0 else 0)
+                                      for face, sign, g in system.faces(k, j, dual)), dual)
 
 
 def chain_boundary_matrix(system, k):
     """d_k on C_*(X; L) = C_*(cover) (x)_pi L; blocks are rho(h)^-1."""
-    cx, r = system.complex, system.rank
-    blocks = _boundary_blocks(system, k, dual=False) if 1 <= k <= cx.dim else ()
-    return IntMatrix.from_blocks(len(cx.simplices(k - 1)) * r,
-                                 len(cx.simplices(k)) * r, (r, r), blocks)
+    return _differential(system, k, False)
 
 
 def cochain_differential_matrix(system, k):
     """delta^k : C^k(X; L) -> C^{k+1}(X; L); blocks are rho(h)."""
-    cx, r = system.complex, system.rank
-    blocks = _boundary_blocks(system, k + 1, dual=True) if 0 <= k < cx.dim else ()
-    return IntMatrix.from_blocks(len(cx.simplices(k + 1)) * r,
-                                 len(cx.simplices(k)) * r, (r, r), blocks)
+    return _differential(system, k + 1, True)
 
 
 def check_chain_condition(system):
@@ -459,11 +466,11 @@ class MorseProjection:
 
     A matrix entry x = sum a_g g over Z[pi] stands for the block
     sum a_g rho(g); rho is multiplicative, so products are taken in Z[pi]
-    and rho is applied once, by matrix().  Column sigma of P_k is sigma on
-    a critical cell, 0 on an upper one, and on a lower sigma = face_p u
-    -sum_{q != p} P(face_q u) [u : face_q u] [u : sigma]^-1, which makes
-    P(d u) = 0; [u : face_q u] = (-1)^q m_q with m_0 = h(u1, u0) and
-    m_q = 1 otherwise.  Columns are {(critical position, g): a}, each built
+    and rho is applied once, by LocalSystem.matrix.  Column sigma of P_k is
+    sigma on a critical cell, 0 on an upper one, and on a lower
+    sigma = face_p u -sum_{q != p} P(face_q u) [u : face_q u] [u : sigma]^-1,
+    which makes P(d u) = 0; [u : face_q u] = a_q m_q is the (sign, g) of
+    LocalSystem.faces.  Columns are {(critical position, g): a}, each built
     once on first use from faces that left the coreduction earlier.  P d =
     d^M P follows from d.d = 0, which the constructor checks first.
     """
@@ -471,20 +478,9 @@ class MorseProjection:
     def __init__(self, system):
         check_chain_condition(system)
         self.system, self.complex = system, system.complex
-        self.model = system.cover.model if system.rep is not None else None
         self.critical, _, self._partners = self.complex.coreduction()
         self._columns = [{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
         self._differentials = {}
-
-    def holonomy(self, u, v):
-        """h(u, v) in Z[pi]; 0, the identity, for u == v or an untwisted system."""
-        return self.system.cover.holonomy(u, v) if self.model and u != v else 0
-
-    def mul(self, x, y):
-        return self.model.mul(x, y) if x and y else x or y
-
-    def inv(self, x):
-        return self.model.inv(x) if x else 0
 
     def column(self, k, s):
         """P_k e_s as {(critical position, g): a}; gradient paths are long, so
@@ -508,32 +504,23 @@ class MorseProjection:
     def _image(self, k, c, p=None):
         """sum_{q != p} P(face_q c) [c : face_q c] for a k-cell c, that times
         -[c : face_p c]^-1 when p is given; upper faces add 0."""
-        s, cols, partner = self.complex.simplices(k)[c], self._columns[k - 1], self._partners[k - 1]
-        m0, acc = self.holonomy(s[1], s[0]), {}
-        sign, right = (1, 0) if p is None else (-1 if p % 2 == 0 else 1, 0 if p else self.inv(m0))
-        for q, f in enumerate(self.complex.boundary_terms(k)[c]):
+        system, cols, partner = self.system, self._columns[k - 1], self._partners[k - 1]
+        faces, acc = system.faces(k, c), {}
+        sign, right = (1, 0) if p is None else (-faces[p][1], system.inv(faces[p][2]))
+        for q, (f, a_q, m_q) in enumerate(faces):
             if q != p and partner[f] != -2:
-                m, a_q = m0 if q == 0 else right, -sign if q % 2 else sign  # m_q m_p^-1
+                a_q, m = sign * a_q, system.mul(m_q, right)  # -a_p a_q, m_q m_p^-1
                 for (i, g), a in (cols[f] if f in cols else self.column(k - 1, f)).items():
-                    key = (i, self.mul(g, m)) if m else (i, g)
+                    key = (i, system.mul(g, m)) if m else (i, g)
                     acc[key] = acc.get(key, 0) + a_q * a
         return {key: a for key, a in acc.items() if a}
-
-    def matrix(self, rows, cols, entries, dual=False):
-        """The rho-image of a rows x cols matrix over Z[pi] given by (i, j, a, g)
-        entries; of its conjugate transpose (g -> g^-1) when dual."""
-        r, rep = self.system.rank, self.system.rep
-        shape = (cols * r, rows * r) if dual else (rows * r, cols * r)
-        return IntMatrix.from_blocks(*shape, (r, r), (
-            (j, i, a, rep.matrix_of(self.inv(g)) if g else None) if dual else
-            (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in entries))
 
     def differentials(self, dual=False):
         """d^M_0..d^M_{dim+1}; when dual their Hom duals, delta_M^-1..delta_M^dim."""
         if dual not in self._differentials:
-            crit = self.critical + [[]]
-            self._differentials[dual] = [self.matrix(len(crit[k - 1]), len(crit[k]), (
-                (i, j, a, g) for j, c in enumerate(crit[k] if k else ())
+            crit, inv = self.critical + [[]], self.system.inv
+            self._differentials[dual] = [self.system.matrix(len(crit[k - 1]), len(crit[k]), (
+                (i, j, a, inv(g) if dual else g) for j, c in enumerate(crit[k] if k else ())
                 for (i, g), a in self._image(k, c).items()), dual) for k in range(len(crit))]
         return self._differentials[dual]
 

@@ -6,13 +6,12 @@ A k-cochain with coefficients in L is one flat vector of rank(L) entries
 per k-simplex, in simplex order: the layout of the differentials, of cap
 and of PairHomology.  Products use the front-face/back-face formulas over
 the global vertex order.  With local coefficients the back factor is
-carried across the splitting vertex vk by LocalSystem.holonomy_matrix,
-which is exactly what the same formulas on the universal cover descend to:
-cup reads the back factor through holonomy_matrix(v0, vk), and cap carries
-the cochain's value through holonomy_matrix(vk, v0) = rho(h(v0, vk))^-1
-onto the back face; Psi_k below multiplies the same terms out through the
-Morse projection.  The normative sign facts, verified exactly by the test
-suite on random cochain/chain data:
+carried across the splitting vertex vk by LocalSystem.holonomy, which is
+exactly what the same formulas on the universal cover descend to: cup
+acts on the back factor by h(v0, vk), and cap carries the cochain's value
+by h(vk, v0) onto the back face (_cap_terms); Psi_k below multiplies the
+same terms out through the Morse projection.  The normative sign facts,
+verified exactly by the test suite on random cochain/chain data:
 
     delta(f cup g) = (delta f) cup g + (-1)^k f cup (delta g)
     boundary(f cap z) = (-1)^k ( f cap (boundary z) - (delta f) cap z )
@@ -162,29 +161,30 @@ def cup(phi, psi):
     cx = phi.system.complex
     k, l = phi.degree, psi.degree
     system = phi.system.tensor(psi.system)
-    transport = psi.system.holonomy_matrix
+    rep, holonomy = psi.system.rep, psi.system.holonomy
     out = []
     for s in cx.simplices(k + l):
-        back = psi.value(s[k:])
-        rho = transport(s[0], s[k])
-        if rho is not None:
-            back = matvec(rho, back)
+        back, h = psi.value(s[k:]), holonomy(s[0], s[k])
+        back = rep.act(h, back) if h else back
         out.extend([a * b for a in phi.value(s[:k + 1]) for b in back])
     return Cochain(system, k + l, out)
 
 
-def _cap_operator(system, k, m, chain):
-    """f |-> f cap z : C^k(X; L) -> C_{m-k}(X; L) for the integer m-chain z.
+def _cap_terms(system, k, m, chain):
+    """(back face, front face, c, h(sk, s0)) per m-simplex s with z(s) = c != 0
+    of the integer m-chain z: the cochain eats the front k-face, and its
+    value is carried back across the splitting vertex onto the back face."""
+    cx = system.complex
+    for s, c in zip(cx.simplices(m), chain):
+        if c:
+            yield cx.index(s[k:]), cx.index(s[:k + 1]), c, system.holonomy(s[k], s[0])
 
-    The cochain eats the front k-face; each simplex s with z(s) = c != 0
-    adds c holonomy_matrix(sk, s0) at (back face, front face), carrying
-    the value back across the splitting vertex.
-    """
-    cx, r = system.complex, system.rank
-    blocks = ((cx.index(s[k:]), cx.index(s[:k + 1]), c, system.holonomy_matrix(s[k], s[0]))
-              for s, c in zip(cx.simplices(m), chain) if c)
-    return IntMatrix.from_blocks(len(cx.simplices(m - k)) * r,
-                                 len(cx.simplices(k)) * r, (r, r), blocks)
+
+def _cap_operator(system, k, m, chain):
+    """f |-> f cap z : C^k(X; L) -> C_{m-k}(X; L) for the integer m-chain z."""
+    cx = system.complex
+    return system.matrix(len(cx.simplices(m - k)), len(cx.simplices(k)),
+                         _cap_terms(system, k, m, chain))
 
 
 def cap_chain(phi, chain, m):
@@ -267,19 +267,17 @@ def _morse_cap(manifold, morse, k):
     """Psi_k = P_{n-k} Phi_k P_k^* : M^k -> M_{n-k}, multiplied out in Z[pi]:
     a facet s with coefficient c in [M] adds eps_k c P_{n-k}[a, back(s)]
     h(s_k, s_0) conj(P_k[b, front(s)]) at (a, b)."""
-    cx, n = manifold.complex, manifold.dim
+    system, n = morse.system, manifold.dim
     eps, acc = (-1) ** (k * (k + 1) // 2), {}
-    for s, c in zip(cx.simplices(n), manifold.fundamental_cycle()):
-        if c:
-            h = morse.holonomy(s[k], s[0])
-            front = morse.column(k, cx.index(s[:k + 1])).items()
-            for (a, x), u in morse.column(n - k, cx.index(s[k:])).items():
-                xh = morse.mul(x, h)
-                for (b, y), v in front:
-                    key = (a, b, morse.mul(xh, morse.inv(y)))
-                    acc[key] = acc.get(key, 0) + eps * c * u * v
-    return morse.matrix(len(morse.critical[n - k]), len(morse.critical[k]),
-                        ((a, b, w, g) for (a, b, g), w in acc.items()))
+    for back, front, c, h in _cap_terms(system, k, n, manifold.fundamental_cycle()):
+        fronts = morse.column(k, front).items()
+        for (a, x), u in morse.column(n - k, back).items():
+            xh = system.mul(x, h)
+            for (b, y), v in fronts:
+                key = (a, b, system.mul(xh, system.inv(y)))
+                acc[key] = acc.get(key, 0) + eps * c * u * v
+    return system.matrix(len(morse.critical[n - k]), len(morse.critical[k]),
+                         ((a, b, w, g) for (a, b, g), w in acc.items()))
 
 
 def _mapping_cone(delta, bd, psi):

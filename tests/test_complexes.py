@@ -302,6 +302,16 @@ class TestUniversalCover:
             for _, sign, elt in faces:
                 assert sign in (1, -1) and elt in elements
 
+    @pytest.mark.parametrize("cover", ["rp2_cover", "rp3_cover", "lens3_cover", "q8_cover"])
+    def test_boundary_terms_are_the_dual_faces(self, cover, request):
+        # Nothing in the library reads EquivariantComplex.boundary_terms; it
+        # must state the same face rule as LocalSystem.faces on the coboundary.
+        cover = request.getfixturevalue(cover)
+        system = LocalSystem.from_rep(cover, regular_rep(cover.model))
+        for k in range(1, cover.base.dim + 1):
+            cells = range(len(cover.base.simplices(k)))
+            assert cover.boundary_terms(k) == [system.faces(k, c, dual=True) for c in cells]
+
     def test_presentation_mismatch(self, rp2):
         wrong = todd_coxeter(GroupPresentation(("a",), ("aa",)), 10)
         with pytest.raises(PreconditionError,
@@ -396,16 +406,17 @@ class TestLocalCoefficients:
         cx = lens3_cover.base
         trivial = LocalSystem(cx, 2)
         system = LocalSystem.from_rep(lens3_cover, augmentation_ideal_rep(lens3_cover.model))
+        rho = system.rep.matrix_of
         eye = IntMatrix.identity(system.rank)
         reversed_differs = 0
         for u, v in cx.simplices(1):
-            assert trivial.holonomy_matrix(u, v) is None
-            assert trivial.holonomy_matrix(v, u) is None
-            assert system.holonomy_matrix(u, u) is None
-            forward, back = system.holonomy_matrix(u, v), system.holonomy_matrix(v, u)
-            assert forward == system.rep.matrix_of(lens3_cover.holonomy(u, v))
-            assert matmul(forward, back) == eye and matmul(back, forward) == eye
-            reversed_differs += forward != back
+            assert trivial.holonomy(u, v) == 0 and trivial.holonomy(v, u) == 0
+            assert system.holonomy(u, u) == 0
+            forward, back = system.holonomy(u, v), system.holonomy(v, u)
+            assert forward == lens3_cover.holonomy(u, v)
+            assert matmul(rho(forward), rho(back)) == eye
+            assert matmul(rho(back), rho(forward)) == eye
+            reversed_differs += rho(forward) != rho(back)
         # Z/3 acting on I: a nontrivial holonomy is not its own inverse.
         assert reversed_differs
 

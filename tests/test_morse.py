@@ -89,7 +89,7 @@ class TestOracle:
 def projection_matrix(morse, k):
     """The rho-image of P_k : C_k -> M_k, one column per k-cell."""
     cells = range(len(morse.complex.simplices(k)))
-    return morse.matrix(len(morse.critical[k]), len(cells), (
+    return morse.system.matrix(len(morse.critical[k]), len(cells), (
         (i, s, a, g) for s in cells for (i, g), a in morse.column(k, s).items()))
 
 
