@@ -8,6 +8,7 @@ output; a failed verdict names the failing values in it.
 """
 
 import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -446,4 +447,7 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Skip interpreter teardown: os._exit does not flush, so stdout goes first.
+    exit_code = main()
+    sys.stdout.flush()
+    os._exit(exit_code)

@@ -27,9 +27,10 @@ once to a matrix over Z[pi], for the differentials, cap and Morse alike.
 Groups come from critical cells: coreduction() matches the base cells
 acyclically once per complex (Mrozek-Batko), and local_homology and
 local_cohomology factor the Morse complex over Z[pi] (Skoldberg) and its
-Hom dual.  One MorseProjection serves both the groups and pd_check's cone;
-only what prints Smith coordinates (duality) reads the full differentials.
-check_chain_condition proves their d.d = 0 without them:
+Hom dual.  One MorseProjection serves the groups, pd_check's cone and the
+classes of duality, which its inclusion iota (row) pulls back; only a
+nonzero class whose Smith coordinates are not forced reads the full
+differentials.  check_chain_condition proves their d.d = 0 without them:
 the simplicial identities cancel the terms of d.d in pairs with equal
 coefficients, except where vertices 0 and 1 go.  There the front triangle
 meets rho(h(s2, s1)) rho(h(s1, s0)) with rho(h(s2, s0)), and in the
@@ -369,6 +370,7 @@ class LocalSystem:
         self.rank = rank
         self.cover = cover
         self.rep = rep
+        self._coboundaries, self._tensors = {}, {}
 
     @classmethod
     def from_rep(cls, cover, rep):
@@ -408,18 +410,31 @@ class LocalSystem:
             (j, i, a, rep.matrix_of(g) if g else None) if dual else
             (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in entries))
 
+    def coboundary(self, k):
+        """delta^k, built on first use and kept, as boundary_terms is."""
+        if k not in self._coboundaries:
+            self._coboundaries[k] = cochain_differential_matrix(self, k)
+        return self._coboundaries[k]
+
     def tensor(self, other):
+        """L (x) L', kept per factor so that cup products share coboundaries."""
         if self.complex is not other.complex:
             raise ModelMismatch("local systems over different complexes")
         if self.cover is not None and other.cover not in (None, self.cover):
             raise ModelMismatch("local systems twisted through different covers")
+        key = other.rank, other.cover, other.rep
+        if key in self._tensors:
+            return self._tensors[key]
         if self.is_trivial and other.is_trivial:
-            return LocalSystem(self.complex, self.rank * other.rank)
-        from .groups import tensor_rep
-        cover = self.cover or other.cover
-        left = self.rep or trivial_rep(cover.model, self.rank)
-        right = other.rep or trivial_rep(cover.model, other.rank)
-        return LocalSystem.from_rep(cover, tensor_rep(left, right))
+            out = LocalSystem(self.complex, self.rank * other.rank)
+        else:
+            from .groups import tensor_rep
+            cover = self.cover or other.cover
+            left = self.rep or trivial_rep(cover.model, self.rank)
+            right = other.rep or trivial_rep(cover.model, other.rank)
+            out = LocalSystem.from_rep(cover, tensor_rep(left, right))
+        self._tensors[key] = out
+        return out
 
 
 def _differential(system, k, dual):
@@ -479,8 +494,9 @@ class MorseProjection:
         check_chain_condition(system)
         self.system, self.complex = system, system.complex
         self.critical, _, self._partners = self.complex.coreduction()
-        self._columns = [{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
-        self._differentials = {}
+        self._columns, self._rows = ([{c: {(i, 0): 1} for i, c in enumerate(level)}
+                                      for level in self.critical] for _ in range(2))
+        self._cofaces, self._differentials = {}, {}
 
     def column(self, k, s):
         """P_k e_s as {(critical position, g): a}; gradient paths are long, so
@@ -501,6 +517,58 @@ class MorseProjection:
             todo.pop()
         return cols[s]
 
+    def row(self, k, s):
+        """Row s of the Morse inclusion iota_k : M_k -> C_k as {(critical
+        position, g): a}: e_i on a critical cell, empty on a lower one, and on
+        an upper u matched with its face f, -[u : f]^-1 sum_{x != u} [x : f]
+        iota_x over the other cofaces x of f, which leave the coreduction after
+        u.  Built once on first use and stacked, as in column."""
+        rows, partner, todo = self._rows[k], self._partners[k], [s]
+        if s in rows or partner[s] != -2:
+            return rows.get(s, {})
+        system, lower, terms = self.system, self._partners[k - 1], self.complex.boundary_terms(k)
+        if k not in self._cofaces:
+            self._cofaces[k] = [[] for _ in self.complex.simplices(k - 1)]
+            for x, faces in enumerate(terms):
+                for f in faces:
+                    self._cofaces[k][f].append(x)
+        while todo:
+            u = todo[-1]
+            if u not in rows:
+                f = next(f for f in terms[u] if lower[f] == u)
+                cofaces = self._cofaces[k][f]
+                wait = [x for x in cofaces if x not in rows and partner[x] == -2 and x != u]
+                if wait:
+                    todo.extend(wait)
+                    continue
+                _, a_p, m_p = system.faces(k, u)[terms[u].index(f)]
+                acc, left = {}, system.inv(m_p)
+                for x in cofaces:
+                    if x != u and x in rows:  # lower cofaces add 0
+                        _, a_q, m_q = system.faces(k, x)[terms[x].index(f)]
+                        m = system.mul(left, m_q)  # m_p^-1 m_q, times -a_p a_q
+                        for (j, g), a in rows[x].items():
+                            key = (j, system.mul(m, g))
+                            acc[key] = acc.get(key, 0) - a_p * a_q * a
+                rows[u] = {key: a for key, a in acc.items() if a}
+            todo.pop()
+        return rows[s]
+
+    def transfer(self, k, vector, dual=False):
+        """P_k of a flat k-chain with L coefficients, or iota_k^* of a flat
+        k-cochain when dual: the Hom dual of iota, whose entry x is rho(x-bar).
+        Only the columns or rows of cells where the vector is nonzero are read."""
+        system, r = self.system, self.system.rank
+        out = [0] * (len(self.critical[k]) * r)
+        for s in range(len(self.complex.simplices(k))):
+            value = vector[s * r:(s + 1) * r]
+            if any(value):
+                for (j, g), a in (self.row(k, s) if dual else self.column(k, s)).items():
+                    g = system.inv(g) if dual else g
+                    for i, x in enumerate(system.rep.act(g, value) if g else value, j * r):
+                        out[i] += a * x
+        return out
+
     def _image(self, k, c, p=None):
         """sum_{q != p} P(face_q c) [c : face_q c] for a k-cell c, that times
         -[c : face_p c]^-1 when p is given; upper faces add 0."""
@@ -515,14 +583,19 @@ class MorseProjection:
                     acc[key] = acc.get(key, 0) + a_q * a
         return {key: a for key, a in acc.items() if a}
 
+    def differential(self, k, dual=False):
+        """d^M_k for 0 <= k <= dim + 1, or when dual its Hom dual delta_M^(k-1);
+        built once, so a class reads only the two degrees it needs."""
+        if (k, dual) not in self._differentials:
+            crit, inv = self.critical + [[]], self.system.inv
+            self._differentials[k, dual] = self.system.matrix(len(crit[k - 1]), len(crit[k]), (
+                (i, j, a, inv(g) if dual else g) for j, c in enumerate(crit[k] if k else ())
+                for (i, g), a in self._image(k, c).items()), dual)
+        return self._differentials[k, dual]
+
     def differentials(self, dual=False):
         """d^M_0..d^M_{dim+1}; when dual their Hom duals, delta_M^-1..delta_M^dim."""
-        if dual not in self._differentials:
-            crit, inv = self.critical + [[]], self.system.inv
-            self._differentials[dual] = [self.system.matrix(len(crit[k - 1]), len(crit[k]), (
-                (i, j, a, inv(g) if dual else g) for j, c in enumerate(crit[k] if k else ())
-                for (i, g), a in self._image(k, c).items()), dual) for k in range(len(crit))]
-        return self._differentials[dual]
+        return [self.differential(k, dual) for k in range(len(self.critical) + 1)]
 
     def homology(self, dual=False):
         """H_* (H^* when dual) of the Morse complex; free ranks checked by Euler."""

@@ -75,6 +75,16 @@ class TestGoldenOutputs:
         with open(golden) as fh:
             assert text == fh.read()
 
+    def test_pert_q8_space(self):
+        # pert prints the zero class from the Morse group; the golden file
+        # was written by the full Smith route, and CI diffs the console
+        # script against it
+        code, text = invoke("pert", fixture_path("q8space.cplx"))
+        assert code == 0
+        golden = os.path.join(os.path.dirname(__file__), "golden", "q8space_pert.out")
+        with open(golden) as fh:
+            assert text == fh.read()
+
     def test_group_homology_both(self):
         code, text = invoke("group-homology", fixture_path("z2.pres"),
                             "--n", "3", "--method", "both")
@@ -482,6 +492,7 @@ COMMAND_LINES = [shlex.split(line) for line in (
     "gromov-report --rank 5 --radius 4 --format kv",
     "gromov-report --rank 5 --radius 4 --factor z2 --format kv",
     "cover fixtures/q8space.cplx",
+    "pert fixtures/q8space.cplx",
     # CI
     "--help",
     "ponzi --help",
@@ -635,6 +646,27 @@ def test_main_freezes_once_after_the_output(monkeypatch, capsys):
     assert cli.main() == 0
     assert written == ["H0 = Z^1\nH1 = Z^2\nH2 = Z^1\n"]
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("homology", "t3.cplx"), 0),
+    (("gromov-report", "--rank", "5", "--radius", "4"), 0),
+    (("homology", "nope.cplx"), 1),
+    (("pd-check", "rp2.cplx"), 2),
+    (("group-homology", "s3.pres", "--n", "7"), 3),
+], ids=["homology", "gromov-report", "exit-1", "exit-2", "exit-3"])
+def test_module_entry_point_skips_teardown_but_not_output(argv, code):
+    """python -m eqhom.cli leaves by os._exit once stdout is flushed: the
+    whole output of run, or its one error line, still comes through a
+    block-buffered pipe, with run's exit code."""
+    argv = [fixture_path(a) if a.endswith((".cplx", ".pres")) and a != "nope.cplx" else a
+            for a in argv]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eqhom.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-m", "eqhom.cli", *argv],
+                          env=dict(env, PYTHONPATH=src), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (*run(argv), "")
+    assert done.returncode == code and (code == 0) != done.stdout.startswith("error: ")
 
 
 def test_shift_degree_checked_before_bar_route(monkeypatch):

@@ -591,8 +591,7 @@ class TestReadersReplayTapes:
     @staticmethod
     def full_matrices_made(monkeypatch):
         made = []
-        for module, name in ((duality, "cochain_differential_matrix"),
-                             (duality, "chain_boundary_matrix"), (duality, "_cap_operator"),
+        for module, name in ((duality, "chain_boundary_matrix"), (duality, "_cap_operator"),
                              (eqhom.complexes, "chain_boundary_matrix"),
                              (eqhom.complexes, "cochain_differential_matrix")):
             real = getattr(module, name)

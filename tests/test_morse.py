@@ -4,13 +4,19 @@ local_homology and local_cohomology factor the Morse complex of the base
 complex's coreduction, d^M = P d through the Morse projection P.  The full route, chain_homology over
 chain_boundary_matrix / cochain_differential_matrix with one rank-L block
 per simplex, is the oracle here; both routes must reject a broken face
-relation or holonomy with PreconditionError.
+relation or holonomy with PreconditionError.  The Morse inclusion iota is
+checked the same way, and the classes that essential, bs-class and pert
+decide on the Morse complex against their order on the full one.
 """
+
+import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 
 import eqhom.complexes
+from eqhom import duality
 from eqhom.complexes import (LocalSystem, MorseProjection, build_cover,
                              chain_boundary_matrix, check_chain_condition,
                              cochain_differential_matrix, homology, lens_space,
@@ -19,7 +25,11 @@ from eqhom.complexes import (LocalSystem, MorseProjection, build_cover,
 from eqhom.errors import CertificateError, PreconditionError
 from eqhom.groups import (IntRepresentation, augmentation_ideal_rep, regular_rep,
                           tensor_power)
-from eqhom.intlinalg import AbelianGroupInvariants, IntMatrix, chain_homology, matmul
+from eqhom.duality import (bs_class_report, bs_power, cap, class_order,
+                           essentiality_pairing, morse_class, orient, pert_cochain,
+                           pert_finite)
+from eqhom.intlinalg import (AbelianGroupInvariants, IntMatrix, PairHomology, chain_homology,
+                             invariant_factors, matmul, matvec)
 
 from conftest import load_fixture
 from test_complexes import FIXTURE_NAMES, small_complexes
@@ -127,6 +137,174 @@ class TestProjection:
         morse = MorseProjection(LocalSystem(rp3, 1))
         column = morse.column(1, len(rp3.simplices(1)) - 1)
         assert morse.column(1, len(rp3.simplices(1)) - 1) is column
+
+
+def inclusion_matrix(morse, k):
+    """The rho-image of iota_k : M_k -> C_k, one row per k-cell."""
+    cells = range(len(morse.complex.simplices(k)))
+    return morse.system.matrix(len(cells), len(morse.critical[k]), (
+        (s, j, a, g) for s in cells for (j, g), a in morse.row(k, s).items()))
+
+
+def assert_inclusion_is_a_section(system, seed=0):
+    """iota_k is the identity on critical cells, P_k iota_k = id, and d_k
+    iota_k = iota_{k-1} d^M_k against the full chain_boundary_matrix.
+    transfer applies P_k to chains and iota_k^*, the Hom dual, to cochains:
+    iota^* delta = delta_M iota^* on random cochains, and iota^* P^* = id."""
+    rng = random.Random(seed)
+    morse = MorseProjection(system)
+    dim, r, inv = system.complex.dim, system.rank, system.inv
+    d_morse, delta_morse = morse.differentials(), morse.differentials(dual=True)
+    iota = [inclusion_matrix(morse, k) for k in range(dim + 1)]
+    for k, level in enumerate(morse.critical):
+        assert all(morse.row(k, c) == {(i, 0): 1} for i, c in enumerate(level))
+        p = projection_matrix(morse, k)
+        assert matmul(p, iota[k]) == IntMatrix.identity(len(level) * r)
+        chain = [rng.randint(-2, 2) for _ in range(p.cols)]
+        assert morse.transfer(k, chain) == matvec(p, chain)
+        p_dual = system.matrix(len(level), len(morse.complex.simplices(k)), (
+            (i, s, a, inv(g)) for s in range(len(morse.complex.simplices(k)))
+            for (i, g), a in morse.column(k, s).items()), dual=True)
+        morse_cochain = [rng.randint(-2, 2) for _ in range(len(level) * r)]
+        assert morse.transfer(k, matvec(p_dual, morse_cochain), dual=True) == morse_cochain
+    for k in range(1, dim + 1):
+        assert matmul(chain_boundary_matrix(system, k), iota[k]) == matmul(iota[k - 1], d_morse[k])
+        cochain = [rng.randint(-2, 2) for _ in range(len(system.complex.simplices(k - 1)) * r)]
+        assert (morse.transfer(k, matvec(cochain_differential_matrix(system, k - 1), cochain), True)
+                == matvec(delta_morse[k], morse.transfer(k - 1, cochain, True)))
+
+
+class TestInclusion:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        cx = load_fixture(f"{name}.cplx")
+        assert_inclusion_is_a_section(LocalSystem(cx, 1))
+        assert_inclusion_is_a_section(LocalSystem(cx, 2))
+
+    def test_rp3_twisted(self, rp3_cover):
+        for system in ideal_systems(rp3_cover):
+            assert_inclusion_is_a_section(system)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_lens_spaces(self, p):
+        for system in ideal_systems(build_cover(lens_space(p)), powers=(1,)):
+            assert_inclusion_is_a_section(system)
+
+    def test_q8_space(self, q8_cover):
+        # only a nonabelian pi sees which side of iota_x the holonomy goes on
+        for system in ideal_systems(q8_cover, powers=(1,)):
+            assert_inclusion_is_a_section(system)
+
+    def test_rows_are_built_once(self, rp3):
+        morse = MorseProjection(LocalSystem(rp3, 1))
+        upper = morse._partners[1].index(-2)
+        assert morse.row(1, upper) is morse.row(1, upper)
+
+
+def full_order(image, *vectors):
+    """The order of the subgroup that vectors span in Z^n / (the column span
+    of image), 0 if infinite, from invariant factors alone: no Smith basis
+    and no Morse complex.  With the vectors as more columns, the torsion
+    shrinks by that order, or the rank grows."""
+    def torsion_and_rank(m):
+        factors = [d for d in invariant_factors(m) if d]
+        return prod(factors), len(factors)
+
+    n, parts = image.cols, [v for v in vectors if any(v)]
+    augmented = IntMatrix._adopt(image.rows, n + len(parts), [
+        {**row, **{n + t: v[i] for t, v in enumerate(parts) if v[i]}}
+        for i, row in enumerate(image._nz)])
+    (t0, r0), (t1, r1) = torsion_and_rank(image), torsion_and_rank(augmented)
+    return 0 if r1 > r0 else t0 // t1
+
+
+def pert_order(lift, cover):
+    """Z[pi] (x) Z^r is r copies of Z[pi], one per trivial coordinate t, so
+    the lifted class is zero iff its r parts span 0 in H^k(X; Z[pi]); a
+    nonzero class reads as None."""
+    r = lift.system.rank // cover.model.order
+    group_ring = LocalSystem.from_rep(cover, regular_rep(cover.model))
+    image = cochain_differential_matrix(group_ring, lift.degree - 1)
+    return 1 if full_order(image, *(lift.vector[t::r] for t in range(r))) == 1 else None
+
+
+CLASS_CASES = [  # (command, space, power, order): ROADMAP item 17's fifteen cases
+    ("pert", "rp3", 1, 1), ("pert", "rp3", 3, 1), ("pert", 3, 3, 1), ("pert", 4, 3, 1),
+    ("pert", 5, 3, 1), ("pert", "q8space", 1, 1),
+    ("bs-class", "rp3", 3, 2), ("bs-class", 3, 3, 3), ("bs-class", 4, 2, 4),
+    ("bs-class", 5, 3, 5),
+    ("essential", "rp3", 3, 2), ("essential", 3, 3, 3), ("essential", 4, 3, 4),
+    ("essential", 5, 3, 5), ("essential", "s2xrp3", 5, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def spaces(rp3, q8space, s2cx):
+    """space(name, power) -> (complex, cover, beta^power), each built once."""
+    made = {}
+
+    def space(name, power):
+        if name not in made:
+            cx = {"rp3": rp3, "q8space": q8space}.get(name) or (
+                simplicial_product(s2cx, rp3) if name == "s2xrp3" else lens_space(name))
+            made[name] = cx, build_cover(cx)
+        if (name, power) not in made:
+            made[name, power] = bs_power(made[name][1], power)
+        return (*made[name], made[name, power])
+    return space
+
+
+class TestMorseClasses:
+    @pytest.mark.parametrize("command, space, power, order", CLASS_CASES,
+                             ids=[f"{c}-{s}-{p}" for c, s, p, _ in CLASS_CASES])
+    def test_order_agrees_with_the_full_complex(self, command, space, power, order, spaces):
+        cx, cover, phi = spaces(space, power)
+        if command == "essential":
+            z = cap(phi, orient(cx))
+            morse = MorseProjection(phi.system)
+            d = morse.differentials()
+            group, zero, got = morse_class(PairHomology(d[0], d[1]), morse.transfer(0, z))
+            assert full_order(chain_boundary_matrix(phi.system, 1), z) == got
+        else:
+            lift = pert_cochain(phi, cover) if command == "pert" else phi
+            morse = MorseProjection(lift.system)
+            delta = morse.differentials(dual=True)
+            group, zero, got = morse_class(PairHomology(delta[power + 1], delta[power]),
+                                           morse.transfer(power, lift.vector, dual=True))
+            assert got == (pert_order(lift, cover) if command == "pert" else
+                           full_order(cochain_differential_matrix(lift.system, power - 1),
+                                      lift.vector))
+        assert (got, zero) == (order, order == 1)
+
+    def test_class_order(self):
+        group = AbelianGroupInvariants(1, (2, 4))
+        assert [class_order(group, c) for c in ((0, 0, 0), (0, 1, 2), (0, 0, 3), (1, 0, 0))] \
+            == [1, 2, 4, 0]
+        assert class_order(AbelianGroupInvariants(0, (6,)), (4,)) == 3
+        assert class_order(AbelianGroupInvariants(0), ()) == 1
+
+    def test_forced_classes_skip_the_full_route(self, rp3, rp3_cover, q8_cover, monkeypatch):
+        # zero classes and order 2 in Z/d print from the Morse group
+        for name in ("cohomology_pair", "homology_pair"):
+            monkeypatch.setattr(duality, name, lambda *args: pytest.fail("full route"))
+        assert essentiality_pairing(orient(rp3), rp3_cover).render() == \
+            "(beta^3) cap [M] class = (1) in Z/2 [nonzero]"
+        assert bs_class_report(rp3_cover, 3).render() == "beta^3 class = (1) in Z/2 [nonzero]"
+        assert pert_finite(bs_power(rp3_cover, 3), rp3_cover).render() == \
+            "pert class = (0) in Z^1 [zero]"
+        assert pert_finite(bs_power(q8_cover, 1), q8_cover).render() == \
+            "pert class = () in 0 [zero]"
+
+    def test_routes_that_disagree_raise(self, spaces, monkeypatch):
+        # Z^6 + Z/4 is not cyclic, so the class prints from the full route,
+        # whose order 4 must match the Morse order, here made 2
+        cx, cover, _ = spaces(4, 3)
+        real = MorseProjection.transfer
+        monkeypatch.setattr(MorseProjection, "transfer", lambda self, k, v, dual=False:
+                            [2 * x for x in real(self, k, v, dual)])
+        with pytest.raises(CertificateError, match=r"order 4 in Z\^6 \+ Z/4 on the full complex, "
+                                                   r"2 in Z\^6 \+ Z/4 on the Morse one$"):
+            essentiality_pairing(orient(cx), cover)
 
 
 class TestCoreduction:
