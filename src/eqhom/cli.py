@@ -8,7 +8,6 @@ output; a failed verdict names the failing values in it.
 """
 
 import gc
-import os
 import sys
 from types import SimpleNamespace
 
@@ -447,7 +446,4 @@ def main():
 
 
 if __name__ == "__main__":
-    # Skip interpreter teardown: os._exit does not flush, so stdout goes first.
-    exit_code = main()
-    sys.stdout.flush()
-    os._exit(exit_code)
+    sys.exit(main())

@@ -370,7 +370,6 @@ class LocalSystem:
         self.rank = rank
         self.cover = cover
         self.rep = rep
-        self._coboundaries, self._tensors = {}, {}
 
     @classmethod
     def from_rep(cls, cover, rep):
@@ -410,31 +409,27 @@ class LocalSystem:
             (j, i, a, rep.matrix_of(g) if g else None) if dual else
             (i, j, a, rep.matrix_of(g) if g else None) for i, j, a, g in entries))
 
-    def coboundary(self, k):
-        """delta^k, built on first use and kept, as boundary_terms is."""
-        if k not in self._coboundaries:
-            self._coboundaries[k] = cochain_differential_matrix(self, k)
-        return self._coboundaries[k]
+    def apply(self, rows, entries, vector):
+        """matrix(rows, _, entries) times a flat vector, summed term by term."""
+        r, out = self.rank, [0] * (rows * self.rank)
+        for i, j, a, g in entries:
+            value = vector[j * r:(j + 1) * r]
+            for t, x in enumerate(self.rep.act(g, value) if g else value, i * r):
+                out[t] += a * x
+        return out
 
     def tensor(self, other):
-        """L (x) L', kept per factor so that cup products share coboundaries."""
         if self.complex is not other.complex:
             raise ModelMismatch("local systems over different complexes")
         if self.cover is not None and other.cover not in (None, self.cover):
             raise ModelMismatch("local systems twisted through different covers")
-        key = other.rank, other.cover, other.rep
-        if key in self._tensors:
-            return self._tensors[key]
         if self.is_trivial and other.is_trivial:
-            out = LocalSystem(self.complex, self.rank * other.rank)
-        else:
-            from .groups import tensor_rep
-            cover = self.cover or other.cover
-            left = self.rep or trivial_rep(cover.model, self.rank)
-            right = other.rep or trivial_rep(cover.model, other.rank)
-            out = LocalSystem.from_rep(cover, tensor_rep(left, right))
-        self._tensors[key] = out
-        return out
+            return LocalSystem(self.complex, self.rank * other.rank)
+        from .groups import tensor_rep
+        cover = self.cover or other.cover
+        left = self.rep or trivial_rep(cover.model, self.rank)
+        right = other.rep or trivial_rep(cover.model, other.rank)
+        return LocalSystem.from_rep(cover, tensor_rep(left, right))
 
 
 def _differential(system, k, dual):
@@ -494,9 +489,8 @@ class MorseProjection:
         check_chain_condition(system)
         self.system, self.complex = system, system.complex
         self.critical, _, self._partners = self.complex.coreduction()
-        self._columns, self._rows = ([{c: {(i, 0): 1} for i, c in enumerate(level)}
-                                      for level in self.critical] for _ in range(2))
-        self._cofaces, self._differentials = {}, {}
+        self._columns = [{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
+        self._rows, self._cofaces, self._differentials = [dict(c) for c in self._columns], {}, {}
 
     def column(self, k, s):
         """P_k e_s as {(critical position, g): a}; gradient paths are long, so
@@ -518,11 +512,9 @@ class MorseProjection:
         return cols[s]
 
     def row(self, k, s):
-        """Row s of the Morse inclusion iota_k : M_k -> C_k as {(critical
-        position, g): a}: e_i on a critical cell, empty on a lower one, and on
-        an upper u matched with its face f, -[u : f]^-1 sum_{x != u} [x : f]
-        iota_x over the other cofaces x of f, which leave the coreduction after
-        u.  Built once on first use and stacked, as in column."""
+        """Row s of the Morse inclusion iota_k : M_k -> C_k, stacked as column is:
+        e_i on a critical cell, {} on a lower one, and on an upper u with face f,
+        -[u : f]^-1 sum_{x != u} [x : f] iota_x over the other cofaces x of f."""
         rows, partner, todo = self._rows[k], self._partners[k], [s]
         if s in rows or partner[s] != -2:
             return rows.get(s, {})
@@ -555,19 +547,13 @@ class MorseProjection:
         return rows[s]
 
     def transfer(self, k, vector, dual=False):
-        """P_k of a flat k-chain with L coefficients, or iota_k^* of a flat
-        k-cochain when dual: the Hom dual of iota, whose entry x is rho(x-bar).
-        Only the columns or rows of cells where the vector is nonzero are read."""
+        """P_k of a flat k-chain with L coefficients, or when dual iota_k^* of a
+        flat k-cochain (entry x read as rho(x-bar)), from the cells it is nonzero on."""
         system, r = self.system, self.system.rank
-        out = [0] * (len(self.critical[k]) * r)
-        for s in range(len(self.complex.simplices(k))):
-            value = vector[s * r:(s + 1) * r]
-            if any(value):
-                for (j, g), a in (self.row(k, s) if dual else self.column(k, s)).items():
-                    g = system.inv(g) if dual else g
-                    for i, x in enumerate(system.rep.act(g, value) if g else value, j * r):
-                        out[i] += a * x
-        return out
+        cells = [s for s in range(len(self.complex.simplices(k))) if any(vector[s * r:(s + 1) * r])]
+        return system.apply(len(self.critical[k]), (
+            (j, s, a, system.inv(g) if dual else g) for s in cells
+            for (j, g), a in (self.row(k, s) if dual else self.column(k, s)).items()), vector)
 
     def _image(self, k, c, p=None):
         """sum_{q != p} P(face_q c) [c : face_q c] for a k-cell c, that times
@@ -584,8 +570,7 @@ class MorseProjection:
         return {key: a for key, a in acc.items() if a}
 
     def differential(self, k, dual=False):
-        """d^M_k for 0 <= k <= dim + 1, or when dual its Hom dual delta_M^(k-1);
-        built once, so a class reads only the two degrees it needs."""
+        """d^M_k, 0 <= k <= dim + 1, or when dual delta_M^(k-1); built once."""
         if (k, dual) not in self._differentials:
             crit, inv = self.critical + [[]], self.system.inv
             self._differentials[k, dual] = self.system.matrix(len(crit[k - 1]), len(crit[k]), (

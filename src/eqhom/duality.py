@@ -46,18 +46,16 @@ cannot see a wrong eps_k, which cannot change the verdict there: -Psi is
 an isomorphism exactly when Psi is.  When the cone is not acyclic,
 pd_check maps the Smith generators of each H^k by Psi_k on the same Morse
 complex to name the failing degrees: Psi_* = P_* Phi_* P^*_* exactly.
-
-The classes of essential, bs-class and pert are decided on the Morse
-complex too, through P_0 or the pullback iota^*, both equivalences: group,
-zero-ness and order (morse_class).  Only a nonzero class whose Smith
-coordinates are not forced reads the full differentials (_class_report).
+The classes of essential, bs-class and pert are decided on it too
+(_class_report): only a nonzero class whose Smith coordinates are not
+forced reads the full differentials.
 """
 
 from math import gcd, lcm
 
 from .errors import CertificateError, InputError, ModelMismatch, PreconditionError
 from .complexes import (LocalSystem, MorseProjection, _spanning_tree,
-                        chain_boundary_matrix)
+                        chain_boundary_matrix, cochain_differential_matrix)
 from .groups import (augmentation_ideal_rep, regular_rep, tensor_rep,
                      trivial_rep)
 from .intlinalg import (AbelianGroupInvariants, IntMatrix, PairHomology,
@@ -142,8 +140,8 @@ class Cochain:
         return self.vector[i:i + r]
 
     def delta(self):
-        return Cochain(self.system, self.degree + 1,
-                       matvec(self.system.coboundary(self.degree), self.vector))
+        mat = cochain_differential_matrix(self.system, self.degree)
+        return Cochain(self.system, self.degree + 1, matvec(mat, self.vector))
 
     def __add__(self, other):
         if self.system is not other.system or self.degree != other.degree:
@@ -187,27 +185,14 @@ def _cap_terms(system, k, m, chain):
             yield cx.index(s[k:]), cx.index(s[:k + 1]), c, system.holonomy(s[k], s[0])
 
 
-def _cap_operator(system, k, m, chain):
-    """f |-> f cap z : C^k(X; L) -> C_{m-k}(X; L) for the integer m-chain z."""
-    cx = system.complex
-    return system.matrix(len(cx.simplices(m - k)), len(cx.simplices(k)),
-                         _cap_terms(system, k, m, chain))
-
-
 def cap_chain(phi, chain, m):
-    """phi cap z for a plain integer m-chain z; an (m-k)-chain with L coeffs,
-    summed term by term from _cap_terms without building _cap_operator."""
-    system, k, r = phi.system, phi.degree, phi.system.rank
-    if k > m:
+    """phi cap z for a plain integer m-chain z; an (m-k)-chain with L coeffs."""
+    if phi.degree > m:
         raise PreconditionError("cochain degree exceeds chain degree")
-    if len(chain) != len(system.complex.simplices(m)):
+    if len(chain) != len(phi.system.complex.simplices(m)):
         raise ValueError("chain vector has the wrong length")
-    out = [0] * (len(system.complex.simplices(m - k)) * r)
-    for back, front, c, h in _cap_terms(system, k, m, chain):
-        value = phi.vector[front * r:(front + 1) * r]
-        for i, x in enumerate(system.rep.act(h, value) if h else value, back * r):
-            out[i] += c * x
-    return out
+    return phi.system.apply(len(phi.system.complex.simplices(m - phi.degree)),
+                            _cap_terms(phi.system, phi.degree, m, chain), phi.vector)
 
 
 def cap(phi, manifold):
@@ -267,7 +252,8 @@ class PdReport:
 
 def cohomology_pair(system, k):
     """PairHomology for H^k(X; L)."""
-    return PairHomology(system.coboundary(k), system.coboundary(k - 1))
+    return PairHomology(cochain_differential_matrix(system, k),
+                        cochain_differential_matrix(system, k - 1))
 
 
 def homology_pair(system, k):
@@ -391,45 +377,31 @@ def bs_power(cover, k):
 def class_order(group, coords):
     """The order of the element with these Smith coordinates; 0 if infinite."""
     orders = [0] * group.free_rank + list(group.torsion)
-    if any(c and not d for c, d in zip(coords, orders)):
-        return 0
-    return lcm(*(d // gcd(c, d) for c, d in zip(coords, orders) if c))
-
-
-def morse_class(pair, cycle):
-    """(group, is_zero, order) of a cycle's class in a PairHomology of the
-    Morse complex: unlike its Smith coordinates, all three are basis-free."""
-    coords = pair.coordinates(cycle)
-    return pair.invariants, not any(coords), class_order(pair.invariants, coords)
+    return lcm(*(d // gcd(c, d) if c else 1 for c, d in zip(coords, orders)))
 
 
 def _class_report(system, k, vector, description, dual=False):
-    """The class of a k-cycle of C_*(X; L), or of a k-cocycle of C^*(X; L)
-    when dual, decided by morse_class through P_k or iota_k^*.  Its Smith
-    coordinates come from the Morse group where every basis gives the same
-    ones: all zeros for the zero class, d/2 for the element of order 2 in a
-    cyclic Z/d.  Any other class takes them from the full route, which must
-    give it the same group and order.  The full differential checks the
-    (co)cycle condition, which iota^* can hide."""
+    """The class of a k-cycle of C_*(X; L), or of a k-cocycle when dual, on
+    the Morse complex through P_k or iota_k^*.  Coordinates that every Smith
+    basis gives (zeros, or d/2 in a cyclic Z/d) are the Morse ones, once the
+    full differential checks the (co)cycle condition that iota^* can hide;
+    others come from the full route, which must agree on group and order."""
     if not vector:  # C_k(X; L) = 0
         return HomologyClassReport(AbelianGroupInvariants(0), (), description)
-    if any(matvec(system.coboundary(k) if dual else chain_boundary_matrix(system, k), vector)):
-        raise ValueError("vector is not a cycle")
     morse = MorseProjection(system)
     d = morse.differential
-    group, zero, order = morse_class(PairHomology(d(k + 1, True), d(k, True)) if dual else
-                                     PairHomology(d(k), d(k + 1)), morse.transfer(k, vector, dual))
-    if zero:
-        coords = (0,) * (group.free_rank + len(group.torsion))
-    elif order == 2 and not group.free_rank and len(group.torsion) == 1:
-        coords = (group.torsion[0] // 2,)
-    else:
+    pair = PairHomology(d(k + 1, True), d(k, True)) if dual else PairHomology(d(k), d(k + 1))
+    group, coords = pair.invariants, pair.coordinates(morse.transfer(k, vector, dual))
+    if any(coords) and (group.free_rank or group.torsion != (2 * coords[0],)):
         full = (cohomology_pair if dual else homology_pair)(system, k)
-        coords = full.coordinates(vector)
+        order, coords = class_order(group, coords), full.coordinates(vector)
         found = full.invariants, class_order(full.invariants, coords)
         if found != (group, order):
             raise CertificateError(f"{description}class: order {found[1]} in {found[0]} on "
                                    f"the full complex, {order} in {group} on the Morse one")
+    elif any(matvec((cochain_differential_matrix if dual else chain_boundary_matrix)(system, k),
+                    vector)):
+        raise ValueError("vector is not a cycle")
     return HomologyClassReport(group, coords, description)
 
 
@@ -448,14 +420,15 @@ def essentiality_pairing(manifold, cover):
     return _class_report(power.system, 0, cap(power, manifold), f"(beta^{n}) cap [M] ")
 
 
-def pert_cochain(phi, cover):
-    """Forget equivariance: phi as a cochain of the cover, H^k(cover; Z^rank).
+def pert_finite(phi, cover):
+    """Forget equivariance: the class of phi in H^k(cover; Z^rank).
 
     By Shapiro's lemma the cover's cochains are the base's with values in
     Z[pi] (x) Z^rank, sheet g at basis element g^-1: the lift of sigma at
     sheet g has face 0 at sheet g h, h = h(v0, v1), and delta reads face 0
     through left multiplication by h, which fills x from h^-1 x, that is
-    sheet x^-1 h.  The lift carries rho(g) phi(sigma) at sheet g.
+    sheet x^-1 h.  The lift carries rho(g) phi(sigma) at sheet g; a vector
+    that is not a cocycle is refused.
     """
     if phi.system.complex is not cover.base:
         raise ModelMismatch("cochain lives on a different complex")
@@ -475,11 +448,4 @@ def pert_cochain(phi, cover):
             flat[idx:idx + r] = val
     target = LocalSystem.from_rep(
         cover, tensor_rep(regular_rep(model), trivial_rep(model, r)))
-    return Cochain(target, k, flat)
-
-
-def pert_finite(phi, cover):
-    """The class of pert_cochain(phi, cover); a vector that is not a cocycle
-    is refused."""
-    lift = pert_cochain(phi, cover)
-    return _class_report(lift.system, lift.degree, lift.vector, "pert ", dual=True)
+    return _class_report(target, k, flat, "pert ", dual=True)

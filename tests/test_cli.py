@@ -648,27 +648,6 @@ def test_main_freezes_once_after_the_output(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("homology", "t3.cplx"), 0),
-    (("gromov-report", "--rank", "5", "--radius", "4"), 0),
-    (("homology", "nope.cplx"), 1),
-    (("pd-check", "rp2.cplx"), 2),
-    (("group-homology", "s3.pres", "--n", "7"), 3),
-], ids=["homology", "gromov-report", "exit-1", "exit-2", "exit-3"])
-def test_module_entry_point_skips_teardown_but_not_output(argv, code):
-    """python -m eqhom.cli leaves by os._exit once stdout is flushed: the
-    whole output of run, or its one error line, still comes through a
-    block-buffered pipe, with run's exit code."""
-    argv = [fixture_path(a) if a.endswith((".cplx", ".pres")) and a != "nope.cplx" else a
-            for a in argv]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eqhom.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    done = subprocess.run([sys.executable, "-m", "eqhom.cli", *argv],
-                          env=dict(env, PYTHONPATH=src), capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (*run(argv), "")
-    assert done.returncode == code and (code == 0) != done.stdout.startswith("error: ")
-
-
 def test_shift_degree_checked_before_bar_route(monkeypatch):
     import eqhom.cli
 

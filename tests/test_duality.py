@@ -323,11 +323,19 @@ class TestToruspairing:
         assert abs(determinant(IntMatrix.from_rows(images))) == 1
 
 
+def cap_operator(system, k, m, chain):
+    """f |-> f cap z : C^k(X; L) -> C_{m-k}(X; L) for the integer m-chain z,
+    built as a matrix: the reference that cap_chain sums term by term."""
+    cx = system.complex
+    return system.matrix(len(cx.simplices(m - k)), len(cx.simplices(k)),
+                         duality._cap_terms(system, k, m, chain))
+
+
 def cap_matrix(manifold, system, k):
     """Phi_k : C^k(M; L) -> C_{n-k}(M; L), f |-> eps_k (f cap [M])."""
     eps = (-1) ** (k * (k + 1) // 2)
-    return duality._cap_operator(system, k, manifold.dim,
-                                 [eps * c for c in manifold.fundamental_cycle()])
+    return cap_operator(system, k, manifold.dim,
+                        [eps * c for c in manifold.fundamental_cycle()])
 
 
 def by_degree(manifold, system):
@@ -591,7 +599,8 @@ class TestReadersReplayTapes:
     @staticmethod
     def full_matrices_made(monkeypatch):
         made = []
-        for module, name in ((duality, "chain_boundary_matrix"), (duality, "_cap_operator"),
+        for module, name in ((duality, "cochain_differential_matrix"),
+                             (duality, "chain_boundary_matrix"),
                              (eqhom.complexes, "chain_boundary_matrix"),
                              (eqhom.complexes, "cochain_differential_matrix")):
             real = getattr(module, name)
