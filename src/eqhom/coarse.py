@@ -26,13 +26,13 @@ BUDGET = 200000  # vertices of one Cayley ball
 class CayleyBall:
     """BFS ball of a given radius in a Cayley graph.
 
-    The BFS runs over the model's integer codes (GroupModel.codes), whose
-    order is the canonical sort key's.  Vertices are indices in BFS order:
-    by depth, each shell sorted by code, and depth[v] is v's.  Edges join v
-    to v.s for generators s and their inverses.  The inner vertices, those
-    at depth <= R-1, are the first inner_count.  A bipartite model has no
-    edge inside a shell, so the outermost shell's products, which could
-    only find such edges, are skipped.
+    The BFS runs over the model's integer codes (GroupModel.codes), which sort
+    shortlex for F_k, lexicographically for Z^n and as pairs for products.
+    Vertices are indices in BFS order: by depth, each shell sorted by code,
+    and depth[v] is v's.  Edges join v to v.s for generators s and their
+    inverses.  The inner vertices, those at depth <= R-1, are the first
+    inner_count.  A bipartite model has no edge inside a shell, so the
+    outermost shell's products, which could only find such edges, are skipped.
     """
 
     def __init__(self, model, radius):

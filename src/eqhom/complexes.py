@@ -28,7 +28,8 @@ Groups come from critical cells: coreduction() matches the base cells
 acyclically once per complex (Mrozek-Batko), and local_homology and
 local_cohomology factor the Morse complex over Z[pi] (Skoldberg) and its
 Hom dual.  One MorseProjection serves the groups, pd_check's cone and the
-classes of duality, which its inclusion iota (row) pulls back; only a
+classes of duality: one walk builds P on chains and, run over the Hom
+dual, the pullback iota^* of the Morse inclusion on cochains.  Only a
 nonzero class whose Smith coordinates are not forced reads the full
 differentials.  check_chain_condition proves their d.d = 0 without them:
 the simplicial identities cancel the terms of d.d in pairs with equal
@@ -121,12 +122,14 @@ class SimplicialComplex:
         return chain_boundary_matrix(LocalSystem(self, 1), k)
 
     def coreduction(self):
-        """(critical, stamp, partner) per degree, kept: an acyclic matching.
+        """(critical, stamp, up, down, cofaces) per degree, kept: an acyclic matching.
 
         A queued cell with one face left goes with it; when the queue runs
         dry, the first cell left in the least degree is critical.  stamp
-        orders removals; partner is the upper cell of a lower one, -1 on a
-        critical cell and -2 on an upper one."""
+        orders removals; up is the upper cell matched with a lower one and
+        down the lower face matched with an upper one, -1 elsewhere, so both
+        are -1 on a critical cell.  cofaces[k] lists the (k+1)-cells on each
+        k-cell, the index lists that walk the matching in the Hom dual."""
         if self._coreduction is None:
             terms = [self.boundary_terms(k) for k in range(self.dim + 1)]
             for k in range(2, self.dim + 1):
@@ -139,8 +142,8 @@ class SimplicialComplex:
                     for f in faces:
                         cofaces[k - 1][f].append(t)
             left = [list(map(len, level)) for level in terms]
-            stamp, partner = ([[-1] * len(level) for level in terms] for _ in range(2))
-            clock, queue = count(), deque()
+            stamp, up, down = ([[-1] * len(level) for level in terms] for _ in range(3))
+            critical, clock, queue = [[] for _ in terms], count(), deque()
 
             def remove(k, j):
                 stamp[k][j] = next(clock)
@@ -152,16 +155,16 @@ class SimplicialComplex:
             for k, level in enumerate(stamp):
                 for j, done in enumerate(level):
                     if done < 0:
+                        critical[k].append(j)
                         remove(k, j)
                     while queue:
                         d, s = queue.popleft()
                         if stamp[d][s] < 0 and left[d][s] == 1:
                             t = next(f for f in terms[d][s] if stamp[d - 1][f] < 0)
-                            partner[d - 1][t], partner[d][s] = s, -2
+                            up[d - 1][t], down[d][s] = s, t
                             remove(d, s)
                             remove(d - 1, t)
-            critical = [[j for j, p in enumerate(level) if p == -1] for level in partner]
-            self._coreduction = critical, stamp, partner
+            self._coreduction = critical, stamp, up, down, cofaces
         return self._coreduction
 
 
@@ -483,88 +486,71 @@ class MorseProjection:
     LocalSystem.faces.  Columns are {(critical position, g): a}, each built
     once on first use from faces that left the coreduction earlier.  P d =
     d^M P follows from d.d = 0, which the constructor checks first.
+
+    The same walk over the Hom dual, with cofaces for faces, the entries of
+    delta for those of d and upper cells for lower ones, is the Morse
+    projection of the dual complex (Skoldberg): iota^*, whose column sigma
+    is row sigma of the Morse inclusion iota : M_* -> C_* with each g inverted.
     """
 
     def __init__(self, system):
         check_chain_condition(system)
         self.system, self.complex = system, system.complex
-        self.critical, _, self._partners = self.complex.coreduction()
-        self._columns = [{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
-        self._rows, self._cofaces, self._differentials = [dict(c) for c in self._columns], {}, {}
+        self.critical, _, self._up, self._down, self._coterms = self.complex.coreduction()
+        self._columns = [[{c: {(i, 0): 1} for i, c in enumerate(level)} for level in self.critical]
+                         for _ in range(2)]
+        self._differentials = {}
 
-    def column(self, k, s):
-        """P_k e_s as {(critical position, g): a}; gradient paths are long, so
-        the faces it needs are stacked, not recursed into."""
-        cols, partner, todo = self._columns[k], self._partners[k], [s]
-        if s in cols or partner[s] == -2:
-            return cols.get(s, {})
-        terms = self.complex.boundary_terms(k + 1)
+    def column(self, k, s, dual=False):
+        """P_k e_s as {(critical position, g): a}, or when dual column s of
+        iota_k^*; gradient paths are long, so the cells it needs are stacked,
+        not recursed into."""
+        cols = self._columns[dual][k]
+        if s in cols:
+            return cols[s]
+        partner, skip = (self._down[k], self._up[k]) if dual else (self._up[k], self._down[k])
+        if skip[s] >= 0:
+            return {}
+        n, todo = k - 1 if dual else k + 1, [s]
+        near = self._coterms[n] if dual else self.complex.boundary_terms(n)
         while todo:
             t = todo[-1]
-            if t not in cols:  # a lower cell: critical ones are seeded, upper ones skipped
+            if t not in cols:  # matched with a cell of degree n: critical ones are seeded
                 u = partner[t]
-                wait = [f for f in terms[u] if f not in cols and partner[f] != -2 and f != t]
+                wait = [x for x in near[u] if x not in cols and skip[x] < 0 and x != t]
                 if wait:
                     todo.extend(wait)
                     continue
-                cols[t] = self._image(k + 1, u, terms[u].index(t))
+                cols[t] = self._image(n, u, near[u].index(t), dual)
             todo.pop()
         return cols[s]
 
-    def row(self, k, s):
-        """Row s of the Morse inclusion iota_k : M_k -> C_k, stacked as column is:
-        e_i on a critical cell, {} on a lower one, and on an upper u with face f,
-        -[u : f]^-1 sum_{x != u} [x : f] iota_x over the other cofaces x of f."""
-        rows, partner, todo = self._rows[k], self._partners[k], [s]
-        if s in rows or partner[s] != -2:
-            return rows.get(s, {})
-        system, lower, terms = self.system, self._partners[k - 1], self.complex.boundary_terms(k)
-        if k not in self._cofaces:
-            self._cofaces[k] = [[] for _ in self.complex.simplices(k - 1)]
-            for x, faces in enumerate(terms):
-                for f in faces:
-                    self._cofaces[k][f].append(x)
-        while todo:
-            u = todo[-1]
-            if u not in rows:
-                f = next(f for f in terms[u] if lower[f] == u)
-                cofaces = self._cofaces[k][f]
-                wait = [x for x in cofaces if x not in rows and partner[x] == -2 and x != u]
-                if wait:
-                    todo.extend(wait)
-                    continue
-                _, a_p, m_p = system.faces(k, u)[terms[u].index(f)]
-                acc, left = {}, system.inv(m_p)
-                for x in cofaces:
-                    if x != u and x in rows:  # lower cofaces add 0
-                        _, a_q, m_q = system.faces(k, x)[terms[x].index(f)]
-                        m = system.mul(left, m_q)  # m_p^-1 m_q, times -a_p a_q
-                        for (j, g), a in rows[x].items():
-                            key = (j, system.mul(m, g))
-                            acc[key] = acc.get(key, 0) - a_p * a_q * a
-                rows[u] = {key: a for key, a in acc.items() if a}
-            todo.pop()
-        return rows[s]
-
     def transfer(self, k, vector, dual=False):
         """P_k of a flat k-chain with L coefficients, or when dual iota_k^* of a
-        flat k-cochain (entry x read as rho(x-bar)), from the cells it is nonzero on."""
+        flat k-cochain, from the cells it is nonzero on."""
         system, r = self.system, self.system.rank
         cells = [s for s in range(len(self.complex.simplices(k))) if any(vector[s * r:(s + 1) * r])]
         return system.apply(len(self.critical[k]), (
-            (j, s, a, system.inv(g) if dual else g) for s in cells
-            for (j, g), a in (self.row(k, s) if dual else self.column(k, s)).items()), vector)
+            (j, s, a, g) for s in cells for (j, g), a in self.column(k, s, dual).items()), vector)
 
-    def _image(self, k, c, p=None):
+    def _image(self, k, c, p=None, dual=False):
         """sum_{q != p} P(face_q c) [c : face_q c] for a k-cell c, that times
-        -[c : face_p c]^-1 when p is given; upper faces add 0."""
-        system, cols, partner = self.system, self._columns[k - 1], self._partners[k - 1]
-        faces, acc = system.faces(k, c), {}
+        -[c : face_p c]^-1 when p is given; upper faces add 0.  When dual the
+        same over the cofaces of c, with the dual columns and the entries of
+        delta^k; lower cofaces add 0."""
+        system, n, acc = self.system, k + 1 if dual else k - 1, {}
+        cols, skip = self._columns[dual][n], (self._up if dual else self._down)[n]
+        if dual:
+            terms = self.complex.boundary_terms(n)
+            faces = [(x, *system.faces(n, x, True)[terms[x].index(c)][1:])
+                     for x in self._coterms[k][c]]
+        else:
+            faces = system.faces(k, c)
         sign, right = (1, 0) if p is None else (-faces[p][1], system.inv(faces[p][2]))
         for q, (f, a_q, m_q) in enumerate(faces):
-            if q != p and partner[f] != -2:
+            if q != p and skip[f] < 0:
                 a_q, m = sign * a_q, system.mul(m_q, right)  # -a_p a_q, m_q m_p^-1
-                for (i, g), a in (cols[f] if f in cols else self.column(k - 1, f)).items():
+                for (i, g), a in (cols[f] if f in cols else self.column(n, f, dual)).items():
                     key = (i, system.mul(g, m)) if m else (i, g)
                     acc[key] = acc.get(key, 0) + a_q * a
         return {key: a for key, a in acc.items() if a}

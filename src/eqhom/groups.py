@@ -174,14 +174,14 @@ class GroupModel:
             out = self.mul(out, self.gen_element(g, e))
         return out
 
-    def sort_key(self, element):
-        raise NotImplementedError
-
     def codes(self, radius):
         """Integer codes for the radius-R Cayley ball and one step past it.
 
         Returns (encode, step, bound).  encode maps such elements one-to-one
-        into [0, bound), and integer order on the codes is sort_key order.
+        into [0, bound), and the codes sort as the elements do in the
+        model's canonical order: by index in a finite group, shortlex on
+        reduced words for F_k, lexicographic on exponents for Z^n, and
+        pairs, left factor first, for products.
         step(codes, s) is [c.s for c in codes] for the code s of a
         generator or its inverse, other than the identity.
         """
@@ -268,9 +268,6 @@ class FiniteGroup(GroupModel):
     def elements(self):
         return range(self.order)
 
-    def sort_key(self, element):
-        return (element,)
-
     def codes(self, radius):
         """Elements are their own codes; s steps through the table's column s."""
         table = self.table
@@ -336,9 +333,6 @@ class FreeGroup(GroupModel):
     def inv(self, x):
         return tuple(-s for s in reversed(x))
 
-    def sort_key(self, element):
-        return (len(element), element)
-
     def codes(self, radius):
         """A word as base-2k digits under a leading 1, in shortlex order.
 
@@ -399,9 +393,6 @@ class FreeAbelianGroup(GroupModel):
 
     def inv(self, x):
         return tuple(map(neg, x))
-
-    def sort_key(self, element):
-        return element
 
     def codes(self, radius):
         """Exponents offset by R+1 as base-(2R+3) digits, in lexicographic order.
@@ -467,9 +458,6 @@ class ProductGroup(GroupModel):
 
     def inv(self, x):
         return (self.left.inv(x[0]), self.right.inv(x[1]))
-
-    def sort_key(self, element):
-        return (self.left.sort_key(element[0]), self.right.sort_key(element[1]))
 
     def codes(self, radius):
         """left * M + right, with M the right factor's code bound: the

@@ -34,6 +34,15 @@ Z2Z3 = ProductGroup(FreeAbelianGroup(2, ("a", "b")),
 Z2F2 = ProductGroup(FreeAbelianGroup(2, ("a", "b")), FreeGroup(2, ("s", "t")))
 
 
+def sort_key(model, element):
+    """The canonical order that GroupModel.codes sorts in: shortlex for F_k,
+    lexicographic exponents for Z^n, pairs for products, and element
+    indices for finite groups."""
+    if isinstance(model, ProductGroup):
+        return sort_key(model.left, element[0]), sort_key(model.right, element[1])
+    return (len(element), element) if isinstance(model, FreeGroup) else element
+
+
 def reference_ball(model, radius):
     """Plain BFS with list-scan discovery: (vertices, depth, index, edges)."""
     letters = []
@@ -51,7 +60,7 @@ def reference_ball(model, radius):
                 w = model.mul(v, s)
                 if w not in vertices and w not in new:
                     new.append(w)
-        new.sort(key=model.sort_key)
+        new.sort(key=lambda x: sort_key(model, x))
         vertices += new
         depth += [d] * len(new)
         frontier = new
@@ -156,7 +165,8 @@ class TestBalls:
             elements = reference_ball(model, r + 1)[0]
             codes = [encode(x) for x in elements]
             assert all(0 <= c < bound for c in codes)
-            assert sorted(codes) == [encode(x) for x in sorted(elements, key=model.sort_key)]
+            assert sorted(codes) == [encode(x) for x in
+                                     sorted(elements, key=lambda x: sort_key(model, x))]
             assert len(set(codes)) == len(codes)
 
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)

@@ -139,10 +139,11 @@ class TestProjection:
 
 
 def inclusion_matrix(morse, k):
-    """The rho-image of iota_k : M_k -> C_k, one row per k-cell."""
-    cells = range(len(morse.complex.simplices(k)))
+    """The rho-image of iota_k : M_k -> C_k, one row per k-cell: row s is
+    the dual walk's column s with every g inverted back."""
+    cells, inv = range(len(morse.complex.simplices(k))), morse.system.inv
     return morse.system.matrix(len(cells), len(morse.critical[k]), (
-        (s, j, a, g) for s in cells for (j, g), a in morse.row(k, s).items()))
+        (s, j, a, inv(g)) for s in cells for (j, g), a in morse.column(k, s, dual=True).items()))
 
 
 def assert_inclusion_is_a_section(system, seed=0):
@@ -156,7 +157,7 @@ def assert_inclusion_is_a_section(system, seed=0):
     d_morse, delta_morse = morse.differentials(), morse.differentials(dual=True)
     iota = [inclusion_matrix(morse, k) for k in range(dim + 1)]
     for k, level in enumerate(morse.critical):
-        assert all(morse.row(k, c) == {(i, 0): 1} for i, c in enumerate(level))
+        assert all(morse.column(k, c, dual=True) == {(i, 0): 1} for i, c in enumerate(level))
         p = projection_matrix(morse, k)
         assert matmul(p, iota[k]) == IntMatrix.identity(len(level) * r)
         chain = [rng.randint(-2, 2) for _ in range(p.cols)]
@@ -196,8 +197,8 @@ class TestInclusion:
 
     def test_rows_are_built_once(self, rp3):
         morse = MorseProjection(LocalSystem(rp3, 1))
-        upper = morse._partners[1].index(-2)
-        assert morse.row(1, upper) is morse.row(1, upper)
+        upper = next(u for u, f in enumerate(rp3.coreduction()[3][1]) if f >= 0)
+        assert morse.column(1, upper, dual=True) is morse.column(1, upper, dual=True)
 
 
 def full_order(image, *vectors):
@@ -245,11 +246,12 @@ def morse_class(pair, cycle):
     return not any(coords), class_order(pair.invariants, coords)
 
 
-CLASS_CASES = [  # (command, space, power, order): ROADMAP item 17's fifteen cases
+CLASS_CASES = [  # (command, space, power, order): ROADMAP item 17's fifteen cases,
+    # and bs-class on q8space, the one nonzero iota^* class over a nonabelian pi
     ("pert", "rp3", 1, 1), ("pert", "rp3", 3, 1), ("pert", 3, 3, 1), ("pert", 4, 3, 1),
     ("pert", 5, 3, 1), ("pert", "q8space", 1, 1),
     ("bs-class", "rp3", 3, 2), ("bs-class", 3, 3, 3), ("bs-class", 4, 2, 4),
-    ("bs-class", 5, 3, 5),
+    ("bs-class", 5, 3, 5), ("bs-class", "q8space", 1, 8),
     ("essential", "rp3", 3, 2), ("essential", 3, 3, 3), ("essential", 4, 3, 4),
     ("essential", 5, 3, 5), ("essential", "s2xrp3", 5, 1),
 ]
@@ -343,16 +345,19 @@ class TestCoreduction:
 
     def test_matching_is_acyclic_in_removal_order(self):
         cx = lens_space(3)
-        critical, stamp, partner = cx.coreduction()
+        critical, stamp, up, down, cofaces = cx.coreduction()
         for k in range(cx.dim + 1):
-            for f, u in enumerate(partner[k]):
+            for f, u in enumerate(up[k]):
                 if u >= 0:  # every other face of u left before the pair
                     faces = cx.boundary_terms(k + 1)[u]
-                    assert f in faces and partner[k + 1][u] == -2
+                    assert f in faces and down[k + 1][u] == f and f not in critical[k]
                     assert all(stamp[k][g] < stamp[k][f] for g in faces if g != f)
+                    assert u in cofaces[k][f]
             for c in critical[k]:
+                assert up[k][c] == down[k][c] == -1
                 assert all(stamp[k - 1][g] < stamp[k][c] for g in cx.boundary_terms(k)[c])
-        matched = sum(u >= 0 for level in partner for u in level)
+        matched = sum(u >= 0 for level in up for u in level)
+        assert matched == sum(f >= 0 for level in down for f in level)
         assert sum(map(len, critical)) + 2 * matched == sum(cx.counts())
 
     def test_disconnected_complex(self):
