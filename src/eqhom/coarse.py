@@ -102,11 +102,12 @@ class CayleyBall:
 # max flow (blocking flows on level graphs) with a min-cut certificate
 
 class MaxFlowResult:
-    def __init__(self, value, arc_flows, cut_arcs, source_side):
+    def __init__(self, value, arc_flows, cut_arcs, source_side, network):
         self.value = value
         self.arc_flows = arc_flows
         self.cut_arcs = cut_arcs
         self.source_side = source_side
+        self.network = network  # the FlowNetwork holding the maximum flow
 
 
 class FlowNetwork:
@@ -117,7 +118,9 @@ class FlowNetwork:
     back (rc defaults to 0).  It becomes one residual pair, arc 2i (u -> v)
     and its reverse 2i + 1, with cap[2i] = c - f and cap[2i + 1] = rc + f,
     so both directions of an undirected edge share one pair.  flows holds
-    the f, one per arc, which max_flow has checked (_check_start).
+    the f, one per arc, which max_flow has checked (_check_start).  Raising
+    residual capacities in place by what the arcs' capacities grew keeps
+    the flow it holds a flow, and the method max_flow then resumes from it.
 
     max_flow augments by Dinic's blocking flows.  Each phase levels the
     vertices by residual distance to t, by a BFS from t that stops at the
@@ -275,7 +278,7 @@ def max_flow(num_vertices, arcs, source, sink, start=None):
     vertex but source and sink (ValueError otherwise, _check_start).  The
     value, and the source side (the vertices reachable from source in the
     residual graph), are the same for every maximum flow, so they do not
-    depend on start; the arc flows may.
+    depend on start; the arc flows may.  The result's network holds them.
     """
     if start is None:
         start = [0] * len(arcs)
@@ -294,7 +297,7 @@ def max_flow(num_vertices, arcs, source, sink, start=None):
     if capacity != value:
         raise CertificateError("cut does not certify the flow")
     flows = [a[2] - r for a, r in zip(arcs, net.cap[::2])]
-    return MaxFlowResult(value, flows, cut, side)
+    return MaxFlowResult(value, flows, cut, side, net)
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +446,53 @@ def ponzi_feasible(ball, t):
     Feasible iff the max flow saturates every inner vertex's unit demand;
     otherwise the returned min cut is a verifiable obstruction (capacity
     strictly below the demand).  The max flow starts from _greedy_start's
-    flow, which is checked like any start (_check_start).  If that flow
-    fills every unit sink arc, its value is the sink arcs' whole capacity,
-    so it is already a maximum flow, the one max_flow would return after no
-    phase, and max_flow does not run.  Flows map back to ball edges signed
-    from the smaller end, and a cut's source side is the unmerged one: its
-    inner vertices, the shell and the source len(ball).
+    flow.  If that flow fills every unit sink arc, its value is the sink
+    arcs' whole capacity, so it is already a maximum flow, the one max_flow
+    would return after no phase: max_flow does not run, and the flow is
+    checked once, on the ball's edges, by PonziCertificate.check.  Flows
+    map back to ball edges signed from the smaller end, and a cut's source
+    side is the unmerged one: its inner vertices, the shell and the source
+    len(ball).
     """
     if t < 1:
         raise InputError("bound must be >= 1")
+    return next(_ponzi_probes(ball, t))
+
+
+def _ponzi_probes(ball, t):
+    """ponzi_feasible's answer at bound t, then at each larger bound sent in.
+
+    One network serves every probe, until one routes.  A probe at t' > t
+    adds t' - t to the residual capacities of the two-way arcs, both
+    directions, and of the source arcs: the flow the network holds is still
+    a flow, and Dinic resumes from it (parametric max flow: Gallo,
+    Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989).  Each cut is read
+    from the residual graph, and its capacity, t per cut edge plus one per
+    inner vertex on the source side, must equal the flow value
+    (CertificateError otherwise).
+    """
     arcs, inner_edges, crossing, source, sink = _ponzi_network(ball, t)
-    demand, k = ball.inner_count, len(inner_edges)
+    demand, k, c = ball.inner_count, len(inner_edges), len(crossing)
     f = _greedy_start(ball, t, inner_edges, crossing)
-    routed = f[k + len(crossing):] == [1] * demand
-    if routed:
-        _check_start(sink + 1, arcs, f, source, sink)
-    else:
+    if f[k + c:] != [1] * demand:
         result = max_flow(sink + 1, list(arcs), source, sink, f)
-        f = result.arc_flows
-        if result.value != demand:
-            edges = inner_edges + crossing
-            cut_edges = sorted(edges[a] for a in result.cut_arcs if a < len(edges))
-            side = frozenset(range(source, len(ball) + 1)).union(
-                v for v in result.source_side if v < source)
-            return InfeasibleCut(ball, t, result.value, demand, cut_edges, side)
+        net, value, reach = result.network, result.value, result.source_side
+        while value < demand:
+            inner = [v for v in reach if v < source]
+            side = frozenset(range(source, len(ball) + 1)).union(inner)
+            cut_edges = [e for e in ball.edges if (e[0] in side) != (e[1] in side)]
+            if t * len(cut_edges) + len(inner) != value:
+                raise CertificateError("cut does not certify the flow")
+            raised = yield InfeasibleCut(ball, t, value, demand, cut_edges, side)
+            cap, d, t = net.cap, raised - t, raised
+            cap[:2 * k] = [x + d for x in cap[:2 * k]]
+            cap[2 * k:2 * (k + c):2] = [x + d for x in cap[2 * k:2 * (k + c):2]]
+            value += net.max_flow(source, sink)
+            reach = net.residual_reachable(source)
+        f = [t - x for x in net.cap[:2 * (k + c):2]]
     flow = {edge: x for edge, x in zip(inner_edges, f) if x}
     flow.update((edge, -x) for edge, x in zip(crossing, f[k:]) if x)
-    return PonziCertificate(ball, t, flow).check()
+    yield PonziCertificate(ball, t, flow).check()
 
 
 class MinBoundResult:
@@ -490,20 +513,22 @@ def min_ponzi_bound(ball):
     t + ceil((demand - F(t)) / b).  The next probe is at step - 1 if that
     exceeds t + 1, and it must not route (CertificateError); it gives the
     exact cut below t_min if t_min = step.  Otherwise the next probe is at
-    t + 1.  Every probe is ponzi_feasible's, so the certificate at t_min is
-    ponzi_feasible(ball, t_min)'s.  If the flux bound routes, the cut below
-    it is probed too.  On Z^2 at radius 25 the two probes run 36 blocking
-    phases.
+    t + 1.  The first probe is ponzi_feasible's; each later one raises t in
+    place on its network (_ponzi_probes), so no later probe builds a
+    network or a start of its own.  If the flux bound routes, the cut below it is
+    probed by ponzi_feasible.  On Z^2 at radius 25 the two probes run 32
+    blocking phases.
     """
     demand = ball.inner_count
     t = -(-demand // len(ball.crossing_edges()))
-    result = ponzi_feasible(ball, t)
+    probes = _ponzi_probes(ball, t)
+    result = next(probes)
     below = None
     while not result.feasible:
         below = result
         step = t + -(-(demand - below.capacity) // len(below.cut_edges))
         t = max(t + 1, step - 1)
-        result = ponzi_feasible(ball, t)
+        result = probes.send(t)
         if result.feasible and t < step:
             raise CertificateError(f"t = {t} routes below the cut bound {step}")
     if below is None and t > 1:

@@ -157,6 +157,19 @@ class TestGoldenOutputs:
         assert code == 0
         assert "t_min = 8" in text
 
+    @pytest.mark.parametrize("argv, name", [
+        # probes 7, then 8 (step - 1 for step 9), then 9
+        ("min-bound z2 --radius 28", "min_bound_z2_r28.out"),
+        # one min-bound search per radius 1..6
+        ("gromov-report --rank 4 --radius 3 --factor z2", "gromov_rank4_r3_z2.out"),
+    ])
+    def test_min_bound_searches_match_golden_files(self, argv, name):
+        # the same golden files the installed-console-script CI step diffs against
+        code, text = invoke(*argv.split())
+        assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "golden", name)) as fh:
+            assert text == fh.read()
+
     def test_product_group_probe(self):
         code, text = invoke("ponzi", "z1*f2", "--radius", "2")
         assert code == 0
@@ -493,6 +506,8 @@ COMMAND_LINES = [shlex.split(line) for line in (
     "gromov-report --rank 5 --radius 4 --factor z2 --format kv",
     "cover fixtures/q8space.cplx",
     "pert fixtures/q8space.cplx",
+    "min-bound z2 --radius 28",
+    "gromov-report --rank 4 --radius 3 --factor z2",
     # CI
     "--help",
     "ponzi --help",

@@ -85,6 +85,32 @@ def brute_force_min_bound(ball):
     return t
 
 
+def count_phases(monkeypatch):
+    """A list that gets one entry per Dinic blocking phase from now on."""
+    phases = []
+    blocking = coarse.FlowNetwork._blocking
+
+    def counted(self, s, t, level):
+        phases.append(t)
+        return blocking(self, s, t, level)
+
+    monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+    return phases
+
+
+def count_max_flows(monkeypatch):
+    """A list that gets the arguments of every coarse.max_flow call from now on."""
+    calls = []
+    flow = coarse.max_flow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(coarse, "max_flow", counted)
+    return calls
+
+
 class TestBalls:
     def test_z2_radius_2(self):
         ball = CayleyBall(ZZ, 2)
@@ -385,14 +411,7 @@ class TestMaxFlow:
         _ponzi_network's one two-way arc per edge, to the same flows and the
         same cuts: from zero flow, and from _greedy_start's flow split into
         (max(f, 0), max(-f, 0)) per pair, the start ponzi_feasible takes."""
-        phases = []
-        blocking = coarse.FlowNetwork._blocking
-
-        def counted(self, s, t, level):
-            phases.append(t)
-            return blocking(self, s, t, level)
-
-        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        phases = count_phases(monkeypatch)
         for model, r in self.PONZI_NETWORKS:
             ball = CayleyBall(model, r)
             m = ball.inner_count
@@ -465,21 +484,15 @@ class TestGreedyStart:
                     assert value == ball.inner_count, case
 
     def test_tree_needs_no_phase(self, monkeypatch):
-        phases = []
-        blocking = coarse.FlowNetwork._blocking
-
-        def counted(self, s, t, level):
-            phases.append(t)
-            return blocking(self, s, t, level)
-
-        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
+        phases = count_phases(monkeypatch)
         cert = ponzi_feasible(CayleyBall(F2, 8), 1)
         assert cert.feasible
         assert phases == []
 
     def test_a_faulty_start_is_refused(self, monkeypatch):
-        # max_flow checks the start: a fault in it raises ValueError, not an
-        # assert that -O would drop.
+        # The greedy start routes here, so the probe checks it on the ball's
+        # edges: a fault in it raises CertificateError, not an assert that
+        # -O would drop.
         greedy = coarse._greedy_start
 
         def leaky(*args):
@@ -488,31 +501,20 @@ class TestGreedyStart:
             return flows
 
         monkeypatch.setattr(coarse, "_greedy_start", leaky)
-        with pytest.raises(ValueError, match="start is not a flow"):
+        with pytest.raises(CertificateError, match="bound-2 Ponzi certificate"):
             ponzi_feasible(CayleyBall(ZZ, 4), 2)
 
 
 class TestGreedyRoutes:
     """A greedy start that fills every unit sink arc is a maximum flow:
-    the probe checks it and returns it without running max_flow."""
+    the probe checks it once, by PonziCertificate.check on the ball's
+    edges, and returns it without running max_flow."""
 
     BALLS = [(F2, r) for r in range(1, 9)] + [(ProductGroup(
         FreeAbelianGroup(3, ("a", "b", "c")), FreeGroup(2, ("s", "t"))), 3)]
 
-    @staticmethod
-    def count_max_flows(monkeypatch):
-        calls = []
-        flow = coarse.max_flow
-
-        def counted(*args):
-            calls.append(args)
-            return flow(*args)
-
-        monkeypatch.setattr(coarse, "max_flow", counted)
-        return calls
-
     def test_flow_is_the_max_flow_from_the_greedy_start(self, monkeypatch):
-        calls = self.count_max_flows(monkeypatch)  # not the max_flow called below
+        calls = count_max_flows(monkeypatch)  # not the max_flow called below
         for model, r in self.BALLS:
             ball = CayleyBall(model, r)
             for bound in (1, 2, 3):
@@ -527,19 +529,26 @@ class TestGreedyRoutes:
         assert calls == []  # the greedy start routes every one of these probes
 
     def test_no_max_flow_behind_a_routing_greedy_start(self, monkeypatch):
-        calls = self.count_max_flows(monkeypatch)
+        calls = count_max_flows(monkeypatch)
         assert ponzi_feasible(CayleyBall(F2, 8), 1).feasible
         assert free_group_ponzi(CayleyBall(F2, 8)).verify()
         assert calls == []
         res = min_ponzi_bound(CayleyBall(ZZ, 25))
         assert res.t_min == 8
-        assert len(calls) == 2
+        assert len(calls) == 1  # the probe at 8 resumes on the network of 7
 
-    @pytest.mark.parametrize("fault, message", [("leak", "start is not a flow"),
-                                                ("over", "flow <= capacity")])
-    def test_a_faulty_start_is_refused_on_a_tree(self, monkeypatch, fault, message):
-        # Both faults leave every unit sink arc full, so the start check
-        # alone stands between them and a certificate.
+    @staticmethod
+    def refuse_max_flow(monkeypatch):
+        def no_max_flow(*args):
+            raise AssertionError("max_flow ran")
+
+        monkeypatch.setattr(coarse, "max_flow", no_max_flow)
+
+    @pytest.mark.parametrize("fault", ["leak", "over"],
+                             ids=["leak-start is not a flow", "over-flow <= capacity"])
+    def test_a_faulty_start_is_refused_on_a_tree(self, monkeypatch, fault):
+        # Both faults leave every unit sink arc full, so the certificate
+        # check alone stands between them and a certificate.
         greedy = coarse._greedy_start
 
         def faulty(ball, t, inner, crossing):
@@ -554,13 +563,75 @@ class TestGreedyRoutes:
                 flows[len(inner) + 1] -= 1
             return flows
 
-        def no_max_flow(*args):
-            raise AssertionError("max_flow ran")
+        monkeypatch.setattr(coarse, "_greedy_start", faulty)
+        self.refuse_max_flow(monkeypatch)
+        with pytest.raises(CertificateError, match="bound-1 Ponzi certificate"):
+            ponzi_feasible(CayleyBall(F2, 4), 1)
+
+    @pytest.mark.parametrize("fault", ["inner-over", "non-edge"])
+    def test_the_routed_check_refuses(self, monkeypatch, fault):
+        # Z^3 x F_2 at radius 3 routes at bound 1 and has squares of inner
+        # edges.  Each fault keeps every unit sink arc full and every inner
+        # vertex conserved; a leak is the tree test's "leak".
+        greedy = coarse._greedy_start
+
+        def faulty(ball, t, inner, crossing):
+            flows = greedy(ball, t, inner, crossing)
+            if fault == "inner-over":
+                # 2t + 1 units around a square 0 -> x -> z -> y -> 0 of inner
+                # edges: conserved, and every edge of it carries more than t
+                arc = {e: a for a, e in enumerate(inner)}
+                x, y = [j for i, j in inner if i == 0][:2]
+                z = next(w for w in range(1, len(ball))
+                         if (min(x, w), max(x, w)) in arc and (min(y, w), max(y, w)) in arc)
+                for u, w in ((0, x), (x, z), (z, y), (y, 0)):
+                    flows[arc[min(u, w), max(u, w)]] += (2 * t + 1) * (1 if u < w else -1)
+            else:
+                # an inner edge that carries nothing, re-keyed as a non-edge
+                # at the identity that carries a unit: no divergence that the
+                # check recounts on the ball's edges changes
+                a = flows.index(0, 0, len(inner))
+                edges = set(ball.edges)
+                inner[a] = next((0, w) for w in range(1, len(ball)) if (0, w) not in edges)
+                flows[a] = 1
+            return flows
 
         monkeypatch.setattr(coarse, "_greedy_start", faulty)
-        monkeypatch.setattr(coarse, "max_flow", no_max_flow)
-        with pytest.raises(ValueError, match=message):
-            ponzi_feasible(CayleyBall(F2, 4), 1)
+        self.refuse_max_flow(monkeypatch)
+        with pytest.raises(CertificateError, match="bound-1 Ponzi certificate"):
+            ponzi_feasible(CayleyBall(self.BALLS[-1][0], 3), 1)
+
+    def test_an_outward_crossing_flow_verifies(self, monkeypatch):
+        # One unit more into an inner vertex through one crossing edge, and
+        # out to the shell through another: a Ponzi certificate may push
+        # mass out to the shell, within the bound.
+        greedy = coarse._greedy_start
+        moved = []
+
+        def outward(ball, t, inner, crossing):
+            flows = greedy(ball, t, inner, crossing)
+            k = len(inner)
+            a, b = next((a, b) for a in range(k, k + len(crossing))
+                        for b in range(k, k + len(crossing))
+                        if a != b and crossing[a - k][0] == crossing[b - k][0]
+                        and flows[a] < t and flows[b] == 0)
+            flows[a] += 1
+            flows[b] -= 1
+            moved.append(crossing[b - k])
+            return flows
+
+        monkeypatch.setattr(coarse, "_greedy_start", outward)
+        self.refuse_max_flow(monkeypatch)
+        ball = CayleyBall(F2, 4)
+        cert = ponzi_feasible(ball, 2)
+        (i, j), = moved
+        assert cert.flow[i, j] == 1 and i < ball.inner_count <= j  # inner -> shell
+        div = [0] * len(ball)
+        for (u, v), f in cert.flow.items():
+            assert (u, v) in ball.edges and abs(f) <= 2
+            div[v] += f
+            div[u] -= f
+        assert div[:ball.inner_count] == [1] * ball.inner_count
 
 
 class TestPonzi:
@@ -669,13 +740,18 @@ class TestMinBound:
             res = min_ponzi_bound(ball)
             t_min = brute_force_min_bound(ball)
             assert res.t_min == t_min, (model.describe(), r)
-            assert res.certificate.flow == ponzi_feasible(ball, t_min).flow
+            # The certificate's flow may differ from ponzi_feasible's at
+            # t_min; the cut below it may not, since the residual source side
+            # is the same for every maximum flow.
+            assert res.certificate.bound == t_min
+            assert res.certificate.check() is res.certificate
             if t_min == 1:
                 assert res.cut_below is None
             else:
                 below = ponzi_feasible(ball, t_min - 1)
                 assert res.cut_below.capacity == below.capacity
                 assert res.cut_below.cut_edges == below.cut_edges
+                assert res.cut_below.source_side == below.source_side
             inner, crossing, _ = isoperimetric_ratio(ball)
             flux = -(-inner // crossing)
             kinds.add("one" if t_min == 1 else
@@ -684,38 +760,41 @@ class TestMinBound:
 
     def test_warm_search_runs_fewer_phases(self, monkeypatch):
         # The flux bound 7 is infeasible, and its cut's slope steps straight
-        # to t_min = 8: two probes.
-        phases, calls = [], []
-        blocking, flow = coarse.FlowNetwork._blocking, coarse.max_flow
-
-        def counted(self, s, t, level):
-            phases.append(t)
-            return blocking(self, s, t, level)
-
-        def counted_flow(*args):
-            calls.append(args)
-            return flow(*args)
-
-        monkeypatch.setattr(coarse.FlowNetwork, "_blocking", counted)
-        monkeypatch.setattr(coarse, "max_flow", counted_flow)
+        # to t_min = 8: two probes, one max_flow call, and the probe at 8
+        # resumes from the flow at 7.
+        phases, calls = count_phases(monkeypatch), count_max_flows(monkeypatch)
         res = min_ponzi_bound(CayleyBall(ZZ, 25))
         assert (res.t_min, res.cut_below.capacity) == (8, 1176)
-        assert len(calls) == 2
-        assert len(phases) <= 40  # 36 from the greedy starts
+        assert len(calls) == 1
+        assert len(phases) <= 32
+
+    @pytest.mark.parametrize("r, t_min, cap", [(28, 9, 45), (40, 12, 70)])
+    def test_raised_probes_run_fewer_phases(self, monkeypatch, r, t_min, cap):
+        # Z^2 at radius 28 probes 7, then 8 (step - 1 for step 9), then 9;
+        # each probe after the first resumes on one network (43 and 66
+        # phases, against 66 and 89 with a greedy start per probe).
+        phases = count_phases(monkeypatch)
+        assert min_ponzi_bound(CayleyBall(ZZ, r)).t_min == t_min
+        assert len(phases) <= cap
 
     @pytest.mark.parametrize("model, r, fake", [(ZZ3, 6, 4), (ZZ, 6, 1)],
                              ids=["warm-step", "below-flux"])
     def test_probe_below_t_min_must_not_route(self, monkeypatch, model, r, fake):
-        # ZZ3 r6 probes 3, then 4 (step - 1 for step 5), then 5; Z^2 r6
-        # routes at its flux bound 2 and probes 1 for the cut.  A forged flow
-        # at `fake` must raise CertificateError, not an assert that -O would
-        # drop.
-        probe = coarse.ponzi_feasible
+        # ZZ3 r6 probes 3, then raises to 4 (step - 1 for step 5), then 5;
+        # Z^2 r6 routes at its flux bound 2 and probes 1 for the cut through
+        # ponzi_feasible.  A forged flow at `fake` must raise
+        # CertificateError, not an assert that -O would drop.
+        probes = coarse._ponzi_probes
 
         def forged(ball, t):
-            return probe(ball, ball.inner_count if t == fake else t)
+            real = probes(ball, t)
+            result = next(real)
+            while True:
+                forgery = next(probes(ball, ball.inner_count)) if t == fake else result
+                t = yield forgery
+                result = real.send(t)
 
-        monkeypatch.setattr(coarse, "ponzi_feasible", forged)
+        monkeypatch.setattr(coarse, "_ponzi_probes", forged)
         with pytest.raises(CertificateError, match=f"t = {fake} routes below"):
             min_ponzi_bound(CayleyBall(model, r))
 
